@@ -4,14 +4,14 @@
 //!
 //! ```text
 //! cargo run --release -p neusight-bench --bin loadgen -- \
-//!     [--concurrency N[,N,...]] [--duration-s F] [--reactor] \
+//!     [--concurrency N[,N,...]] [--duration-s F] \
 //!     [--addr HOST:PORT] [--out FILE] [--cluster R[,R,...]] \
 //!     [--slow-replica-ms N]
 //! ```
 //!
-//! A single `--concurrency` value emits the flat `BENCH_serve.json`
-//! schema; a comma-separated list runs a sweep and emits one file with a
-//! per-level `levels` array (`BENCH_serve2.json`).
+//! `--concurrency` takes one level or a comma-separated sweep; either way
+//! the output is one file with a per-level `levels` array
+//! (`BENCH_serve2.json`).
 //!
 //! `--cluster 1,2,4` switches to the **multi-endpoint cluster mode**
 //! (`BENCH_cluster.json`): for each replica count it boots that many
@@ -34,9 +34,8 @@
 //! The `obscheck tail` gate enforces both.
 //!
 //! By default the generator is **self-hosting**: it trains a tiny
-//! predictor, boots a server on an ephemeral loopback port in-process
-//! (`--reactor` selects the epoll event-loop mode), warms the prediction
-//! cache, measures, then drains the server — so CI needs no
+//! predictor, boots a server on an ephemeral loopback port in-process,
+//! warms the prediction cache, measures, then drains the server — so CI needs no
 //! orchestration. Pass `--addr` to aim at an external server instead (it
 //! must already be running and warm).
 //!
@@ -82,25 +81,6 @@ struct LatencySummary {
     max_ms: f64,
 }
 
-/// Flat single-level schema (`BENCH_serve.json`, kept for continuity
-/// with earlier baselines).
-#[derive(Debug, Serialize)]
-struct ServeSummary {
-    generated_by: String,
-    addr: String,
-    mode: String,
-    concurrency: usize,
-    duration_s: f64,
-    requests: usize,
-    errors: usize,
-    /// Legacy field: 429-triggered retries. The mux client sizes the
-    /// self-hosted queue to the offered load, so overload shows up in
-    /// `errors` instead; against external servers this stays 0 too.
-    retries: u64,
-    throughput_rps: f64,
-    latency: LatencySummary,
-}
-
 /// One of the slowest observed requests, with the server-assigned trace
 /// ID echoed in `X-Request-Id` — look it up in the server's flight
 /// recorder (`GET /v1/debug/traces`) for a per-stage breakdown.
@@ -128,7 +108,6 @@ struct LevelSummary {
 struct SweepSummary {
     generated_by: String,
     addr: String,
-    mode: String,
     levels: Vec<LevelSummary>,
 }
 
@@ -169,7 +148,6 @@ struct Args {
     duration_s: f64,
     addr: Option<String>,
     out: Option<String>,
-    reactor: bool,
     cluster: Option<Vec<usize>>,
     slow_replica_ms: Option<u64>,
 }
@@ -180,7 +158,6 @@ fn parse_args() -> Args {
         duration_s: 3.0,
         addr: None,
         out: None,
-        reactor: false,
         cluster: None,
         slow_replica_ms: None,
     };
@@ -201,7 +178,6 @@ fn parse_args() -> Args {
             "--duration-s" => parsed.duration_s = value("duration-s").parse().expect("seconds"),
             "--addr" => parsed.addr = Some(value("addr")),
             "--out" => parsed.out = Some(value("out")),
-            "--reactor" => parsed.reactor = true,
             "--cluster" => {
                 parsed.cluster = Some(
                     value("cluster")
@@ -224,7 +200,7 @@ fn parse_args() -> Args {
 /// Request tracing and the flight recorder are on (the `neusight-obs`
 /// default), so the benchmark measures the traced serving path; the full
 /// span/metric profiling stack stays off, as in a production server.
-fn self_host(peak: usize, reactor: bool) -> RunningServer {
+fn self_host(peak: usize) -> RunningServer {
     debug_assert!(neusight_obs::tracing(), "tracing must default on");
     eprintln!("training a tiny predictor for the in-process server…");
     let data = collect_training_set(&training_gpus(), SweepScale::Tiny, DType::F32);
@@ -232,7 +208,6 @@ fn self_host(peak: usize, reactor: bool) -> RunningServer {
     let config = ServeConfig {
         workers: peak + 4,
         queue_depth: (peak * 8).max(256),
-        reactor,
         ..ServeConfig::default()
     };
     Server::spawn(config, ns).expect("bind loopback server")
@@ -899,19 +874,18 @@ fn main() {
     let out = args
         .out
         .clone()
-        .unwrap_or_else(|| "BENCH_serve.json".to_owned());
+        .unwrap_or_else(|| "BENCH_serve2.json".to_owned());
     let peak = args.levels.iter().copied().max().unwrap_or(32);
 
     let hosted: Option<RunningServer> = match args.addr {
         Some(_) => None,
-        None => Some(self_host(peak, args.reactor)),
+        None => Some(self_host(peak)),
     };
     let addr: SocketAddr = match (&args.addr, &hosted) {
         (Some(text), _) => text.parse().expect("--addr must be HOST:PORT"),
         (None, Some(server)) => server.addr(),
         (None, None) => unreachable!(),
     };
-    let mode = if args.reactor { "reactor" } else { "threaded" };
 
     // Warmup: populate the memo cache (and fault in every graph) so the
     // measured window sees the steady state.
@@ -938,37 +912,12 @@ fn main() {
         eprintln!("in-process server drained cleanly");
     }
 
-    let generated_by = "cargo run --release -p neusight-bench --bin loadgen".to_owned();
-    let json = if let [only] = levels.as_slice() {
-        // Single level: the flat legacy schema.
-        let summary = ServeSummary {
-            generated_by,
-            addr: addr.to_string(),
-            mode: mode.to_owned(),
-            concurrency: only.concurrency,
-            duration_s: only.duration_s,
-            requests: only.requests,
-            errors: only.errors,
-            retries: 0,
-            throughput_rps: only.throughput_rps,
-            latency: LatencySummary {
-                mean_ms: only.latency.mean_ms,
-                p50_ms: only.latency.p50_ms,
-                p95_ms: only.latency.p95_ms,
-                p99_ms: only.latency.p99_ms,
-                max_ms: only.latency.max_ms,
-            },
-        };
-        serde_json::to_string_pretty(&summary).expect("serializable")
-    } else {
-        let summary = SweepSummary {
-            generated_by,
-            addr: addr.to_string(),
-            mode: mode.to_owned(),
-            levels,
-        };
-        serde_json::to_string_pretty(&summary).expect("serializable")
+    let summary = SweepSummary {
+        generated_by: "cargo run --release -p neusight-bench --bin loadgen".to_owned(),
+        addr: addr.to_string(),
+        levels,
     };
+    let json = serde_json::to_string_pretty(&summary).expect("serializable");
     std::fs::write(&out, json + "\n").expect("write summary");
     eprintln!("wrote {out}");
 }

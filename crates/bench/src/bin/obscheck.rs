@@ -21,10 +21,10 @@
 //! scraped `/metrics` page, required to show served HTTP traffic
 //! (`neusight_serve_http_requests > 0`) on top of the structural checks.
 //!
-//! In `serve2` mode (the CI benchmark gate for the reactor server), the
-//! two files are loadgen summaries — the reactor sweep and a threaded
-//! comparison run — and the reactor's peak throughput must not fall
-//! below the threaded one.
+//! In `serve2` mode (the CI benchmark gate for the serve tier), the one
+//! file is a loadgen sweep (`BENCH_serve2.json`): its `levels` must be
+//! non-empty, and every level must show nonzero throughput and a finite
+//! p99 under 250 ms.
 //!
 //! In `trace` mode (the CI gate for the flight recorder), the first file
 //! is a trace dump (`GET /v1/debug/traces`) — validated for schema
@@ -487,78 +487,43 @@ fn check_trace_dump(dump_text: &str, metrics_text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// One benchmark level as `(concurrency, throughput_rps, p99_ms)`,
-/// pulled out of either loadgen schema: a sweep file carries a `levels`
-/// array, a flat file is itself one level.
-fn bench_levels(root: &Value, path: &str) -> Result<Vec<(f64, f64, f64)>, String> {
-    let level_of = |value: &Value| -> Result<(f64, f64, f64), String> {
-        let concurrency = get(value, "concurrency")
+/// `obscheck serve2 BENCH_serve2.json` — the benchmark gate for the
+/// serve tier: the loadgen sweep must carry a non-empty `levels` array,
+/// and every level must show nonzero throughput and a plausible p99.
+fn check_serve_bench(text: &str) -> Result<(), String> {
+    let Any(root) =
+        serde_json::from_str(text).map_err(|e| format!("serve bench is not valid JSON: {e}"))?;
+    let Some(Value::Array(levels)) = get(&root, "levels") else {
+        return Err("serve bench has no `levels` array".to_owned());
+    };
+    check(!levels.is_empty(), "serve bench `levels` is empty")?;
+    let mut best = 0.0_f64;
+    for level in levels {
+        let concurrency = get(level, "concurrency")
             .and_then(as_f64)
-            .ok_or(format!("{path}: level has no numeric `concurrency`"))?;
-        let rps = get(value, "throughput_rps")
+            .ok_or("serve bench level has no numeric `concurrency`")?;
+        let rps = get(level, "throughput_rps")
             .and_then(as_f64)
-            .ok_or(format!("{path}: level has no numeric `throughput_rps`"))?;
-        let p99 = get(value, "latency")
+            .ok_or("serve bench level has no numeric `throughput_rps`")?;
+        let p99 = get(level, "latency")
             .and_then(|l| get(l, "p99_ms"))
             .and_then(as_f64)
-            .ok_or(format!("{path}: level has no numeric `latency.p99_ms`"))?;
-        Ok((concurrency, rps, p99))
-    };
-    match get(root, "levels") {
-        Some(Value::Array(levels)) => {
-            check(!levels.is_empty(), &format!("{path}: `levels` is empty"))?;
-            levels.iter().map(level_of).collect()
-        }
-        Some(_) => Err(format!("{path}: `levels` is not an array")),
-        None => Ok(vec![level_of(root)?]),
-    }
-}
-
-/// `obscheck serve2 REACTOR.json THREADED.json` — the benchmark gate for
-/// the event-loop server: the reactor sweep (`BENCH_serve2.json`) must be
-/// structurally sound with plausible numbers at every level, and its best
-/// throughput must not fall below the threaded comparison run. Either
-/// file may use the flat or the sweep schema.
-fn check_serve_bench(reactor_text: &str, threaded_text: &str) -> Result<(), String> {
-    let Any(reactor) = serde_json::from_str(reactor_text)
-        .map_err(|e| format!("reactor bench is not valid JSON: {e}"))?;
-    let Any(threaded) = serde_json::from_str(threaded_text)
-        .map_err(|e| format!("threaded bench is not valid JSON: {e}"))?;
-    check(
-        get(&reactor, "mode").and_then(as_str) == Some("reactor"),
-        "reactor bench file does not carry `\"mode\": \"reactor\"`",
-    )?;
-
-    let reactor_levels = bench_levels(&reactor, "reactor bench")?;
-    for &(concurrency, rps, p99) in &reactor_levels {
+            .ok_or("serve bench level has no numeric `latency.p99_ms`")?;
         check(
             rps > 0.0,
-            &format!("reactor throughput at {concurrency}-way is zero"),
+            &format!("serve throughput at {concurrency}-way is zero"),
         )?;
         // Loose sanity bound: on a loopback benchmark, a p99 in the
         // hundreds of milliseconds means the event loop is stalling.
         check(
             p99.is_finite() && p99 > 0.0 && p99 < 250.0,
-            &format!("implausible reactor p99 of {p99} ms at {concurrency}-way"),
+            &format!("implausible serve p99 of {p99} ms at {concurrency}-way"),
         )?;
+        best = best.max(rps);
     }
-    let reactor_best = reactor_levels.iter().map(|l| l.1).fold(0.0, f64::max);
-    let threaded_best = bench_levels(&threaded, "threaded bench")?
-        .iter()
-        .map(|l| l.1)
-        .fold(0.0, f64::max);
-    check(threaded_best > 0.0, "threaded throughput is zero")?;
-    check(
-        reactor_best >= threaded_best,
-        &format!(
-            "reactor peak throughput regressed below threaded \
-             ({reactor_best:.0} < {threaded_best:.0} req/s)"
-        ),
-    )?;
     println!(
-        "serve bench OK: reactor {reactor_best:.0} req/s over {} levels \
-         >= threaded {threaded_best:.0} req/s",
-        reactor_levels.len()
+        "serve bench OK: peak {best:.0} req/s over {} levels",
+        levels.len()
     );
     Ok(())
 }
@@ -700,9 +665,7 @@ fn main() -> ExitCode {
                 check_predict_body(&read(predict_path)?)?;
                 check_serve_metrics(&read(metrics_path)?)
             }
-            [mode, reactor_path, threaded_path] if mode == "serve2" => {
-                check_serve_bench(&read(reactor_path)?, &read(threaded_path)?)
-            }
+            [mode, bench_path] if mode == "serve2" => check_serve_bench(&read(bench_path)?),
             [mode, dump_path, metrics_path] if mode == "trace" => {
                 check_trace_dump(&read(dump_path)?, &read(metrics_path)?)
             }
@@ -716,7 +679,7 @@ fn main() -> ExitCode {
                 check_metrics(&read(metrics_path)?)
             }
             _ => Err(
-                "usage: obscheck TRACE.json METRICS.prom | obscheck serve PREDICT.json METRICS.prom | obscheck serve2 REACTOR.json THREADED.json | obscheck trace DUMP.json METRICS.prom | obscheck chaos METRICS.prom | obscheck guard METRICS.prom | obscheck reload METRICS.prom | obscheck cluster BENCH_cluster.json | obscheck tail BENCH_tail.json"
+                "usage: obscheck TRACE.json METRICS.prom | obscheck serve PREDICT.json METRICS.prom | obscheck serve2 BENCH_serve2.json | obscheck trace DUMP.json METRICS.prom | obscheck chaos METRICS.prom | obscheck guard METRICS.prom | obscheck reload METRICS.prom | obscheck cluster BENCH_cluster.json | obscheck tail BENCH_tail.json"
                     .to_owned(),
             ),
         }
@@ -890,40 +853,27 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_gate_compares_peak_throughput() {
-        let reactor = r#"{"mode":"reactor","levels":[
+    fn serve_bench_gate_checks_every_level() {
+        let sweep = r#"{"levels":[
             {"concurrency":32,"throughput_rps":80000.0,"latency":{"p99_ms":0.5}},
             {"concurrency":256,"throughput_rps":75000.0,"latency":{"p99_ms":4.8}}
         ]}"#;
-        let threaded_flat = r#"{"mode":"threaded","concurrency":256,
-            "throughput_rps":44000.0,"latency":{"p99_ms":6.5}}"#;
-        assert!(check_serve_bench(reactor, threaded_flat).is_ok());
+        assert!(check_serve_bench(sweep).is_ok());
 
-        // A threaded sweep file works on the comparison side too.
-        let threaded_sweep = r#"{"mode":"threaded","levels":[
-            {"concurrency":256,"throughput_rps":44000.0,"latency":{"p99_ms":6.5}}
-        ]}"#;
-        assert!(check_serve_bench(reactor, threaded_sweep).is_ok());
-
-        // Reactor slower than threaded is a regression.
-        let fast_threaded = threaded_flat.replace("44000.0", "90000.0");
-        assert!(check_serve_bench(reactor, &fast_threaded).is_err());
-
-        // Structural failures: wrong mode tag, empty levels, stalled p99,
-        // zero throughput, missing fields.
-        let mislabeled = reactor.replace("\"reactor\"", "\"threaded\"");
-        assert!(check_serve_bench(&mislabeled, threaded_flat).is_err());
-        let empty = r#"{"mode":"reactor","levels":[]}"#;
-        assert!(check_serve_bench(empty, threaded_flat).is_err());
-        let stalled = reactor.replace("\"p99_ms\":4.8", "\"p99_ms\":900.0");
-        assert!(check_serve_bench(&stalled, threaded_flat).is_err());
-        let idle = reactor.replace("\"throughput_rps\":75000.0", "\"throughput_rps\":0.0");
-        assert!(check_serve_bench(&idle, threaded_flat).is_err());
-        let no_p99 = r#"{"mode":"reactor","levels":[
+        // Structural failures: no or empty levels, stalled p99, zero
+        // throughput, missing fields.
+        let flat = r#"{"concurrency":256,"throughput_rps":44000.0,"latency":{"p99_ms":6.5}}"#;
+        assert!(check_serve_bench(flat).is_err());
+        assert!(check_serve_bench(r#"{"levels":[]}"#).is_err());
+        let stalled = sweep.replace("\"p99_ms\":4.8", "\"p99_ms\":900.0");
+        assert!(check_serve_bench(&stalled).is_err());
+        let idle = sweep.replace("\"throughput_rps\":75000.0", "\"throughput_rps\":0.0");
+        assert!(check_serve_bench(&idle).is_err());
+        let no_p99 = r#"{"levels":[
             {"concurrency":32,"throughput_rps":80000.0,"latency":{}}
         ]}"#;
-        assert!(check_serve_bench(no_p99, threaded_flat).is_err());
-        assert!(check_serve_bench("not json", threaded_flat).is_err());
+        assert!(check_serve_bench(no_p99).is_err());
+        assert!(check_serve_bench("not json").is_err());
     }
 
     /// A schema-complete two-trace dump whose stages telescope exactly.

@@ -903,23 +903,17 @@ fn cmd_serve(args: &Args) -> CliResult {
         deadline: std::time::Duration::from_millis(args.get_or("deadline-ms", 1000u64)?),
         max_batch: args.get_or("max-batch", 64usize)?,
         handle_signals: true,
-        reactor: args.has("reactor"),
         model_version,
         models_dir: args.option("models-dir").map(std::path::PathBuf::from),
         ..neusight_serve::ServeConfig::default()
     };
-    let reactor = config.reactor;
     let server = neusight_serve::Server::bind(config, ns)?;
     if ephemeral {
         use std::io::Write as _;
         println!("ADDR {}", server.local_addr());
         let _ = std::io::stdout().flush();
     }
-    println!(
-        "serving on http://{} ({} mode)",
-        server.local_addr(),
-        if reactor { "reactor" } else { "threaded" }
-    );
+    println!("serving on http://{}", server.local_addr());
     println!("  POST /v1/predict   {{\"model\":\"gpt2\",\"gpu\":\"H100\",\"batch\":4}}");
     println!("  GET  /v1/models    GET /v1/gpus    GET /healthz    GET /metrics");
     println!("  GET  /v1/debug/traces  (flight recorder; also dumped on SIGUSR1/panic)");
@@ -1080,7 +1074,6 @@ fn cmd_router(args: &Args) -> CliResult {
 struct ReplicaSpec {
     predictor: Option<String>,
     max_batch: Option<String>,
-    reactor: bool,
     cache_capacity: Option<String>,
     cache_shards: Option<String>,
     fault_spec: Option<String>,
@@ -1094,7 +1087,6 @@ impl ReplicaSpec {
         ReplicaSpec {
             predictor: owned("predictor"),
             max_batch: owned("max-batch"),
-            reactor: args.has("reactor"),
             cache_capacity: owned("cache-capacity"),
             cache_shards: owned("cache-shards"),
             fault_spec: owned("fault-spec"),
@@ -1128,9 +1120,6 @@ fn spawn_replica(
     forward(&mut command, "--fault-spec", &spec.fault_spec);
     forward(&mut command, "--fault-seed", &spec.fault_seed);
     forward(&mut command, "--models-dir", &spec.models_dir);
-    if spec.reactor {
-        command.arg("--reactor");
-    }
     command
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::inherit());

@@ -167,6 +167,7 @@ mod tests {
 
     #[test]
     fn catch_converts_panic_to_error() {
+        let _guard = crate::test_lock::hold();
         let err = catch("boom", || panic!("exploded: {}", 42)).unwrap_err();
         assert!(err.contains("exploded: 42"), "{err}");
     }
@@ -184,6 +185,7 @@ mod tests {
 
     #[test]
     fn supervisor_restarts_until_success() {
+        let _guard = crate::test_lock::hold();
         let supervisor = Supervisor::new("flappy", 5);
         let mut attempts = 0;
         let result = supervisor.supervise(|| {
@@ -197,6 +199,7 @@ mod tests {
 
     #[test]
     fn supervisor_gives_up_after_budget() {
+        let _guard = crate::test_lock::hold();
         let supervisor = Supervisor::new("doomed", 2);
         let result: Option<()> = supervisor.supervise(|| panic!("always"));
         assert_eq!(result, None);
@@ -205,6 +208,7 @@ mod tests {
 
     #[test]
     fn recover_poison_returns_inner_after_panic() {
+        let _guard = crate::test_lock::hold();
         let lock = Mutex::new(1);
         let _ = catch("poisoner", || {
             let _guard = lock.lock().unwrap();
@@ -217,11 +221,13 @@ mod tests {
 
     #[test]
     fn inject_panic_is_noop_when_disarmed() {
+        let _guard = crate::test_lock::hold();
         inject_panic(); // must not panic
     }
 
     #[test]
     fn inject_panic_fires_when_armed() {
+        let _guard = crate::test_lock::hold();
         let spec: neusight_fault::FaultSpec = format!("{PANIC_POINT}=1.0:count=1").parse().unwrap();
         neusight_fault::configure(&spec, 3);
         let err = catch("injected", inject_panic).unwrap_err();

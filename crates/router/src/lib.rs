@@ -69,3 +69,15 @@ pub use proxy::{Router, RouterConfig, RouterHandle, RunningRouter};
 pub use ring::{HashRing, RouteKey, VNODES};
 pub use supervisor::{ChildProcess, Supervisor, SupervisorConfig};
 pub use upstream::{Fleet, Upstream, FLAP_THRESHOLD};
+
+/// Serializes tests that move the process-global router counters
+/// (`router.rehash_total` and friends) while obs is enabled.
+#[cfg(test)]
+pub(crate) mod test_lock {
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    pub fn hold() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}

@@ -1,8 +1,8 @@
 //! The router process: accept loop, per-connection proxying, fleet
 //! aggregation pages, and the prober thread.
 //!
-//! Each accepted connection gets a handler thread (the same shape as the
-//! serve tier's threaded mode) that keeps one upstream keep-alive
+//! Each accepted connection gets a handler thread (blocking reads via
+//! [`http::read_request`]) that keeps one upstream keep-alive
 //! connection per replica it has talked to, so the steady-state hop adds
 //! a hash + one pooled socket write, not a dial. Predict traffic routes
 //! by [`RouteKey`] over the fleet's consistent-hash ring; everything

@@ -254,6 +254,7 @@ mod tests {
 
     #[test]
     fn a_dead_child_is_drained_and_respawned_on_a_new_address() {
+        let _guard = crate::test_lock::hold();
         let fleet = fleet_of(2);
         let dead = Arc::new(AtomicBool::new(false));
         let children = vec![
@@ -310,6 +311,7 @@ mod tests {
 
     #[test]
     fn the_restart_budget_bounds_a_crash_loop() {
+        let _guard = crate::test_lock::hold();
         let fleet = fleet_of(1);
         let dead = Arc::new(AtomicBool::new(true));
         let children = vec![(
@@ -339,6 +341,7 @@ mod tests {
 
     #[test]
     fn respawn_errors_spend_budget_and_back_off() {
+        let _guard = crate::test_lock::hold();
         let fleet = fleet_of(1);
         let children = vec![(
             "replica-0".to_owned(),

@@ -338,6 +338,7 @@ mod tests {
 
     #[test]
     fn mark_down_rehashes_once_and_survivors_take_over() {
+        let _guard = crate::test_lock::hold();
         obs::set_enabled(true);
         let fleet = fleet_of(3);
         let rehash = obs::metrics::counter("router.rehash_total");
@@ -359,6 +360,7 @@ mod tests {
 
     #[test]
     fn all_down_routes_nowhere() {
+        let _guard = crate::test_lock::hold();
         let fleet = fleet_of(2);
         assert!(fleet.mark_down("replica-0"));
         assert!(fleet.mark_down("replica-1"));
@@ -368,6 +370,7 @@ mod tests {
 
     #[test]
     fn hedge_target_is_a_distinct_live_replica() {
+        let _guard = crate::test_lock::hold();
         let fleet = fleet_of(3);
         let key = RouteKey::new("V100", "gpt2");
         let owner = fleet.route(&key).expect("owner").name.clone();

@@ -9,7 +9,6 @@ use crate::service::{PredictRequest, PredictService, ServeError};
 use neusight_guard as guard;
 use neusight_obs as obs;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -49,32 +48,21 @@ impl Completions {
     }
 }
 
-/// Where a finished job's result goes: a blocking per-request channel
-/// (thread-per-connection handlers) or a completion mailbox keyed by
-/// connection token (the reactor's event loop).
-pub enum Reply {
-    /// One-shot reply channel back to a connection-handler thread.
-    Channel(SyncSender<(ReplyResult, obs::TraceContext)>),
-    /// Completion mailbox entry for the event loop.
-    Completion {
-        /// The reactor's generation-tagged connection token.
-        token: u64,
-        /// The event loop's mailbox.
-        completions: Arc<Completions>,
-    },
+/// Where a finished job's result goes: an entry in the event loop's
+/// completion mailbox, keyed by the reactor's per-request ticket.
+pub struct Reply {
+    /// The reactor's per-request ticket.
+    pub token: u64,
+    /// The event loop's mailbox.
+    pub completions: Arc<Completions>,
 }
 
 impl Reply {
-    /// Delivers the result along with the stage-stamped trace. A dead
-    /// receiver (handler gave up, connection closed) is not an error: the
-    /// prediction is memoized either way.
+    /// Delivers the result along with the stage-stamped trace. A ticket
+    /// the event loop no longer waits for (connection closed, deadline
+    /// fired) is dropped there: the prediction is memoized either way.
     pub fn send(self, result: ReplyResult, trace: obs::TraceContext) {
-        match self {
-            Reply::Channel(tx) => {
-                let _ = tx.send((result, trace));
-            }
-            Reply::Completion { token, completions } => completions.push(token, result, trace),
-        }
+        self.completions.push(self.token, result, trace);
     }
 }
 
@@ -232,9 +220,9 @@ fn serve_batch(
     match attempt {
         Ok(results) => {
             for (mut job, result) in live.into_iter().zip(results) {
-                // A dead receiver means the handler gave up (client
-                // timeout); the prediction is already memoized, so the
-                // work is not wasted.
+                // A reply nobody waits for any more (client gone or
+                // timed out) costs nothing: the prediction is already
+                // memoized, so the work is not wasted.
                 job.trace.stamp(obs::Stage::Predict);
                 let Job { reply, trace, .. } = job;
                 reply.send(result, trace);

@@ -142,8 +142,8 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 /// connection's read buffer, so parsing a well-formed request allocates
 /// nothing. Routing only ever consults the method, path,
 /// `Content-Length`, and `Connection` disposition, so no header vector is
-/// materialized; the threaded path still builds a [`Request`] (allocating)
-/// from this view for compatibility.
+/// materialized; the blocking [`read_request`] still builds a [`Request`]
+/// (allocating) from this view.
 #[derive(Debug, Clone, Copy)]
 pub struct HeadView<'a> {
     /// Method exactly as sent (match with [`HeadView::method_is`]).
@@ -188,9 +188,9 @@ pub enum HeadParse<'a> {
 
 /// Parses an HTTP/1.1 request head in place from the front of `buf`.
 ///
-/// Shared by the threaded reader and the reactor's per-connection state
-/// machine, so both paths reject malformed input with byte-identical
-/// status/message pairs. Error precedence (431 before anything, then 400
+/// Shared by the blocking [`read_request`] (the router's reader) and the
+/// reactor's per-connection state machine, so both reject malformed input
+/// with byte-identical status/message pairs. Error precedence (431 before anything, then 400
 /// UTF-8, 400 request line, 505 version, 400 header line, 400
 /// Content-Length, 413 body bound) matches the original reader exactly.
 #[must_use]

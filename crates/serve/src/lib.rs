@@ -6,8 +6,9 @@
 //! microseconds from the warm cache — the interactive capacity-planning
 //! shape described by Habitat and the ROADMAP's production north star.
 //!
-//! Everything is `std`-only (TCP + threads), matching the repo's
-//! vendored-offline constraint. The moving parts, one module each:
+//! Everything is `std`-only (TCP, threads, and raw epoll syscalls),
+//! matching the repo's vendored-offline constraint; serving needs Linux.
+//! The moving parts, one module each:
 //!
 //! - [`http`] — a small, strict HTTP/1.1 codec (keep-alive, bounded
 //!   head/body, `Content-Length` bodies only).
@@ -19,11 +20,10 @@
 //! - [`service`] — request/response types and the model/GPU/graph
 //!   resolution + prediction logic, shared by the server and direct
 //!   in-process callers.
-//! - [`server`] — accept loop, routing, deadlines, graceful drain.
-//! - `reactor` — the epoll event-loop server mode
-//!   ([`ServeConfig::reactor`]): one thread multiplexing every
+//! - [`server`] — configuration, routing, admission, graceful drain.
+//! - `reactor` — the epoll event loop: one thread multiplexing every
 //!   connection, with `sys` (epoll/eventfd wrappers) and `timer` (a
-//!   hashed timer wheel) underneath. Linux only.
+//!   hashed timer wheel) underneath.
 //! - [`signal`] — SIGTERM/SIGINT → atomic flag, no external crates.
 //! - [`client`] — a blocking keep-alive client for loadgen and tests.
 //!

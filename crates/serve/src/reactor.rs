@@ -1,6 +1,5 @@
-//! The epoll event-loop server mode: one reactor thread multiplexing
-//! every connection, replacing thread-per-connection with readiness
-//! notification.
+//! The epoll event loop that serves every connection: one reactor thread
+//! multiplexing all of them through readiness notification.
 //!
 //! # Connection state machine
 //!
@@ -14,9 +13,9 @@
 //!                   (EPOLLOUT)                       (interest ∅)
 //! ```
 //!
-//! Routing, admission, dispatch, and response rendering are the same code
-//! the threaded path uses ([`route_common`], [`admit`], the dispatcher),
-//! so the two modes produce byte-identical responses.
+//! Routing, admission, dispatch, and response rendering live outside the
+//! loop ([`route_common`], [`admit`], the dispatcher); the loop owns only
+//! sockets, buffers, and timers.
 //!
 //! Design notes:
 //!
@@ -253,8 +252,8 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
         Completions::new(move || wakeup.signal())
     };
     // A supervisor restart dropped the previous incarnation's connections
-    // without running close accounting; this loop owns the counter in
-    // reactor mode, so restart from an honest zero.
+    // without running close accounting; this loop owns the counter, so
+    // restart from an honest zero.
     shared.active_connections.store(0, Ordering::SeqCst);
     shared.metrics.connections.set(0.0);
 
@@ -361,8 +360,7 @@ impl Reactor<'_> {
                     }
                     let active = self.shared.active_connections.load(Ordering::SeqCst);
                     if active >= self.shared.config.workers {
-                        // `workers` bounds concurrent connections here
-                        // (there are no handler threads to bound).
+                        // `workers` bounds concurrent connections.
                         reject_connection(stream);
                         continue;
                     }
@@ -484,8 +482,7 @@ impl Reactor<'_> {
                 match http::parse_head(&conn.read_buf) {
                     HeadParse::Incomplete => return,
                     HeadParse::Malformed(message, status) => {
-                        // Same contract as the threaded reader: report the
-                        // error and close.
+                        // Report the error and close.
                         let response = Response::error(status, message);
                         conn.read_buf.clear();
                         conn.write_buf.clear();
@@ -541,8 +538,7 @@ impl Reactor<'_> {
                     // pipelined request; otherwise the next turn exits.
                 }
                 RouteOutcome::Predict(parsed) => {
-                    // Same budget arithmetic as the threaded path: the
-                    // client's propagated X-Deadline-Ms caps the
+                    // The client's propagated X-Deadline-Ms caps the
                     // configured deadline, and an already-expired budget
                     // answers 504 without burning a dispatcher slot.
                     let budget = match crate::server::request_budget(self.shared, deadline_ms) {
@@ -568,7 +564,7 @@ impl Reactor<'_> {
                     let ticket = self.next_ticket;
                     self.next_ticket += 1;
                     let deadline = Instant::now() + budget;
-                    let reply = Reply::Completion {
+                    let reply = Reply {
                         token: ticket,
                         completions: Arc::clone(&self.completions),
                     };
@@ -584,9 +580,8 @@ impl Reactor<'_> {
                             // fd with buffered pipelined bytes would spin.
                             set_interest(&self.epoll, conn, token, 0);
                             self.pending.insert(ticket, token);
-                            // Same margin as the threaded path's blocking
-                            // wait: the dispatcher's own 504 gets 250 ms
-                            // to arrive before the reactor times out.
+                            // The dispatcher's own 504 gets 250 ms to
+                            // arrive before the reactor times out.
                             self.timers.schedule(Timer {
                                 deadline: deadline + Duration::from_millis(250),
                                 token,
@@ -725,11 +720,9 @@ impl Reactor<'_> {
                 IdleAction::Rearm(conn.last_activity + idle_timeout)
             } else if matches!(conn.state, ConnState::Reading) {
                 match http::parse_head(&conn.read_buf) {
-                    // Idle between requests or mid-head: silent close,
-                    // like the threaded reader's IdleTimeout.
+                    // Idle between requests or mid-head: silent close.
                     HeadParse::Incomplete => IdleAction::CloseSilently,
-                    // Head arrived but the body stalled: 408, like the
-                    // threaded reader's body-timeout path.
+                    // Head arrived but the body stalled: 408.
                     HeadParse::Complete(_) => IdleAction::RespondTimeout,
                     // Malformed input is handled on the read path; if it
                     // is still buffered here the connection is wedged.
@@ -810,8 +803,8 @@ impl Reactor<'_> {
         self.process_requests(token);
     }
 
-    /// Best-effort JSON 500 after a panicked per-connection handler,
-    /// mirroring the threaded path's fallback write, then close.
+    /// Best-effort JSON 500 after a panicked per-connection handler, then
+    /// close.
     fn fail_connection(&mut self, token: u64) {
         if let Some(conn) = self.slab.get_mut(token) {
             let mut buf = Vec::new();
@@ -851,8 +844,8 @@ impl Reactor<'_> {
                     continue;
                 };
                 match conn.state {
-                    // Same as the threaded reader returning Draining:
-                    // waiting connections close immediately.
+                    // Connections waiting between requests close
+                    // immediately.
                     ConnState::Reading => true,
                     _ => {
                         conn.close_after_write = true;

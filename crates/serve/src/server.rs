@@ -1,25 +1,24 @@
-//! The HTTP server: accept loop, connection handlers, routing, and the
-//! graceful-drain state machine.
+//! The HTTP server: configuration, routing, admission, and the
+//! graceful-drain state machine around the epoll event loop.
 //!
 //! # Request lifecycle
 //!
-//! 1. The acceptor hands each connection to its own handler thread
-//!    (bounded by `workers`; beyond that, connections get an immediate
-//!    503 and close).
-//! 2. The handler reads HTTP/1.1 requests in a keep-alive loop. An idle
-//!    reaper closes connections that stay silent past `idle_timeout`.
-//! 3. `POST /v1/predict` bodies are parsed and **admitted** to a bounded
+//! 1. The reactor thread accepts connections (bounded by `workers`;
+//!    beyond that, connections get an immediate 503 and close) and reads
+//!    HTTP/1.1 requests in a keep-alive loop. Connections that stay
+//!    silent past `idle_timeout` are reaped.
+//! 2. `POST /v1/predict` bodies are parsed and **admitted** to a bounded
 //!    queue — a full queue answers `429 Too Many Requests` with
 //!    `Retry-After` instead of stalling the socket.
-//! 4. The single dispatcher thread drains the queue in micro-batches and
+//! 3. The single dispatcher thread drains the queue in micro-batches and
 //!    serves each batch with one [`PredictService::predict_batch`] call;
 //!    jobs that outlived their deadline in the queue get `504`.
-//! 5. On SIGTERM/SIGINT (or [`ServerHandle::shutdown`]) the server stops
+//! 4. On SIGTERM/SIGINT (or [`ServerHandle::shutdown`]) the server stops
 //!    accepting, lets in-flight requests finish, drains the queue, and
 //!    only then joins its threads and returns.
 
 use crate::dispatch::{self, DispatchConfig, Job};
-use crate::http::{self, ReadOutcome, Request, Response};
+use crate::http::{self, Response};
 use crate::queue::{BoundedQueue, QueueFull};
 use crate::service::{PredictRequest, PredictService};
 use crate::signal;
@@ -29,7 +28,7 @@ use neusight_obs as obs;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -38,7 +37,8 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Maximum concurrent connection-handler threads.
+    /// Maximum concurrent connections; beyond it, new connections get an
+    /// immediate 503.
     pub workers: usize,
     /// Admission-queue bound; beyond it, predicts get 429.
     pub queue_depth: usize,
@@ -59,12 +59,6 @@ pub struct ServeConfig {
     /// Predictor circuit-breaker tuning (trip threshold, cooldown,
     /// half-open probes).
     pub breaker: neusight_fault::BreakerConfig,
-    /// Serve with the epoll event loop (one reactor thread multiplexing
-    /// every connection) instead of a thread per connection. Linux only;
-    /// `workers` then bounds concurrent *connections* rather than
-    /// threads. Routing, dispatch, and responses are byte-identical
-    /// across both modes.
-    pub reactor: bool,
     /// Registry version tag of the initial model (`None` for bare
     /// weights loaded outside the registry).
     pub model_version: Option<String>,
@@ -90,7 +84,6 @@ impl Default for ServeConfig {
             service_delay: Duration::ZERO,
             handle_signals: false,
             breaker: neusight_fault::BreakerConfig::default(),
-            reactor: false,
             model_version: None,
             models_dir: None,
             lifecycle: crate::lifecycle::LifecycleConfig::default(),
@@ -123,14 +116,14 @@ impl HttpMetrics {
     }
 }
 
-/// State shared by the acceptor, handlers (or reactor), and dispatcher.
+/// State shared by the reactor and the dispatcher.
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) service: PredictService,
     pub(crate) queue: BoundedQueue<Job>,
     /// Stop admitting new work; in-flight requests still complete.
     pub(crate) draining: AtomicBool,
-    /// Terminates the dispatcher once handlers have exited.
+    /// Terminates the dispatcher once the event loop has exited.
     pub(crate) dispatcher_stop: AtomicBool,
     pub(crate) active_connections: AtomicUsize,
     /// Predict jobs admitted to the queue and not yet answered.
@@ -250,14 +243,13 @@ impl Server {
         &self.shared.service
     }
 
-    /// Runs the accept loop (thread-per-connection or reactor, per
-    /// [`ServeConfig::reactor`]) until shutdown, then drains and joins
-    /// every thread. Returns only after the drain completes.
+    /// Runs the epoll event loop until shutdown, then drains and joins
+    /// the dispatcher. Returns only after the drain completes.
     ///
     /// # Errors
     ///
-    /// Propagates listener configuration failures; `reactor: true` on a
-    /// non-Linux platform reports [`io::ErrorKind::Unsupported`].
+    /// Propagates listener and event-loop failures; on a non-Linux
+    /// platform reports [`io::ErrorKind::Unsupported`].
     pub fn run(self) -> io::Result<()> {
         let Server {
             listener, shared, ..
@@ -293,13 +285,15 @@ impl Server {
             })
         };
 
-        let result = if shared.config.reactor {
-            run_reactor(&shared, &listener)
-        } else {
-            run_threaded(&shared, &listener)
-        };
+        #[cfg(target_os = "linux")]
+        let result = crate::reactor::run(&shared, &listener);
+        #[cfg(not(target_os = "linux"))]
+        let result = Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "neusight-serve requires Linux epoll",
+        ));
 
-        // Both modes return with their connections finished; the
+        // The event loop returns with its connections finished; the
         // dispatcher then drains whatever is still queued and stops.
         shared.draining.store(true, Ordering::SeqCst);
         shared.dispatcher_stop.store(true, Ordering::SeqCst);
@@ -361,74 +355,8 @@ impl RunningServer {
     }
 }
 
-/// The thread-per-connection accept loop: one handler thread per
-/// connection, bounded by `workers`. Returns after a requested drain has
-/// joined every handler.
-fn run_threaded(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop_requested() {
-        maybe_dump_on_signal();
-        maybe_reload_on_signal(shared);
-        // Reap finished connection threads so the vec stays bounded.
-        handlers.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let active = shared.active_connections.load(Ordering::SeqCst);
-                if active >= shared.config.workers {
-                    reject_connection(stream);
-                    continue;
-                }
-                shared.active_connections.fetch_add(1, Ordering::SeqCst);
-                let shared = Arc::clone(shared);
-                handlers.push(thread::spawn(move || {
-                    // Keep a handle to the socket so a panicking
-                    // handler can still answer with a JSON 500
-                    // instead of silently dropping the connection.
-                    let fallback = stream.try_clone().ok();
-                    if guard::catch("serve.connection", || handle_connection(&shared, stream))
-                        .is_err()
-                    {
-                        if let Some(mut stream) = fallback {
-                            let _ = Response::error(500, "connection handler panicked")
-                                .write_to(&mut stream, false);
-                        }
-                    }
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-
-    // Graceful drain: no new connections; handlers finish their current
-    // request (the dispatcher is still alive to serve queued jobs).
-    shared.draining.store(true, Ordering::SeqCst);
-    for handler in handlers {
-        let _ = handler.join();
-    }
-    Ok(())
-}
-
-/// The epoll event-loop mode: a single reactor thread multiplexing every
-/// connection. Returns after a requested drain has closed them all.
-#[cfg(target_os = "linux")]
-fn run_reactor(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<()> {
-    crate::reactor::run(shared, listener)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn run_reactor(_shared: &Arc<Shared>, _listener: &TcpListener) -> io::Result<()> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "the reactor server mode requires Linux epoll",
-    ))
-}
-
 /// Dumps the flight recorder to [`obs::trace::dump_path`] if SIGUSR1
-/// arrived since the last poll. Called from both accept/event loops.
+/// arrived since the last poll. Called from the event loop.
 pub(crate) fn maybe_dump_on_signal() {
     if !signal::take_usr1() {
         return;
@@ -444,9 +372,9 @@ pub(crate) fn maybe_dump_on_signal() {
 }
 
 /// Stages a reload of the latest registry version if SIGHUP arrived
-/// since the last poll. Called from both accept/event loops; the gate
-/// itself (golden sanity + canary) is a few milliseconds of CPU, cheap
-/// enough for the accept loop.
+/// since the last poll. Called from the event loop; the gate itself
+/// (golden sanity + canary) is a few milliseconds of CPU, cheap enough
+/// for one loop turn.
 pub(crate) fn maybe_reload_on_signal(shared: &Shared) {
     if !signal::take_hup() {
         return;
@@ -467,75 +395,8 @@ pub(crate) fn reject_connection(mut stream: TcpStream) {
     let _ = stream.flush();
 }
 
-/// Decrements the active-connection count (and gauge) on scope exit.
-struct ConnGuard<'a>(&'a Shared);
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        let left = self.0.active_connections.fetch_sub(1, Ordering::SeqCst) - 1;
-        #[allow(clippy::cast_precision_loss)]
-        self.0.metrics.connections.set(left as f64);
-    }
-}
-
-/// Serves one connection's keep-alive request loop.
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    let _guard = ConnGuard(shared);
-    #[allow(clippy::cast_precision_loss)]
-    shared
-        .metrics
-        .connections
-        .set(shared.active_connections.load(Ordering::SeqCst) as f64);
-    let _ = stream.set_nodelay(true);
-    // The read-timeout slice: how often an idle keep-alive read re-checks
-    // the drain flag and the idle clock.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    // Pipelined bytes beyond one request's declared body, handed to the
-    // next `read_request` call instead of being silently dropped.
-    let mut carry: Vec<u8> = Vec::new();
-    loop {
-        let outcome = http::read_request(
-            &mut stream,
-            shared.config.idle_timeout,
-            || shared.stop_requested(),
-            &mut carry,
-        );
-        match outcome {
-            Ok(ReadOutcome::Request(request)) => {
-                let started = Instant::now();
-                let mut trace = obs::TraceContext::start(request.header("x-request-id"));
-                let wants_close = request.wants_close();
-                let response = route(shared, &request, &mut trace);
-                trace.stamp(obs::Stage::Render);
-                trace.set_status(response.status);
-                shared
-                    .metrics
-                    .latency_ns
-                    .record_secs(started.elapsed().as_secs_f64());
-                let keep_alive = !wants_close && !shared.stop_requested();
-                let write_ok = response
-                    .write_to_traced(&mut stream, keep_alive, Some(&trace))
-                    .is_ok();
-                trace.stamp(obs::Stage::Write);
-                trace.finish();
-                if !write_ok || !keep_alive {
-                    return;
-                }
-            }
-            Ok(ReadOutcome::Malformed(message, status)) => {
-                let _ = Response::error(status, message).write_to(&mut stream, false);
-                return;
-            }
-            Ok(ReadOutcome::Closed | ReadOutcome::IdleTimeout | ReadOutcome::Draining) | Err(_) => {
-                return
-            }
-        }
-    }
-}
-
-/// Outcome of the mode-agnostic routing step: either a ready response,
-/// or a parsed predict request that still needs queue admission (whose
-/// wait discipline differs between the threaded and reactor paths).
+/// Outcome of the routing step: either a ready response, or a parsed
+/// predict request that still needs queue admission.
 pub(crate) enum RouteOutcome {
     /// Answer immediately.
     Respond(Response),
@@ -545,8 +406,6 @@ pub(crate) enum RouteOutcome {
 }
 
 /// Maps a request to a handler — everything except the predict wait.
-/// Shared verbatim by both server modes, so routing behavior cannot
-/// diverge between them.
 pub(crate) fn route_common(shared: &Shared, method: &str, path: &str, body: &[u8]) -> RouteOutcome {
     use RouteOutcome::Respond;
     shared.metrics.requests.inc();
@@ -701,20 +560,6 @@ pub(crate) fn retry_after_secs(shared: &Shared) -> u64 {
     (sojourn_ms * 2).div_ceil(1000).clamp(1, 30)
 }
 
-/// Maps a request to a response on the threaded path (blocking predict
-/// wait).
-fn route(shared: &Shared, request: &Request, trace: &mut obs::TraceContext) -> Response {
-    match route_common(
-        shared,
-        request.method.as_str(),
-        request.path.as_str(),
-        &request.body,
-    ) {
-        RouteOutcome::Respond(response) => response,
-        RouteOutcome::Predict(parsed) => predict(shared, parsed, request.deadline_ms(), trace),
-    }
-}
-
 /// `GET /healthz`: liveness plus drain state, queue depth, and the
 /// predictor breaker's state (a breaker that is not `closed` means new
 /// predictions are served degraded).
@@ -768,15 +613,14 @@ fn metrics_page(shared: &Shared) -> Response {
 }
 
 /// Renders a successful predict body, stamping the `X-Model-Version`
-/// header (shared by both server modes so the header cannot diverge).
+/// header.
 pub(crate) fn predict_response(shared: &Shared, body: &str) -> Response {
     Response::json(200, body.to_string())
         .with_header("X-Model-Version", shared.service.model_version())
 }
 
 /// The request's enforced budget, or the immediate `504` for a request
-/// that arrived already out of budget (shared by both server modes so
-/// the expired-on-arrival contract is byte-identical).
+/// that arrived already out of budget.
 pub(crate) fn request_budget(
     shared: &Shared,
     deadline_ms: Option<u64>,
@@ -788,50 +632,4 @@ pub(crate) fn request_budget(
         return Err(Response::error(504, "deadline exceeded"));
     }
     Ok(Duration::from_millis(budget_ms))
-}
-
-/// `POST /v1/predict` on the threaded path: admit, then block this
-/// handler thread until the dispatcher replies.
-fn predict(
-    shared: &Shared,
-    parsed: PredictRequest,
-    deadline_ms: Option<u64>,
-    trace: &mut obs::TraceContext,
-) -> Response {
-    let budget = match request_budget(shared, deadline_ms) {
-        Ok(budget) => budget,
-        Err(expired) => return expired,
-    };
-    let (reply, receiver) = mpsc::sync_channel(1);
-    let deadline = Instant::now() + budget;
-    if let Err(rejection) = admit(
-        shared,
-        parsed,
-        deadline,
-        dispatch::Reply::Channel(reply),
-        *trace,
-    ) {
-        return rejection;
-    }
-    // Margin past the deadline covers the dispatcher's own 504 reply.
-    let wait = budget + Duration::from_millis(250);
-    match receiver.recv_timeout(wait) {
-        // The dispatcher replies with the serialized body and the trace
-        // it stamped through queue/batch-wait/predict.
-        Ok((result, done)) => {
-            shared.inflight_sub();
-            *trace = done;
-            match result {
-                Ok(body) => predict_response(shared, &body),
-                Err(e) => Response::error(e.status, &e.message),
-            }
-        }
-        Err(_) => {
-            // The local trace copy still renders and echoes; the
-            // dispatcher's stamps for this request are lost with it.
-            shared.inflight_sub();
-            shared.metrics.timeouts.inc();
-            Response::error(504, "deadline exceeded")
-        }
-    }
 }

@@ -4,7 +4,7 @@
 //! The workspace vendors no `libc` crate, so the handful of syscalls are
 //! declared directly; std already links the C library, these symbols
 //! resolve from there. Only Linux is supported — the module is compiled
-//! out elsewhere and `ServeConfig::reactor` reports an error at startup.
+//! out elsewhere and `Server::run` reports an error at startup.
 
 #![cfg(target_os = "linux")]
 

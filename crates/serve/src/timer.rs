@@ -9,8 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-/// Wheel tick. Matches the threaded path's 25 ms read-timeout slice, so
-/// idle/deadline detection granularity is unchanged across server modes.
+/// Wheel tick: the granularity of idle and deadline detection.
 pub const TICK: Duration = Duration::from_millis(25);
 
 /// Slots per revolution (256 × 25 ms ≈ 6.4 s per lap). Timers beyond one

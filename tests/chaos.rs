@@ -176,11 +176,7 @@ fn http_request_path_survives_full_predictor_faults() {
 #[cfg(target_os = "linux")]
 fn reactor_request_path_survives_predictor_and_reactor_faults() {
     let _guard = fault_lock();
-    let config = ServeConfig {
-        reactor: true,
-        ..ServeConfig::default()
-    };
-    let server = Server::spawn(config, trained()).expect("bind loopback");
+    let server = Server::spawn(ServeConfig::default(), trained()).expect("bind loopback");
     fault::configure(
         &"core.predict.mlp=1.0;\
           serve.reactor.wakeup=0.5:delay_ms=2:kind=delay;\

@@ -7,11 +7,9 @@
 //! instead of stalling; and a drain triggered mid-flight finishes the
 //! in-flight request before the server exits.
 //!
-//! Every case runs against **both server modes** — thread-per-connection
-//! and the epoll reactor (`ServeConfig::reactor`, Linux only) — through
-//! the same harness, so the two implementations cannot drift apart on
-//! any behavior this file observes, down to the status lines the
-//! malformed-HTTP corpus gets back.
+//! The served bytes are also pinned against the in-process reference
+//! (`PredictService::predict_batch_serialized` and the catalog JSON), so
+//! the HTTP layer cannot drift from what the service computes.
 //!
 //! Shutdown here uses `ServerHandle::shutdown` rather than
 //! `signal::raise()`: these tests share one process, and the signal flag
@@ -22,7 +20,10 @@
 use neusight::core::{NeuSight, NeuSightConfig};
 use neusight::gpu::{catalog, DType};
 use neusight::graph::{config, inference_graph, training_graph};
-use neusight::serve::{Client, PredictResponse, ServeConfig, Server};
+use neusight::serve::http::Response;
+use neusight::serve::{
+    Client, PredictRequest, PredictResponse, PredictService, ServeConfig, Server,
+};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -43,24 +44,8 @@ fn tiny_neusight() -> NeuSight {
     NeuSight::train(training_data(), &NeuSightConfig::tiny()).expect("tiny training")
 }
 
-/// The server modes this platform supports. Both run the same test
-/// bodies; assertion messages carry the mode name.
-fn modes() -> Vec<(&'static str, bool)> {
-    let mut modes = vec![("threaded", false)];
-    if cfg!(target_os = "linux") {
-        modes.push(("reactor", true));
-    }
-    modes
-}
-
 #[test]
 fn concurrent_predicts_are_bitwise_identical_to_direct_predict_graph() {
-    for (mode, reactor) in modes() {
-        concurrent_predicts_case(mode, reactor);
-    }
-}
-
-fn concurrent_predicts_case(mode: &str, reactor: bool) {
     let ns = tiny_neusight();
 
     // Expected numbers straight from the framework, before the server
@@ -84,11 +69,7 @@ fn concurrent_predicts_case(mode: &str, reactor: bool) {
         ),
     ];
 
-    let config = ServeConfig {
-        reactor,
-        ..ServeConfig::default()
-    };
-    let server = Server::spawn(config, ns).expect("spawn server");
+    let server = Server::spawn(ServeConfig::default(), ns).expect("spawn server");
     let addr = server.addr();
 
     // Eight client threads hammer the same two requests concurrently, so
@@ -101,13 +82,13 @@ fn concurrent_predicts_case(mode: &str, reactor: bool) {
                 for _round in 0..3 {
                     for (body, expected_bits) in cases {
                         let response = client.post_json("/v1/predict", body).expect("predict");
-                        assert_eq!(response.status, 200, "{mode}: {}", response.text());
+                        assert_eq!(response.status, 200, "{}", response.text());
                         let parsed: PredictResponse =
                             serde_json::from_str(&response.text()).expect("response JSON");
                         assert_eq!(
                             parsed.total_ms.to_bits(),
                             *expected_bits,
-                            "{mode}: served total_ms must be bitwise equal to direct predict_graph"
+                            "served total_ms must be bitwise equal to direct predict_graph"
                         );
                         assert!(parsed.kernels > 0);
                     }
@@ -119,22 +100,22 @@ fn concurrent_predicts_case(mode: &str, reactor: bool) {
     // The read-only routes on the same (kept-alive) connection.
     let mut client = Client::connect(addr).expect("connect");
     let health = client.get("/healthz").expect("healthz");
-    assert_eq!(health.status, 200, "{mode}");
+    assert_eq!(health.status, 200);
     assert!(health.text().contains("\"status\":\"ok\""));
     let models = client.get("/v1/models").expect("models");
     assert!(models.text().contains("GPT2-Large"));
     let gpus = client.get("/v1/gpus").expect("gpus");
     assert!(gpus.text().contains("H100"));
     let metrics = client.get("/metrics").expect("metrics");
-    assert_eq!(metrics.status, 200, "{mode}");
+    assert_eq!(metrics.status, 200);
     assert!(metrics
         .text()
         .contains("# TYPE neusight_serve_http_requests counter"));
     assert!(metrics.text().contains("neusight_serve_info{addr="));
     let missing = client.get("/nope").expect("404 route");
-    assert_eq!(missing.status, 404, "{mode}");
+    assert_eq!(missing.status, 404);
     let wrong_method = client.get("/v1/predict").expect("405 route");
-    assert_eq!(wrong_method.status, 405, "{mode}");
+    assert_eq!(wrong_method.status, 405);
     assert_eq!(wrong_method.header("allow"), Some("POST"));
 
     server.shutdown_and_join().expect("clean drain");
@@ -142,19 +123,12 @@ fn concurrent_predicts_case(mode: &str, reactor: bool) {
 
 #[test]
 fn queue_overflow_returns_429_with_retry_after_not_a_stall() {
-    for (mode, reactor) in modes() {
-        queue_overflow_case(mode, reactor);
-    }
-}
-
-fn queue_overflow_case(mode: &str, reactor: bool) {
     let config = ServeConfig {
         queue_depth: 2,
         // Each batch takes 100 ms, so concurrent requests pile into the
         // two-slot queue and overflow deterministically.
         service_delay: Duration::from_millis(100),
         deadline: Duration::from_secs(5),
-        reactor,
         ..ServeConfig::default()
     };
     let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
@@ -192,22 +166,19 @@ fn queue_overflow_case(mode: &str, reactor: bool) {
     let rejected = statuses.iter().filter(|&&s| s == 429).count();
     assert!(
         rejected > 0,
-        "{mode}: queue depth 2 under 16-way fire must overflow"
+        "queue depth 2 under 16-way fire must overflow"
     );
-    assert!(
-        accepted > 0,
-        "{mode}: admitted requests must still be served"
-    );
+    assert!(accepted > 0, "admitted requests must still be served");
     assert_eq!(
         accepted + rejected,
         statuses.len(),
-        "{mode}: only 200/429 expected, got {statuses:?}"
+        "only 200/429 expected, got {statuses:?}"
     );
     // Overload resolved by rejection, not by stalling sockets: even the
     // accepted requests only queue behind a handful of 100 ms batches.
     assert!(
         started.elapsed() < Duration::from_secs(10),
-        "{mode}: overload handling took {:?}",
+        "overload handling took {:?}",
         started.elapsed()
     );
 
@@ -216,17 +187,10 @@ fn queue_overflow_case(mode: &str, reactor: bool) {
 
 #[test]
 fn graceful_drain_finishes_in_flight_requests() {
-    for (mode, reactor) in modes() {
-        graceful_drain_case(mode, reactor);
-    }
-}
-
-fn graceful_drain_case(mode: &str, reactor: bool) {
     let config = ServeConfig {
         // Slow batches so the drain demonstrably overlaps a live request.
         service_delay: Duration::from_millis(300),
         deadline: Duration::from_secs(5),
-        reactor,
         ..ServeConfig::default()
     };
     let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
@@ -252,14 +216,14 @@ fn graceful_drain_case(mode: &str, reactor: bool) {
     let paced = pacer
         .post_json("/v1/predict", r#"{"model":"bert","gpu":"T4"}"#)
         .expect("pacing request");
-    assert_eq!(paced.status, 200, "{mode}");
+    assert_eq!(paced.status, 200);
     handle.shutdown();
 
     let response = in_flight.join().expect("request thread");
     assert_eq!(
         response.status,
         200,
-        "{mode}: drain must serve admitted work, got: {}",
+        "drain must serve admitted work, got: {}",
         response.text()
     );
     server.shutdown_and_join().expect("drained exit");
@@ -268,8 +232,7 @@ fn graceful_drain_case(mode: &str, reactor: bool) {
 // ---------------------------------------------------------------------------
 // Malformed-HTTP corpus: every entry is raw bytes a hostile or broken
 // client might send. The contract is uniform — a clean 4xx/5xx status
-// line (or a silent close), never a panic, never a hung connection — and
-// identical across both server modes.
+// line (or a silent close), never a panic, never a hung connection.
 // ---------------------------------------------------------------------------
 
 /// Writes raw bytes to a fresh connection and reads whatever the server
@@ -296,16 +259,9 @@ fn raw_exchange(addr: std::net::SocketAddr, payload: &[u8]) -> String {
 
 #[test]
 fn malformed_http_corpus_yields_clean_errors_never_hangs() {
-    for (mode, reactor) in modes() {
-        malformed_corpus_case(mode, reactor);
-    }
-}
-
-fn malformed_corpus_case(mode: &str, reactor: bool) {
     let config = ServeConfig {
         // Short idle window so the truncated-body case times out fast.
         idle_timeout: Duration::from_millis(300),
-        reactor,
         ..ServeConfig::default()
     };
     let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
@@ -374,7 +330,7 @@ fn malformed_corpus_case(mode: &str, reactor: bool) {
         let response = raw_exchange(addr, &payload);
         assert!(
             response.starts_with(expected_prefix),
-            "{mode}/{name}: expected `{expected_prefix}…`, got: {response:.120}"
+            "{name}: expected `{expected_prefix}…`, got: {response:.120}"
         );
     }
 
@@ -383,33 +339,23 @@ fn malformed_corpus_case(mode: &str, reactor: bool) {
     let pipelined = raw_exchange(addr, b"GET /healthz HTTP/1.1\r\n\r\nGARBAGE\r\n\r\n");
     assert!(
         pipelined.starts_with("HTTP/1.1 200 "),
-        "{mode}: pipelined: {pipelined:.120}"
+        "pipelined: {pipelined:.120}"
     );
     assert!(
         pipelined.contains("HTTP/1.1 400 "),
-        "{mode}: garbage tail not rejected: {pipelined:.200}"
+        "garbage tail not rejected: {pipelined:.200}"
     );
 
     // The server is still fully alive after the whole corpus.
     let mut client = Client::connect(addr).expect("connect after corpus");
     let health = client.get("/healthz").expect("healthz");
-    assert_eq!(health.status, 200, "{mode}");
+    assert_eq!(health.status, 200);
     server.shutdown_and_join().expect("clean drain");
 }
 
 #[test]
 fn field_level_violations_answer_422_not_400() {
-    for (mode, reactor) in modes() {
-        field_violations_case(mode, reactor);
-    }
-}
-
-fn field_violations_case(mode: &str, reactor: bool) {
-    let config = ServeConfig {
-        reactor,
-        ..ServeConfig::default()
-    };
-    let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
+    let server = Server::spawn(ServeConfig::default(), tiny_neusight()).expect("spawn server");
     let mut client = Client::connect(server.addr()).expect("connect");
 
     for (body, field) in [
@@ -419,15 +365,10 @@ fn field_violations_case(mode: &str, reactor: bool) {
         (r#"{"model":"bert","gpu":""}"#, "gpu"),
     ] {
         let response = client.post_json("/v1/predict", body).expect("predict");
-        assert_eq!(
-            response.status,
-            422,
-            "{mode}: body {body}: {}",
-            response.text()
-        );
+        assert_eq!(response.status, 422, "body {body}: {}", response.text());
         assert!(
             response.text().contains(field),
-            "{mode}: 422 for {body} must name `{field}`: {}",
+            "422 for {body} must name `{field}`: {}",
             response.text()
         );
     }
@@ -436,133 +377,134 @@ fn field_violations_case(mode: &str, reactor: bool) {
     let unknown = client
         .post_json("/v1/predict", r#"{"model":"nonesuch","gpu":"T4"}"#)
         .expect("predict");
-    assert_eq!(unknown.status, 400, "{mode}");
+    assert_eq!(unknown.status, 400);
     server.shutdown_and_join().expect("clean drain");
 }
 
-/// Both modes serve byte-identical responses for the same request — the
-/// whole wire payload, not just the parsed numbers. Read-only routes are
-/// compared too (modulo fields that legitimately vary: uptime, metric
-/// values, the bound port).
+/// The served wire bodies are byte-identical to the in-process
+/// reference: every predict body — the 400/422 ones included — matches
+/// `PredictService::predict_batch_serialized` and its `ServeError`
+/// rendering, and the catalog routes match `models_json`/`gpus_json`.
 #[test]
-#[cfg(target_os = "linux")]
-fn reactor_and_threaded_responses_are_byte_identical() {
+fn served_bytes_match_the_in_process_reference() {
     let bodies = [
         r#"{"model":"bert","gpu":"H100","batch":2}"#,
         r#"{"model":"gpt2","gpu":"V100","batch":1,"train":true}"#,
         r#"{"model":"bert","gpu":"T4","batch":0}"#,
         r#"{"model":"nonesuch","gpu":"T4"}"#,
     ];
-    let mut captured: Vec<Vec<(u16, String)>> = Vec::new();
-    for (_, reactor) in [("threaded", false), ("reactor", true)] {
-        let config = ServeConfig {
-            reactor,
-            ..ServeConfig::default()
+    let reference = PredictService::new(tiny_neusight());
+    let server = Server::spawn(ServeConfig::default(), tiny_neusight()).expect("spawn server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut statuses = Vec::new();
+    for body in bodies {
+        let request: PredictRequest = serde_json::from_str(body).expect("request JSON");
+        let expected = match reference.predict_batch_serialized(&[request]).pop() {
+            Some(Ok(served)) => (200, served.to_string()),
+            Some(Err(e)) => {
+                let rendered = Response::error(e.status, &e.message).body;
+                (
+                    e.status,
+                    String::from_utf8(rendered).expect("UTF-8 error body"),
+                )
+            }
+            None => panic!("predict_batch_serialized returned no result for {body}"),
         };
-        let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
-        let mut client = Client::connect(server.addr()).expect("connect");
-        let mut responses = Vec::new();
-        for body in bodies {
-            let response = client.post_json("/v1/predict", body).expect("predict");
-            responses.push((response.status, response.text()));
-        }
-        for path in ["/v1/models", "/v1/gpus", "/nope"] {
-            let response = client.get(path).expect("get");
-            responses.push((response.status, response.text()));
-        }
-        captured.push(responses);
-        server.shutdown_and_join().expect("clean drain");
+        let response = client.post_json("/v1/predict", body).expect("predict");
+        assert_eq!(
+            (response.status, response.text()),
+            expected,
+            "{body}: served bytes must match the in-process reference"
+        );
+        statuses.push(response.status);
     }
-    assert_eq!(
-        captured[0], captured[1],
-        "threaded and reactor modes must serve byte-identical bodies"
-    );
+    assert_eq!(statuses, [200, 200, 422, 400]);
+    for (path, expected) in [
+        ("/v1/models", reference.models_json()),
+        ("/v1/gpus", reference.gpus_json()),
+    ] {
+        let response = client.get(path).expect("get");
+        assert_eq!(
+            (response.status, response.text()),
+            (200, expected),
+            "{path}"
+        );
+    }
+    let missing = client.get("/nope").expect("404 route");
+    assert_eq!(missing.status, 404);
+    server.shutdown_and_join().expect("clean drain");
 }
 
 // ---------------------------------------------------------------------------
-// Request tracing: X-Request-Id propagation and the flight recorder work
-// identically in both server modes.
+// Request tracing: X-Request-Id propagation and the flight recorder.
 // ---------------------------------------------------------------------------
 
-/// Both modes honor an inbound `X-Request-Id` (echoing it back verbatim),
-/// assign a `neusight-` trace id when none is sent, retain both traces in
-/// the flight recorder behind `/v1/debug/traces`, and expose the exact
-/// same stage taxonomy in the dump.
+/// The server honors an inbound `X-Request-Id` (echoing it back
+/// verbatim), assigns a `neusight-` trace id when none is sent, retains
+/// both traces in the flight recorder behind `/v1/debug/traces`, and
+/// exposes the pinned stage taxonomy in the dump.
 #[test]
-fn trace_propagation_is_identical_across_modes() {
+fn trace_propagation_pins_the_stage_taxonomy() {
     neusight::obs::set_enabled(true);
-    let mut captured: Vec<(u16, String)> = Vec::new();
-    for (mode, reactor) in modes() {
-        let config = ServeConfig {
-            reactor,
-            ..ServeConfig::default()
-        };
-        let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
-        let addr = server.addr();
+    let server = Server::spawn(ServeConfig::default(), tiny_neusight()).expect("spawn server");
+    let addr = server.addr();
 
-        // An inbound X-Request-Id is honored end to end and echoed back.
-        let body = r#"{"model":"bert","gpu":"T4","batch":1}"#;
-        let sent_id = format!("trace-me-{mode}");
-        let raw = format!(
-            "POST /v1/predict HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nX-Request-Id: {sent_id}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        let response = raw_exchange(addr, raw.as_bytes());
-        assert!(
-            response.starts_with("HTTP/1.1 200"),
-            "{mode}: {response:.200}"
-        );
-        assert!(
-            response
-                .to_ascii_lowercase()
-                .contains(&format!("x-request-id: {sent_id}")),
-            "{mode}: response must echo the inbound X-Request-Id, got: {response:.400}"
-        );
+    // An inbound X-Request-Id is honored end to end and echoed back.
+    let body = r#"{"model":"bert","gpu":"T4","batch":1}"#;
+    let sent_id = "trace-me";
+    let raw = format!(
+        "POST /v1/predict HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nX-Request-Id: {sent_id}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let response = raw_exchange(addr, raw.as_bytes());
+    assert!(response.starts_with("HTTP/1.1 200"), "{response:.200}");
+    assert!(
+        response
+            .to_ascii_lowercase()
+            .contains(&format!("x-request-id: {sent_id}")),
+        "response must echo the inbound X-Request-Id, got: {response:.400}"
+    );
 
-        // Without an inbound id the server assigns a neusight- trace id.
-        let mut client = Client::connect(addr).expect("connect");
-        let assigned = client.post_json("/v1/predict", body).expect("predict");
-        assert_eq!(assigned.status, 200, "{mode}");
-        let id = assigned
-            .header("x-request-id")
-            .expect("server must assign a request id")
-            .to_owned();
-        assert!(id.starts_with("neusight-"), "{mode}: got id `{id}`");
+    // Without an inbound id the server assigns a neusight- trace id.
+    let mut client = Client::connect(addr).expect("connect");
+    let assigned = client.post_json("/v1/predict", body).expect("predict");
+    assert_eq!(assigned.status, 200);
+    let id = assigned
+        .header("x-request-id")
+        .expect("server must assign a request id")
+        .to_owned();
+    assert!(id.starts_with("neusight-"), "got id `{id}`");
 
-        // The flight recorder retained both traces, queryable by id.
-        let dump = client.get("/v1/debug/traces").expect("debug traces");
-        assert_eq!(dump.status, 200, "{mode}");
-        let text = dump.text();
-        assert!(
-            text.contains(&format!("\"id\":\"{sent_id}\"")),
-            "{mode}: flight recorder must retain the client-tagged trace: {text:.400}"
-        );
-        assert!(
-            text.contains(&format!("\"id\":\"{id}\"")),
-            "{mode}: flight recorder must retain the assigned-id trace"
-        );
-        for stage in [
-            "queue_ns",
-            "batch_wait_ns",
-            "predict_ns",
-            "render_ns",
-            "write_ns",
-        ] {
-            assert!(text.contains(stage), "{mode}: dump is missing `{stage}`");
-        }
-        let taxonomy = text
-            .split_once("\"stages\":[")
-            .and_then(|(_, rest)| rest.split_once(']'))
-            .map(|(stages, _)| stages.to_owned())
-            .expect("dump carries the stage taxonomy");
-        captured.push((assigned.status, taxonomy));
-        server.shutdown_and_join().expect("clean drain");
+    // The flight recorder retained both traces, queryable by id.
+    let dump = client.get("/v1/debug/traces").expect("debug traces");
+    assert_eq!(dump.status, 200);
+    let text = dump.text();
+    assert!(
+        text.contains(&format!("\"id\":\"{sent_id}\"")),
+        "flight recorder must retain the client-tagged trace: {text:.400}"
+    );
+    assert!(
+        text.contains(&format!("\"id\":\"{id}\"")),
+        "flight recorder must retain the assigned-id trace"
+    );
+    for stage in [
+        "queue_ns",
+        "batch_wait_ns",
+        "predict_ns",
+        "render_ns",
+        "write_ns",
+    ] {
+        assert!(text.contains(stage), "dump is missing `{stage}`");
     }
-    if let [threaded, reactor] = captured.as_slice() {
-        assert_eq!(
-            threaded, reactor,
-            "threaded and reactor modes must trace byte-identical stage taxonomies"
-        );
-    }
+    let taxonomy = text
+        .split_once("\"stages\":[")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map(|(stages, _)| stages.to_owned())
+        .expect("dump carries the stage taxonomy");
+    assert_eq!(
+        taxonomy, r#""queue","batch_wait","predict","render","write""#,
+        "the trace stage taxonomy is pinned"
+    );
+    server.shutdown_and_join().expect("clean drain");
 }
