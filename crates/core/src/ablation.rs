@@ -9,8 +9,7 @@ use crate::features::{self, TileQuantities};
 use crate::predictor::{latency_from_utilization, utilization_from_latency, PredictorConfig};
 use crate::tiledb::TileDatabase;
 use neusight_gpu::{
-    catalog, num_tiles, num_waves, DType, GpuSpec, KernelDataset, KernelLaunch, OpClass, OpDesc,
-    TileShape,
+    catalog, DType, GpuSpec, KernelDataset, KernelLaunch, OpClass, OpDesc, TileShape,
 };
 use neusight_nn::head::{AlphaBetaHead, DirectHead, Head};
 use neusight_nn::scaler::log_compress;
@@ -225,18 +224,10 @@ impl AblatedNeuSight {
         };
         let launch = match self.variant {
             AblationVariant::NoTileDecomposition => whole_kernel_launch(op),
-            _ => {
-                let (tile, split_k) = self.tiledb.launch_for(op, spec);
-                let dims = op.output_dims();
-                let tiles = num_tiles(&dims, &tile).expect("clamped tiles cover") * split_k;
-                KernelLaunch {
-                    kernel_name: "ablation_planned".to_owned(),
-                    tile,
-                    num_tiles: tiles,
-                    num_waves: num_waves(tiles, spec.num_sms()),
-                    split_k,
-                }
-            }
+            _ => self
+                .tiledb
+                .plan_launch(op, spec)
+                .expect("clamped tiles cover"),
         };
         let f = match self.variant {
             AblationVariant::NoPerSmNormalization => raw_features(op, &launch, self.dtype),

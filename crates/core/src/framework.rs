@@ -5,9 +5,7 @@
 use crate::error::{CoreError, Result};
 use crate::predictor::{KernelPredictor, PredictorConfig};
 use crate::tiledb::TileDatabase;
-use neusight_gpu::{
-    num_tiles, num_waves, roofline, DType, GpuSpec, KernelDataset, KernelLaunch, OpClass, OpDesc,
-};
+use neusight_gpu::{roofline, DType, GpuSpec, KernelDataset, KernelLaunch, OpClass, OpDesc};
 use neusight_graph::{Graph, Phase};
 use neusight_obs as obs;
 use parking_lot::{Mutex, RwLock};
@@ -515,17 +513,7 @@ impl NeuSight {
     /// Returns a tiling error if the database tile cannot cover the output
     /// (cannot happen for database-derived tiles, which are clamped).
     pub fn plan_launch(&self, op: &OpDesc, spec: &GpuSpec) -> Result<KernelLaunch> {
-        let (tile, split_k) = self.tiledb.launch_for(op, spec);
-        let dims = op.output_dims();
-        let tiles = num_tiles(&dims, &tile)? * split_k;
-        let waves = num_waves(tiles, spec.num_sms());
-        Ok(KernelLaunch {
-            kernel_name: format!("planned_{}_{tile}", op.op_class()),
-            tile,
-            num_tiles: tiles,
-            num_waves: waves,
-            split_k,
-        })
+        Ok(self.tiledb.plan_launch(op, spec)?)
     }
 
     /// Predicts the latency of one kernel on a GPU, in seconds.
@@ -1295,6 +1283,18 @@ mod tests {
             ns.predict_op(&op, &spec).unwrap(),
             back.predict_op(&op, &spec).unwrap()
         );
+        // The loaded tile database rebuilds its index and plans every
+        // kernel as the trained one does.
+        for spec in &crate::tiledb::tests::all_gpus() {
+            for op in &crate::tiledb::tests::table4_kernels() {
+                assert_eq!(
+                    back.plan_launch(op, spec).unwrap(),
+                    ns.plan_launch(op, spec).unwrap(),
+                    "{op} on {}",
+                    spec.name()
+                );
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
