@@ -287,12 +287,17 @@ impl fmt::Display for Matrix {
 ///
 /// The computation follows the classic three-level blocking scheme: the
 /// output is tiled into MC×NC panels, the reduction dimension into KC
-/// slabs. For each slab the B panel is packed once into KC×NR micro-panels
-/// and the A block into MR×KC micro-panels (packing also absorbs operand
-/// transposes, so the transposed variants run the same hot loop). The
-/// register microkernel then accumulates an MR×NR tile of C across a full
-/// KC slab without touching C memory, which removes the per-k load/store
-/// of the output row that dominated the old ikj loop. Large products are
+/// slabs. For each slab the A block is packed into MR×kc micro-panels
+/// (packing absorbs a transposed A). A plain row-major B is read in place:
+/// the micro-kernel walks B's rows with stride `ldb`, so the constant
+/// weights of an inference `x·W` are never copied. Only a transposed B and
+/// the ragged last NR columns of a plain one are packed into kc×NR
+/// micro-panels. Both pack buffers are sized to the blocks the problem
+/// actually has, so a few-row product does work proportional to its
+/// shape. The register microkernel accumulates an MR×NR tile of C across a
+/// full slab without touching C memory; the tile is then added to C. How
+/// B is read does not change the arithmetic: every output element is the
+/// same FMA chain in the same slab order either way. Large products are
 /// additionally split across threads by output row blocks; small ones
 /// stay serial because thread spawn costs more than the multiply.
 mod gemm {
@@ -305,7 +310,7 @@ mod gemm {
     const MC: usize = 96;
     /// Reduction-slab size (packed panels stay cache-resident).
     const KC: usize = 256;
-    /// Column-panel size of the packed B panel.
+    /// Column-panel size of one B block.
     const NC: usize = 512;
     /// Below this many FLOPs (2·m·n·k) the product stays single-threaded:
     /// spawning scoped threads costs more than the whole multiply.
@@ -347,12 +352,11 @@ mod gemm {
             }
         }
 
-        #[inline]
-        fn get(&self, row: usize, col: usize) -> f32 {
-            if self.transposed {
-                self.data[col * self.stride + row]
-            } else {
-                self.data[row * self.stride + col]
+        /// The same storage read with the opposite orientation.
+        fn flipped(self) -> Operand<'a> {
+            Operand {
+                transposed: !self.transposed,
+                ..self
             }
         }
     }
@@ -442,20 +446,39 @@ mod gemm {
     /// of the logical A operand, writing a zero-based m×n `out` slice.
     fn serial(out: &mut [f32], a: Operand<'_>, b: Operand<'_>, shape: Shape, row_offset: usize) {
         let Shape { m, n, k } = shape;
-        let mut packed_b = vec![0.0f32; KC * NC];
-        let mut packed_a = vec![0.0f32; MC * KC];
+        let kc_max = KC.min(k);
+        let mut packed_a = vec![0.0f32; MC.min(m).next_multiple_of(MR) * kc_max];
+        // A plain B is read in place except for its ragged last panel (NC
+        // is a multiple of NR, so only the final column block has one); a
+        // transposed B is packed whole, one block at a time.
+        let packed_b_panels = if b.transposed {
+            NC.min(n).div_ceil(NR)
+        } else {
+            usize::from(n % NR != 0)
+        };
+        let mut packed_b = vec![0.0f32; packed_b_panels * NR * kc_max];
         let mut j0 = 0;
         while j0 < n {
             let nc = NC.min(n - j0);
+            let in_place = if b.transposed { 0 } else { nc / NR };
             let mut k0 = 0;
             while k0 < k {
                 let kc = KC.min(k - k0);
-                pack_b(&mut packed_b, b, k0, j0, kc, nc);
+                let jp = in_place * NR;
+                pack(&mut packed_b, NR, b, k0, j0 + jp, kc, nc - jp);
+                let block_b = BlockB {
+                    b,
+                    packed: &packed_b,
+                    k0,
+                    j0,
+                    kc,
+                    in_place,
+                };
                 let mut i0 = 0;
                 while i0 < m {
                     let mc = MC.min(m - i0);
-                    pack_a(&mut packed_a, a, row_offset + i0, k0, mc, kc);
-                    multiply_block(out, &packed_a, &packed_b, i0, j0, mc, nc, kc, n);
+                    pack(&mut packed_a, MR, a.flipped(), k0, row_offset + i0, kc, mc);
+                    multiply_block(out, &packed_a, &block_b, i0, mc, nc, n);
                     i0 += MC;
                 }
                 k0 += KC;
@@ -464,72 +487,98 @@ mod gemm {
         }
     }
 
-    /// Packs a kc×nc block of B into KC×NR micro-panels: panel `t` holds
-    /// columns `[t·NR, t·NR+NR)` laid out k-major, zero-padded to NR.
-    fn pack_b(packed: &mut [f32], b: Operand<'_>, k0: usize, j0: usize, kc: usize, nc: usize) {
-        let panels = nc.div_ceil(NR);
-        for t in 0..panels {
-            let jbase = t * NR;
-            let width = NR.min(nc - jbase);
-            let panel = &mut packed[t * KC * NR..][..kc * NR];
-            for p in 0..kc {
-                let dst = &mut panel[p * NR..p * NR + NR];
-                for (jj, slot) in dst.iter_mut().enumerate() {
-                    *slot = if jj < width {
-                        b.get(k0 + p, j0 + jbase + jj)
-                    } else {
-                        0.0
-                    };
+    /// Packs the kc×`width` block at logical (k0, c0) of `src` into
+    /// consecutive k-major micro-panels of `r` columns (panel stride
+    /// `kc·r`), zero-padding the last one to `r`. B is packed as stored; A
+    /// is packed through its flipped view, so its rows become panel
+    /// columns.
+    fn pack(
+        packed: &mut [f32],
+        r: usize,
+        src: Operand<'_>,
+        k0: usize,
+        c0: usize,
+        kc: usize,
+        width: usize,
+    ) {
+        let panels = packed.chunks_exact_mut(kc * r).take(width.div_ceil(r));
+        for (t, panel) in panels.enumerate() {
+            let cbase = c0 + t * r;
+            let cols = r.min(width - t * r);
+            if src.transposed {
+                // Logical column c is stored row c: read each contiguously.
+                for c in 0..cols {
+                    let stored = &src.data[(cbase + c) * src.stride + k0..][..kc];
+                    for (dst, &v) in panel[c..].iter_mut().step_by(r).zip(stored) {
+                        *dst = v;
+                    }
+                }
+                if cols < r {
+                    for dst in panel.chunks_exact_mut(r) {
+                        dst[cols..].fill(0.0);
+                    }
+                }
+            } else {
+                for (p, dst) in panel.chunks_exact_mut(r).enumerate() {
+                    let row = (k0 + p) * src.stride + cbase;
+                    dst[..cols].copy_from_slice(&src.data[row..row + cols]);
+                    dst[cols..].fill(0.0);
                 }
             }
         }
     }
 
-    /// Packs an mc×kc block of A into MR×KC micro-panels: panel `t` holds
-    /// rows `[t·MR, t·MR+MR)` laid out k-major, zero-padded to MR.
-    fn pack_a(packed: &mut [f32], a: Operand<'_>, i0: usize, k0: usize, mc: usize, kc: usize) {
-        let panels = mc.div_ceil(MR);
-        for t in 0..panels {
-            let ibase = t * MR;
-            let height = MR.min(mc - ibase);
-            let panel = &mut packed[t * MR * KC..][..kc * MR];
-            for p in 0..kc {
-                let dst = &mut panel[p * MR..p * MR + MR];
-                for (ii, slot) in dst.iter_mut().enumerate() {
-                    *slot = if ii < height {
-                        a.get(i0 + ibase + ii, k0 + p)
-                    } else {
-                        0.0
-                    };
-                }
+    /// One kc×nc block of B as the micro-kernel reads it: the first
+    /// `in_place` NR-wide panels straight from B's rows, the rest from
+    /// `packed` (panel `in_place + t` at `t·kc·NR`).
+    struct BlockB<'a> {
+        b: Operand<'a>,
+        packed: &'a [f32],
+        k0: usize,
+        j0: usize,
+        kc: usize,
+        in_place: usize,
+    }
+
+    impl BlockB<'_> {
+        /// Panel `t` of the block (columns `[t·NR, t·NR+NR)`) and its row
+        /// stride, trimmed to the `(kc-1)·stride + NR` floats it spans.
+        fn panel(&self, t: usize) -> (&[f32], usize) {
+            if t < self.in_place {
+                let ldb = self.b.stride;
+                let start = self.k0 * ldb + self.j0 + t * NR;
+                (&self.b.data[start..][..(self.kc - 1) * ldb + NR], ldb)
+            } else {
+                let start = (t - self.in_place) * self.kc * NR;
+                (&self.packed[start..][..self.kc * NR], NR)
             }
         }
     }
 
-    /// Multiplies the packed mc×kc A block by the packed kc×nc B panel,
+    /// Multiplies the packed mc×kc A block by the kc×nc B block,
     /// accumulating into the (i0, j0) tile of `out` (row stride `n`).
-    #[allow(clippy::too_many_arguments)]
     fn multiply_block(
         out: &mut [f32],
         packed_a: &[f32],
-        packed_b: &[f32],
+        block_b: &BlockB<'_>,
         i0: usize,
-        j0: usize,
         mc: usize,
         nc: usize,
-        kc: usize,
         n: usize,
     ) {
-        for (ta, ibase) in (0..mc).step_by(MR).enumerate() {
-            let a_panel = &packed_a[ta * MR * KC..][..kc * MR];
-            let height = MR.min(mc - ibase);
-            for (tb, jbase) in (0..nc).step_by(NR).enumerate() {
-                let b_panel = &packed_b[tb * KC * NR..][..kc * NR];
-                let width = NR.min(nc - jbase);
+        let kc = block_b.kc;
+        // B panel outer, A panel inner: one B panel stays in L1 while the
+        // packed A block streams past it.
+        for (tb, jbase) in (0..nc).step_by(NR).enumerate() {
+            let (b_panel, ldb) = block_b.panel(tb);
+            let width = NR.min(nc - jbase);
+            for (ta, ibase) in (0..mc).step_by(MR).enumerate() {
+                let a_panel = &packed_a[ta * MR * kc..][..kc * MR];
+                let height = MR.min(mc - ibase);
                 let mut acc = [[0.0f32; NR]; MR];
-                micro_kernel(a_panel, b_panel, kc, &mut acc);
+                micro_kernel(a_panel, b_panel, ldb, kc, &mut acc);
                 for mi in 0..height {
-                    let row = &mut out[(i0 + ibase + mi) * n + j0 + jbase..][..width];
+                    let row = &mut out[(i0 + ibase + mi) * n + block_b.j0 + jbase..][..width];
                     for (o, v) in row.iter_mut().zip(&acc[mi][..width]) {
                         *o += v;
                     }
@@ -538,18 +587,27 @@ mod gemm {
         }
     }
 
-    /// Rank-kc update of one MR×NR register tile from packed micro-panels,
+    /// Rank-kc update of one MR×NR register tile from a packed A
+    /// micro-panel and a B panel whose rows are `ldb` floats apart,
     /// dispatching to the FMA kernel where the CPU supports it.
     #[inline]
-    fn micro_kernel(a_panel: &[f32], b_panel: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
+    fn micro_kernel(
+        a_panel: &[f32],
+        b_panel: &[f32],
+        ldb: usize,
+        kc: usize,
+        acc: &mut [[f32; NR]; MR],
+    ) {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
-            // SAFETY: the required target features were just detected.
-            unsafe { micro_kernel_avx2(a_panel, b_panel, kc, acc) };
+            // SAFETY: AVX2 and FMA were just detected, and the kernel
+            // asserts its reads stay inside the slices: `kc·MR` floats of
+            // `a_panel` and `(kc-1)·ldb + NR` of `b_panel`.
+            unsafe { micro_kernel_avx2(a_panel, b_panel, ldb, kc, acc) };
             return;
         }
-        micro_kernel_generic(a_panel, b_panel, kc, acc);
+        micro_kernel_generic(a_panel, b_panel, ldb, kc, acc);
     }
 
     /// Portable micro-kernel; the autovectorizer handles the NR lanes.
@@ -557,11 +615,12 @@ mod gemm {
     fn micro_kernel_generic(
         a_panel: &[f32],
         b_panel: &[f32],
+        ldb: usize,
         kc: usize,
         acc: &mut [[f32; NR]; MR],
     ) {
         for p in 0..kc {
-            let b_row: &[f32; NR] = b_panel[p * NR..p * NR + NR].try_into().unwrap();
+            let b_row: &[f32; NR] = b_panel[p * ldb..p * ldb + NR].try_into().unwrap();
             let a_col: &[f32; MR] = a_panel[p * MR..p * MR + MR].try_into().unwrap();
             for mi in 0..MR {
                 let a_val = a_col[mi];
@@ -573,13 +632,19 @@ mod gemm {
     }
 
     /// AVX2+FMA micro-kernel: the 6×16 tile lives in 12 `ymm` accumulators,
-    /// each reduction step is two B-panel loads, six broadcasts and twelve
+    /// each reduction step is two B-row loads, six broadcasts and twelve
     /// fused multiply-adds.
     ///
     /// Each output element is still one sequential chain over `p`, so
     /// results do not depend on the element's position in the tile (the
     /// basis of the batched-prediction bitwise guarantees) — though FMA
     /// rounding differs from the generic kernel's separate multiply+add.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `kc > 0`, `a_panel` holds `kc·MR` floats and
+    /// `b_panel` holds `(kc-1)·ldb + NR`: the pointer reads below stay
+    /// inside the slices because of this check, in release builds too.
     ///
     /// # Safety
     ///
@@ -589,6 +654,7 @@ mod gemm {
     unsafe fn micro_kernel_avx2(
         a_panel: &[f32],
         b_panel: &[f32],
+        ldb: usize,
         kc: usize,
         acc: &mut [[f32; NR]; MR],
     ) {
@@ -596,13 +662,16 @@ mod gemm {
             _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps,
             _mm256_storeu_ps,
         };
-        debug_assert!(a_panel.len() >= kc * MR && b_panel.len() >= kc * NR);
+        assert!(
+            kc > 0 && a_panel.len() >= kc * MR && b_panel.len() >= (kc - 1) * ldb + NR,
+            "micro-kernel panels too short for kc={kc}, ldb={ldb}"
+        );
         let mut acc_v = [[_mm256_setzero_ps(); 2]; MR];
         let a_ptr = a_panel.as_ptr();
         let b_ptr = b_panel.as_ptr();
         for p in 0..kc {
-            let b0 = _mm256_loadu_ps(b_ptr.add(p * NR));
-            let b1 = _mm256_loadu_ps(b_ptr.add(p * NR + 8));
+            let b0 = _mm256_loadu_ps(b_ptr.add(p * ldb));
+            let b1 = _mm256_loadu_ps(b_ptr.add(p * ldb + 8));
             for (mi, av) in acc_v.iter_mut().enumerate() {
                 let a_val = _mm256_broadcast_ss(&*a_ptr.add(p * MR + mi));
                 av[0] = _mm256_fmadd_ps(a_val, b0, av[0]);
@@ -709,12 +778,24 @@ mod tests {
     }
 
     /// The blocked kernel must agree with the textbook reference on shapes
-    /// spanning every edge case of the MR/NR/MC/KC/NC tiling.
+    /// straddling every edge of the tiling: the MR=6 × NR=16 micro-tile,
+    /// the MC=96 row block, the KC=256 slab and the NC=512 column block.
+    /// `t_matmul` and `matmul_t` run on explicit transposes of the same
+    /// operands, covering the packed A and B paths next to `matmul`'s
+    /// in-place B; all three run the same FMA chains, so they agree
+    /// bitwise.
     #[test]
     fn blocked_gemm_matches_reference_on_tiling_edges() {
-        // Shapes straddling the micro-tile (4×8), the MC=64 row block, the
-        // KC=256 slab and the NC=512 panel boundaries.
-        let shapes = [
+        let (ms, ns, ks) = (
+            [5, 6, 7, 95, 96, 97],
+            [15, 16, 17, 511, 512, 513],
+            [255, 256, 257],
+        );
+        let edges = ms.into_iter().flat_map(|m| {
+            ns.into_iter()
+                .flat_map(move |n| ks.into_iter().map(move |k| (m, k, n)))
+        });
+        let others = [
             (1, 1, 1),
             (3, 7, 5),
             (4, 8, 16),
@@ -724,7 +805,7 @@ mod tests {
             (65, 513, 257),
             (130, 70, 300),
         ];
-        for (m, k, n) in shapes {
+        for (m, k, n) in others.into_iter().chain(edges) {
             let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 17) % 13) as f32 * 0.25 - 1.5);
             let b = Matrix::from_fn(k, n, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.125 - 0.625);
             let fast = a.matmul(&b);
@@ -735,6 +816,19 @@ mod tests {
                     (x - y).abs() <= 1e-4 * scale,
                     "({m}x{k})·({k}x{n}) diverged at {i}: {x} vs {y}"
                 );
+            }
+            let a_t = Matrix::from_fn(k, m, |r, c| a.get(c, r));
+            let b_t = Matrix::from_fn(n, k, |r, c| b.get(c, r));
+            for (name, other) in [
+                ("t_matmul", a_t.t_matmul(&b)),
+                ("matmul_t", a.matmul_t(&b_t)),
+            ] {
+                let same = other
+                    .as_slice()
+                    .iter()
+                    .zip(fast.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "({m}x{k})·({k}x{n}): {name} differs from matmul");
             }
         }
     }
@@ -777,6 +871,28 @@ mod tests {
             };
             for (x, y) in ab.as_slice().iter().zip(ab2.as_slice()) {
                 prop_assert!((x - y).abs() < 1e-4);
+            }
+        }
+
+        /// Reading a plain B in place and packing a transposed one give
+        /// bit-identical products, across ragged NR panels and more than
+        /// one KC slab.
+        #[test]
+        fn in_place_b_matches_packed_b_bitwise(
+            m in 1usize..14, k in 1usize..600, n in 1usize..70, seed in 0u64..1000,
+        ) {
+            let mut state = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let mut next = || {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                ((state >> 33) as f32 / 2_147_483_648.0) - 0.5
+            };
+            let a = Matrix::from_fn(m, k, |_, _| next());
+            let b = Matrix::from_fn(k, n, |_, _| next());
+            let b_t = Matrix::from_fn(n, k, |r, c| b.get(c, r));
+            let in_place = a.matmul(&b);
+            let packed = a.matmul_t(&b_t);
+            for (x, y) in in_place.as_slice().iter().zip(packed.as_slice()) {
+                prop_assert!(x.to_bits() == y.to_bits(), "in place {x} vs packed {y}");
             }
         }
 

@@ -198,19 +198,18 @@ impl Mlp {
     #[must_use]
     pub fn forward(&self, input: &Matrix) -> Matrix {
         assert_eq!(input.cols(), self.input_dim, "input dim mismatch");
-        // Cheap trick: clone layer state is avoided by running the same math
-        // without caching; we reuse Dense::forward on a local mutable copy
-        // of nothing — instead inline the math here.
-        let mut x = input.clone();
+        // `Dense::forward` takes `&mut self` to keep training caches; this
+        // is the same math on `&self`, with no caches.
+        let mut x: Option<Matrix> = None;
         for layer in &self.layers {
-            let mut out = x.matmul(&layer.weight);
+            let mut out = x.as_ref().unwrap_or(input).matmul(&layer.weight);
             out.add_row_broadcast(&layer.bias);
             if layer.relu {
                 out.map_inplace(|v| v.max(0.0));
             }
-            x = out;
+            x = Some(out);
         }
-        x
+        x.unwrap_or_else(|| input.clone())
     }
 
     /// Training-mode forward pass: caches intermediates for

@@ -790,24 +790,34 @@ mod tests {
 
     #[test]
     fn predict_batch_matches_scalar_predict_bitwise() {
-        let mlp = Mlp::new(3, &[16, 16], 2, 17);
-        let samples: Vec<Sample> = (0..23)
-            .map(|i| {
-                let f = i as f32;
-                Sample::new(
-                    vec![f * 0.31 - 2.0, (f * 0.7).sin(), 1.0 / (f + 1.0)],
-                    vec![1.0 + f],
-                    0.0,
-                )
-            })
-            .collect();
-        let batched = predict_batch(&mlp, &AlphaBetaHead, &samples);
-        assert_eq!(batched.len(), samples.len());
-        for (b, sample) in batched.iter().zip(&samples) {
-            let scalar = predict(&mlp, &AlphaBetaHead, sample);
-            assert_eq!(b.to_bits(), scalar.to_bits());
+        // A small network, and the serving predictor's shape with a batch
+        // that crosses both the GEMM's MR=6 row tile and its MC=96 block.
+        let cases = [
+            (Mlp::new(3, &[16, 16], 2, 17), 23),
+            (Mlp::new(8, &[128; 4], 2, 17), 200),
+        ];
+        for (mlp, count) in &cases {
+            let samples: Vec<Sample> = (0..*count)
+                .map(|i| {
+                    let f = i as f32;
+                    let features = (0..mlp.input_dim())
+                        .map(|d| match d % 3 {
+                            0 => f * 0.31 - 2.0 + d as f32,
+                            1 => (f * 0.7 + d as f32).sin(),
+                            _ => 1.0 / (f + 1.0 + d as f32),
+                        })
+                        .collect();
+                    Sample::new(features, vec![1.0 + f], 0.0)
+                })
+                .collect();
+            let batched = predict_batch(mlp, &AlphaBetaHead, &samples);
+            assert_eq!(batched.len(), samples.len());
+            for (b, sample) in batched.iter().zip(&samples) {
+                let scalar = predict(mlp, &AlphaBetaHead, sample);
+                assert_eq!(b.to_bits(), scalar.to_bits());
+            }
+            assert!(predict_batch(mlp, &AlphaBetaHead, &[]).is_empty());
         }
-        assert!(predict_batch(&mlp, &AlphaBetaHead, &[]).is_empty());
     }
 
     /// Serializes tests that arm (or may observe) the process-global
