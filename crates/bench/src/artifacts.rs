@@ -3,11 +3,14 @@
 //! Training the standard predictors takes CPU minutes, so every experiment
 //! binary shares one cached build under `artifacts/` at the workspace
 //! root: the measured kernel dataset, the trained NeuSight framework, and
-//! the trained baselines. Deleting the directory forces a rebuild.
+//! the trained baselines. NeuSight is cached in its binary artifact
+//! layout through [`NeuSight::save`] / [`NeuSight::load`]; the dataset
+//! and the baselines are cached as JSON. Deleting the directory forces a
+//! rebuild.
 
 use neusight_baselines::habitat::HabitatConfig;
 use neusight_baselines::{HabitatBaseline, LiBaseline, RooflineBaseline};
-use neusight_core::{NeuSight, NeuSightConfig};
+use neusight_core::{CoreError, NeuSight, NeuSightConfig};
 use neusight_data::{collect_training_set, SweepScale};
 use neusight_gpu::{DType, KernelDataset};
 use neusight_sim::SimulatedGpu;
@@ -99,14 +102,39 @@ fn dataset_for(tag: &str, gpus: &[SimulatedGpu]) -> KernelDataset {
     ds
 }
 
-/// Loads or trains one predictor, caching it as JSON under `tag/name`.
-fn cached<T, F>(tag: &str, name: &str, build: F) -> T
-where
-    T: serde::Serialize + serde::de::DeserializeOwned,
-    F: FnOnce() -> T,
-{
+/// Reads a cached NeuSight through [`NeuSight::load`]; like
+/// [`load_json`], a corrupt cache is a miss.
+fn load_neusight(path: &Path) -> Option<NeuSight> {
+    match NeuSight::load(path) {
+        Ok(ns) => Some(ns),
+        Err(CoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => {
+            log(&format!(
+                "warning: ignoring corrupt cache {}: {e}",
+                path.display()
+            ));
+            None
+        }
+    }
+}
+
+fn save_neusight(path: &Path, ns: &NeuSight) {
+    if let Err(e) = ns.save(path) {
+        log(&format!("warning: could not cache {}: {e}", path.display()));
+    }
+}
+
+/// Loads or trains one predictor, caching it under `tag/name` with
+/// `load` and `save`.
+fn cached<T>(
+    tag: &str,
+    name: &str,
+    load: fn(&Path) -> Option<T>,
+    save: fn(&Path, &T),
+    build: impl FnOnce() -> T,
+) -> T {
     let path = artifacts_dir().join(tag).join(name);
-    if let Some(value) = load_json::<T>(&path) {
+    if let Some(value) = load(&path) {
         log(&format!("loaded {}", path.display()));
         return value;
     }
@@ -117,7 +145,7 @@ where
         "trained {name} in {:.1}s",
         start.elapsed().as_secs_f64()
     ));
-    save_json(&path, &value);
+    save(&path, &value);
     value
 }
 
@@ -144,14 +172,14 @@ pub fn pre_ampere_suite() -> Suite {
 
 fn suite_for(tag: &str, gpus: &[SimulatedGpu]) -> Suite {
     let dataset = dataset_for(tag, gpus);
-    let neusight = cached(tag, "neusight.json", || {
+    let neusight = cached(tag, "neusight.json", load_neusight, save_neusight, || {
         NeuSight::train(&dataset, &NeuSightConfig::standard()).expect("standard training set")
     });
-    let habitat = cached(tag, "habitat.json", || {
+    let habitat = cached(tag, "habitat.json", load_json, save_json, || {
         HabitatBaseline::train(&dataset, DType::F32, &HabitatConfig::standard())
             .expect("standard training set")
     });
-    let li = cached(tag, "li.json", || {
+    let li = cached(tag, "li.json", load_json, save_json, || {
         LiBaseline::train(&dataset).expect("standard training set")
     });
     Suite {

@@ -85,7 +85,7 @@
 mod args;
 
 use args::{ArgError, Args};
-use neusight_core::{NeuSight, NeuSightConfig};
+use neusight_core::{codec, NeuSight, NeuSightConfig};
 use neusight_data::SweepScale;
 use neusight_dist::{
     a100_nvlink_4x, fits_server, h100_dgx_4x, plan_training, DistForecaster, ParallelStrategy,
@@ -1283,8 +1283,9 @@ impl serde::Deserialize for AnyJson {
 
 /// One artifact's verification verdict.
 enum Verdict {
-    /// Envelope present, checksum and payload JSON both good. For
-    /// registry artifacts, carries the verified manifest summary.
+    /// Envelope present, checksum good and payload well formed (a binary
+    /// predictor that decodes, or JSON that parses). For registry
+    /// artifacts, carries the verified manifest summary.
     Sealed(Option<String>),
     /// Pre-envelope bare JSON; readable, but carries no checksum.
     Legacy,
@@ -1301,11 +1302,26 @@ fn verify_artifact(path: &Path) -> Verdict {
         Ok(decoded) => decoded,
         Err(e) => return Verdict::Failed(e.to_string()),
     };
-    // The checksum proves the payload is what the writer wrote; a JSON
-    // parse on top catches legacy files (no checksum to rely on) and
-    // corruption that happens to mimic the legacy shape, e.g. a flipped
-    // magic byte demoting an envelope to "bare JSON".
-    let text = match std::str::from_utf8(&decoded.payload) {
+    // The checksum proves the payload is what the writer wrote; a full
+    // decode on top proves a binary predictor is well formed. A registry
+    // artifact gets the stronger check: decode the manifest and
+    // recompute the weight fingerprint against it (the envelope checksum
+    // alone cannot catch a tamper sealed before wrapping).
+    let payload = &decoded.payload;
+    if payload.starts_with(&codec::MODEL_TAG) {
+        return match codec::decode(payload) {
+            Ok(_) => Verdict::Sealed(None),
+            Err(e) => Verdict::Failed(format!("predictor invalid: {e}")),
+        };
+    }
+    if payload.starts_with(&codec::REGISTRY_TAG) {
+        return verify_registry_artifact(path);
+    }
+    // Any other payload is JSON, written before the binary layout: a JSON
+    // parse catches legacy files (no checksum to rely on) and corruption
+    // that happens to mimic the legacy shape, e.g. a flipped magic byte
+    // demoting an envelope to "bare JSON".
+    let text = match std::str::from_utf8(payload) {
         Ok(text) => text,
         Err(e) => return Verdict::Failed(format!("payload is not UTF-8: {e}")),
     };
@@ -1315,30 +1331,33 @@ fn verify_artifact(path: &Path) -> Verdict {
     if decoded.legacy {
         return Verdict::Legacy;
     }
-    // A registry artifact gets the stronger check: decode the manifest
-    // and recompute the weight fingerprint against it (the envelope
-    // checksum alone cannot catch a tamper sealed before wrapping).
     if text.starts_with("{\"manifest\"") {
-        return match neusight_core::registry::load_artifact(path) {
-            Ok(artifact) => {
-                let m = artifact.manifest;
-                let lineage = match m.parent {
-                    Some(parent) => format!(", parent {parent}"),
-                    None => String::new(),
-                };
-                let mape = match m.golden_mape {
-                    Some(g) => format!(", golden-mape {g:.4}"),
-                    None => String::new(),
-                };
-                Verdict::Sealed(Some(format!(
-                    "version {}, fingerprint {:#018x}{lineage}{mape}",
-                    m.version, m.fingerprint
-                )))
-            }
-            Err(e) => Verdict::Failed(format!("registry artifact invalid: {e}")),
-        };
+        return verify_registry_artifact(path);
     }
     Verdict::Sealed(None)
+}
+
+/// Loads a registry artifact, which recomputes its weight fingerprint
+/// against the manifest, and summarises the manifest.
+fn verify_registry_artifact(path: &Path) -> Verdict {
+    match neusight_core::registry::load_artifact(path) {
+        Ok(artifact) => {
+            let m = artifact.manifest;
+            let lineage = match m.parent {
+                Some(parent) => format!(", parent {parent}"),
+                None => String::new(),
+            };
+            let mape = match m.golden_mape {
+                Some(g) => format!(", golden-mape {g:.4}"),
+                None => String::new(),
+            };
+            Verdict::Sealed(Some(format!(
+                "version {}, fingerprint {:#018x}{lineage}{mape}",
+                m.version, m.fingerprint
+            )))
+        }
+        Err(e) => Verdict::Failed(format!("registry artifact invalid: {e}")),
+    }
 }
 
 /// Collects every `.json` file under `root` (or `root` itself when it is
@@ -1404,9 +1423,11 @@ fn cmd_publish(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Verifies every artifact under a directory (default `artifacts/`):
-/// envelope checksums must match and payloads must parse. Exits non-zero
-/// naming each corrupt file (`neusight verify-artifacts`).
+/// Verifies every `.json` artifact under a directory (default
+/// `artifacts/`): envelope checksums must match, and payloads must decode
+/// by their leading tag (a binary predictor or registry artifact) or
+/// else parse as JSON. Exits non-zero naming each corrupt file
+/// (`neusight verify-artifacts`).
 fn cmd_verify_artifacts(args: &Args) -> CliResult {
     let root = Path::new(args.positional(1).unwrap_or("artifacts"));
     if !root.exists() {

@@ -1,0 +1,717 @@
+//! The binary predictor artifact: a little-endian encoding of a trained
+//! [`NeuSight`] that loads by copying bits instead of parsing text.
+//!
+//! [`NeuSight::save`] and [`Registry::publish`](crate::Registry::publish)
+//! write these bytes as the payload of the checksummed
+//! [`neusight_guard::envelope`]; readers choose the decoder from the
+//! payload's leading tag. A payload without a tag is JSON, as every
+//! artifact written before this layout was, and still loads through
+//! serde.
+//!
+//! Model payload (`u64` counts, raw IEEE-754 bits for floats):
+//!
+//! ```text
+//! tag       4 bytes  b"NSM1"
+//! dtype     u8       element type used for traffic accounting
+//! families  u64      then per family, in name order:
+//!   class             u8
+//!   validation_smape  f32
+//!   scaler width      u64, then that many f32 means and f32 stds
+//!   layers            u64, then per dense layer, input layer first:
+//!     in, out         u64 each
+//!     relu            u8 (0 or 1)
+//!     weights         in × out f32, row-major
+//!     biases          out f32
+//! tile rows n u64, then the tile database as columns of n rows each:
+//!   class             n × u8
+//!   output rank       n × varint, then every row's output dims, varint
+//!   has GEMM depth    n × u8 (0 or 1), then each present depth, varint
+//!   SM count          n × varint
+//!   L2 bytes          n × f64
+//!   tile rank         n × varint, then every row's tile dims, varint
+//!   split-K           n × varint
+//! ```
+//!
+//! A varint is unsigned LEB128: seven bits per byte, low bits first, the
+//! top bit set on every byte but the last. Tile-database integers are
+//! small, so the ~16.7k-row standard database takes a few hundred KB.
+//!
+//! A registry payload is `b"NSR1"`, the manifest's JSON length as `u64`,
+//! the manifest JSON, then a model payload.
+//!
+//! The decoder trusts nothing: it checks every count against the bytes
+//! that remain before allocating, checks that layer and scaler shapes fit
+//! together, rejects trailing bytes, and reports every failure as
+//! [`CoreError::Format`] without panicking.
+
+use crate::error::{CoreError, Result};
+use crate::framework::NeuSight;
+use crate::predictor::KernelPredictor;
+use crate::tiledb::{TileDatabase, TileEntry};
+use neusight_gpu::{DType, OpClass, TileShape};
+use neusight_nn::{Matrix, Mlp, StandardScaler};
+use std::collections::BTreeMap;
+
+/// Leading tag of a binary model payload.
+pub const MODEL_TAG: [u8; 4] = *b"NSM1";
+
+/// Leading tag of a binary registry payload (manifest + model).
+pub const REGISTRY_TAG: [u8; 4] = *b"NSR1";
+
+/// Wire codes of [`OpClass`]: a class is stored as its index here.
+const CLASSES: [OpClass; 6] = [
+    OpClass::Bmm,
+    OpClass::FullyConnected,
+    OpClass::Elementwise,
+    OpClass::Softmax,
+    OpClass::LayerNorm,
+    OpClass::MemoryBound,
+];
+
+/// Wire codes of [`DType`].
+const DTYPES: [DType; 6] = [
+    DType::F16,
+    DType::BF16,
+    DType::F32,
+    DType::F64,
+    DType::I32,
+    DType::I64,
+];
+
+fn code_of<T: PartialEq>(table: &[T], value: &T) -> u8 {
+    let i = table
+        .iter()
+        .position(|v| v == value)
+        .expect("every variant has a wire code");
+    u8::try_from(i).expect("wire tables are short")
+}
+
+fn format_error(what: impl Into<String>) -> CoreError {
+    CoreError::Format(format!("binary predictor: {}", what.into()))
+}
+
+/// Appends little-endian fields to a buffer.
+struct Writer(Vec<u8>);
+
+impl Writer {
+    fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn len(&mut self, n: usize) {
+        self.u64(n as u64);
+    }
+
+    fn f32s(&mut self, values: &[f32]) {
+        self.0.reserve(values.len() * 4);
+        for v in values {
+            self.0.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.0.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        self.0.push(v as u8);
+    }
+}
+
+/// Reads little-endian fields from a byte slice, checking every length
+/// against what remains.
+struct Reader<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+        if n > self.bytes.len() {
+            return Err(format_error(format!(
+                "{what} needs {n} bytes, {} remain",
+                self.bytes.len()
+            )));
+        }
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N, what)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    fn flag(&mut self, what: &str) -> Result<bool> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(format_error(format!("{what} is {other}, not 0 or 1"))),
+        }
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array(what)?))
+    }
+
+    fn f32(&mut self, what: &str) -> Result<f32> {
+        Ok(f32::from_le_bytes(self.array(what)?))
+    }
+
+    fn f64(&mut self, what: &str) -> Result<f64> {
+        Ok(f64::from_le_bytes(self.array(what)?))
+    }
+
+    /// A `u64` count of items that take at least `min_item_bytes` each,
+    /// rejected when the remaining bytes cannot hold that many.
+    fn count(&mut self, min_item_bytes: usize, what: &str) -> Result<usize> {
+        let n = self.u64(what)?;
+        let fits = usize::try_from(n).ok().filter(|&n| {
+            n.checked_mul(min_item_bytes)
+                .is_some_and(|b| b <= self.bytes.len())
+        });
+        fits.ok_or_else(|| {
+            format_error(format!(
+                "{what} {n} does not fit in the {} bytes that remain",
+                self.bytes.len()
+            ))
+        })
+    }
+
+    fn f32s(&mut self, n: usize, what: &str) -> Result<Vec<f32>> {
+        let bytes = n
+            .checked_mul(4)
+            .ok_or_else(|| format_error(format!("{what}: {n} floats overflow")))?;
+        Ok(self
+            .take(bytes, what)?
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect())
+    }
+
+    fn varint(&mut self, what: &str) -> Result<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8(what)?;
+            let bits = u64::from(byte & 0x7f);
+            if shift == 63 && bits > 1 {
+                return Err(format_error(format!("{what} overflows 64 bits")));
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(format_error(format!("{what} overflows 64 bits")))
+    }
+
+    /// A column of `n` items read by `item`, each a byte or more. The
+    /// count is checked against the remaining bytes before allocating.
+    fn column<T>(
+        &mut self,
+        n: usize,
+        what: &str,
+        mut item: impl FnMut(&mut Self, &str) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        if n > self.bytes.len() {
+            return Err(format_error(format!(
+                "{n} {what} do not fit in the {} bytes that remain",
+                self.bytes.len()
+            )));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self, what)?);
+        }
+        Ok(out)
+    }
+
+    fn varints(&mut self, n: usize, what: &str) -> Result<Vec<u64>> {
+        self.column(n, what, Reader::varint)
+    }
+
+    /// `n` varint lengths, and their total.
+    fn lengths(&mut self, n: usize, what: &str) -> Result<(Vec<usize>, usize)> {
+        let lens = self
+            .varints(n, what)?
+            .into_iter()
+            .map(|v| usize::try_from(v).map_err(|_| format_error(format!("{what} {v} overflows"))))
+            .collect::<Result<Vec<_>>>()?;
+        let total = lens
+            .iter()
+            .try_fold(0usize, |sum, &len| sum.checked_add(len))
+            .ok_or_else(|| format_error(format!("{what}s overflow")))?;
+        Ok((lens, total))
+    }
+
+    fn class(&mut self, what: &str) -> Result<OpClass> {
+        let code = self.u8(what)?;
+        CLASSES
+            .get(usize::from(code))
+            .copied()
+            .ok_or_else(|| format_error(format!("{what}: unknown family code {code}")))
+    }
+}
+
+/// Encodes a trained framework as a model payload.
+#[must_use]
+pub fn encode(ns: &NeuSight) -> Vec<u8> {
+    let mut w = Writer(Vec::new());
+    w.0.extend_from_slice(&MODEL_TAG);
+    w.u8(code_of(&DTYPES, &ns.dtype()));
+    w.len(ns.predictors().len());
+    for predictor in ns.predictors().values() {
+        encode_predictor(&mut w, predictor);
+    }
+    encode_tiledb(&mut w, ns.tile_database().entries());
+    w.0
+}
+
+fn encode_predictor(w: &mut Writer, predictor: &KernelPredictor) {
+    w.u8(code_of(&CLASSES, &predictor.class()));
+    w.f32s(&[predictor.validation_smape()]);
+    let scaler = predictor.scaler();
+    w.len(scaler.dim());
+    w.f32s(scaler.means());
+    w.f32s(scaler.stds());
+    let layers = predictor.mlp().layers();
+    w.len(layers.len());
+    for (weight, bias, relu) in layers {
+        w.len(weight.rows());
+        w.len(weight.cols());
+        w.u8(u8::from(relu));
+        w.f32s(weight.as_slice());
+        w.f32s(bias);
+    }
+}
+
+fn encode_tiledb(w: &mut Writer, entries: &[TileEntry]) {
+    w.len(entries.len());
+    for e in entries {
+        w.u8(code_of(&CLASSES, &e.class));
+    }
+    for e in entries {
+        w.varint(e.output_dims.len() as u64);
+    }
+    for &d in entries.iter().flat_map(|e| &e.output_dims) {
+        w.varint(d);
+    }
+    for e in entries {
+        w.u8(u8::from(e.gemm_k.is_some()));
+    }
+    for k in entries.iter().filter_map(|e| e.gemm_k) {
+        w.varint(k);
+    }
+    for e in entries {
+        w.varint(u64::from(e.num_sms));
+    }
+    for e in entries {
+        w.0.extend_from_slice(&e.l2_bytes.to_le_bytes());
+    }
+    for e in entries {
+        w.varint(e.tile.rank() as u64);
+    }
+    for &d in entries.iter().flat_map(|e| e.tile.dims()) {
+        w.varint(d);
+    }
+    for e in entries {
+        w.varint(e.split_k);
+    }
+}
+
+/// Decodes an artifact payload into a framework: a binary model payload
+/// when it starts with [`MODEL_TAG`], JSON otherwise.
+///
+/// # Errors
+///
+/// [`CoreError::Format`] for payloads that are neither a well-formed
+/// model payload nor a serialized framework.
+pub fn decode(payload: &[u8]) -> Result<NeuSight> {
+    let Some(body) = payload.strip_prefix(&MODEL_TAG) else {
+        let json = std::str::from_utf8(payload)
+            .map_err(|e| CoreError::Format(format!("artifact payload is not UTF-8: {e}")))?;
+        return serde_json::from_str(json).map_err(|e| CoreError::Format(e.to_string()));
+    };
+    let mut r = Reader { bytes: body };
+    let code = r.u8("dtype")?;
+    let dtype = DTYPES
+        .get(usize::from(code))
+        .copied()
+        .ok_or_else(|| format_error(format!("unknown dtype code {code}")))?;
+    let families = r.count(1, "family count")?;
+    let mut predictors = BTreeMap::new();
+    for _ in 0..families {
+        let predictor = decode_predictor(&mut r)?;
+        let name = predictor.class().name();
+        if predictors.insert(name.to_owned(), predictor).is_some() {
+            return Err(format_error(format!("family `{name}` appears twice")));
+        }
+    }
+    let tiledb = decode_tiledb(&mut r)?;
+    if !r.bytes.is_empty() {
+        return Err(format_error(format!(
+            "{} trailing bytes after the tile database",
+            r.bytes.len()
+        )));
+    }
+    Ok(NeuSight::from_parts(predictors, tiledb, dtype))
+}
+
+fn decode_predictor(r: &mut Reader<'_>) -> Result<KernelPredictor> {
+    let class = r.class("family")?;
+    let validation_smape = r.f32("validation SMAPE")?;
+    let width = r.count(8, "scaler width")?;
+    let means = r.f32s(width, "scaler means")?;
+    let stds = r.f32s(width, "scaler stds")?;
+    let scaler =
+        StandardScaler::from_parts(means, stds).map_err(|e| format_error(e.to_string()))?;
+    let depth = r.count(17, "layer count")?;
+    let mut layers = Vec::with_capacity(depth);
+    for _ in 0..depth {
+        let inputs = r.count(4, "layer inputs")?;
+        let outputs = r.count(4, "layer outputs")?;
+        let relu = r.flag("ReLU flag")?;
+        let weights = inputs
+            .checked_mul(outputs)
+            .ok_or_else(|| format_error(format!("a {inputs}x{outputs} layer overflows")))?;
+        let weight = Matrix::try_from_vec(inputs, outputs, r.f32s(weights, "weights")?)
+            .map_err(|e| format_error(e.to_string()))?;
+        let bias = r.f32s(outputs, "biases")?;
+        layers.push((weight, bias, relu));
+    }
+    let mlp = Mlp::from_layers(layers).map_err(|e| format_error(e.to_string()))?;
+    KernelPredictor::from_parts(class, mlp, scaler, validation_smape)
+}
+
+/// Splits a flat column into one run per row, `lens[i]` values each.
+fn runs(values: &[u64], lens: &[usize]) -> Vec<Vec<u64>> {
+    let mut at = 0;
+    lens.iter()
+        .map(|&n| {
+            at += n;
+            values[at - n..at].to_vec()
+        })
+        .collect()
+}
+
+fn decode_tiledb(r: &mut Reader<'_>) -> Result<TileDatabase> {
+    // Each row takes at least 14 bytes: class, rank, has-k, SM count,
+    // L2 bytes, tile rank, split-K.
+    let n = r.count(14, "tile row count")?;
+    let classes = r.column(n, "tile family", Reader::class)?;
+    let (ranks, total) = r.lengths(n, "output rank")?;
+    let dims = r.varints(total, "output dims")?;
+    let has_k = r.column(n, "GEMM depth flag", Reader::flag)?;
+    let mut depths = r
+        .varints(has_k.iter().filter(|&&k| k).count(), "GEMM depths")?
+        .into_iter();
+    let sms = r.column(n, "SM count", |r, what| {
+        let v = r.varint(what)?;
+        u32::try_from(v).map_err(|_| format_error(format!("{what} {v} exceeds u32")))
+    })?;
+    let l2 = r.column(n, "L2 bytes", Reader::f64)?;
+    let (tile_ranks, total) = r.lengths(n, "tile rank")?;
+    let tile_dims = r.varints(total, "tile dims")?;
+    let split_k = r.varints(n, "split-K")?;
+
+    let output_dims = runs(&dims, &ranks);
+    let tiles = runs(&tile_dims, &tile_ranks);
+    let mut entries = Vec::with_capacity(n);
+    for (i, (output_dims, tile)) in output_dims.into_iter().zip(tiles).enumerate() {
+        if tile.is_empty() || tile.contains(&0) {
+            return Err(format_error(format!(
+                "tile row {i}: tile {tile:?} has an empty or zero extent"
+            )));
+        }
+        entries.push(TileEntry {
+            class: classes[i],
+            output_dims,
+            gemm_k: if has_k[i] { depths.next() } else { None },
+            num_sms: sms[i],
+            l2_bytes: l2[i],
+            tile: TileShape::new(tile),
+            split_k: split_k[i],
+        });
+    }
+    Ok(TileDatabase::from_entries(entries))
+}
+
+/// Encodes a registry payload: the manifest JSON, length-prefixed, ahead
+/// of the model payload.
+#[must_use]
+pub(crate) fn encode_registry(manifest_json: &[u8], model: &NeuSight) -> Vec<u8> {
+    let mut w = Writer(Vec::new());
+    w.0.extend_from_slice(&REGISTRY_TAG);
+    w.len(manifest_json.len());
+    w.0.extend_from_slice(manifest_json);
+    w.0.extend(encode(model));
+    w.0
+}
+
+/// Splits a registry payload into its manifest JSON and its binary model
+/// payload.
+///
+/// # Errors
+///
+/// [`CoreError::Format`] when either tag is missing or the manifest
+/// length runs past the payload.
+pub(crate) fn split_registry(payload: &[u8]) -> Result<(&[u8], &[u8])> {
+    let body = payload
+        .strip_prefix(&REGISTRY_TAG)
+        .ok_or_else(|| format_error("registry payload lacks its tag"))?;
+    let mut r = Reader { bytes: body };
+    let len = r.count(1, "manifest length")?;
+    let manifest = r.take(len, "manifest")?;
+    if !r.bytes.starts_with(&MODEL_TAG) {
+        return Err(format_error(
+            "registry payload does not hold a binary model",
+        ));
+    }
+    Ok((manifest, r.bytes))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::framework::NeuSightConfig;
+    use crate::registry::model_fingerprint;
+    use crate::tiledb::tests::{all_gpus, table4_kernels};
+    use neusight_data::{collect_training_set, training_gpus, SweepScale};
+    use std::path::PathBuf;
+    use std::sync::OnceLock;
+
+    fn trained() -> &'static NeuSight {
+        static MODEL: OnceLock<NeuSight> = OnceLock::new();
+        MODEL.get_or_init(|| {
+            let ds = collect_training_set(&training_gpus(), SweepScale::Tiny, DType::F32);
+            NeuSight::train(&ds, &NeuSightConfig::tiny()).expect("trainable")
+        })
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("neusight-codec-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    /// Asserts `back` forecasts every kernel of the Table 4 inference,
+    /// fused and training graphs on every catalog GPU bit for bit as `ns`
+    /// does, and fingerprints identically.
+    fn assert_same_model(ns: &NeuSight, back: &NeuSight) {
+        assert_eq!(
+            model_fingerprint(back).unwrap(),
+            model_fingerprint(ns).unwrap()
+        );
+        let gpus = all_gpus();
+        assert_eq!(gpus.len(), 8);
+        for spec in &gpus {
+            for op in &table4_kernels() {
+                let want = ns.predict_op_uncached(op, spec).unwrap();
+                let got = back.predict_op_uncached(op, spec).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "{op} on {}", spec.name());
+            }
+        }
+    }
+
+    #[test]
+    fn save_load_keeps_the_fingerprint_and_every_table4_forecast() {
+        let ns = trained();
+        let path = scratch("binary.json");
+        ns.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let payload = neusight_guard::envelope::unwrap_envelope(&bytes).unwrap();
+        assert!(payload.starts_with(&MODEL_TAG));
+        assert_eq!(payload, encode(ns).as_slice());
+        let back = NeuSight::load(&path).unwrap();
+        assert!(back.tile_database().entries() == ns.tile_database().entries());
+        assert_same_model(ns, &back);
+        // Encoding is a pure function of the model.
+        assert_eq!(encode(&back), encode(ns));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn json_payload_in_an_envelope_still_loads() {
+        let ns = trained();
+        let path = scratch("json-envelope.json");
+        let json = serde_json::to_string(ns).unwrap();
+        neusight_guard::envelope::write_artifact(&path, json.as_bytes()).unwrap();
+        let back = NeuSight::load(&path).unwrap();
+        assert_same_model(ns, &back);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Offset of the first family's layer count in a model payload.
+    fn first_layer_count_offset(ns: &NeuSight) -> usize {
+        let p = ns.predictors().values().next().unwrap();
+        // tag, dtype, family count, class, SMAPE, scaler width, scaler.
+        4 + 1 + 8 + 1 + 4 + 8 + 8 * p.scaler().dim()
+    }
+
+    fn decode_err(payload: &[u8]) -> String {
+        match decode(payload) {
+            Err(CoreError::Format(msg)) => msg,
+            Err(other) => panic!("expected a format error, got {other}"),
+            Ok(_) => panic!("a damaged payload decoded"),
+        }
+    }
+
+    #[test]
+    fn huge_length_fields_are_rejected_before_allocating() {
+        let ns = trained();
+        let good = encode(ns);
+        let patch = |at: usize, v: u64| {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            bad
+        };
+        let layers = first_layer_count_offset(ns);
+        for (at, what) in [
+            (5, "family count"),
+            (14 + 4, "scaler width"),
+            (layers, "layer count"),
+        ] {
+            for v in [u64::MAX, u64::MAX / 4, good.len() as u64] {
+                let msg = decode_err(&patch(at, v));
+                assert!(msg.contains(what), "{what} = {v}: {msg}");
+            }
+        }
+        // The first layer's input width, and the tile row count.
+        let msg = decode_err(&patch(layers + 8, u64::MAX));
+        assert!(msg.contains("layer inputs"), "{msg}");
+        let rows_at = good.len() - tiledb_len(ns) - 8;
+        let msg = decode_err(&patch(rows_at, u64::MAX));
+        assert!(msg.contains("tile row count"), "{msg}");
+    }
+
+    /// Bytes of the encoded tile database after its row count.
+    fn tiledb_len(ns: &NeuSight) -> usize {
+        let mut w = Writer(Vec::new());
+        encode_tiledb(&mut w, ns.tile_database().entries());
+        w.0.len() - 8
+    }
+
+    #[test]
+    fn trailing_and_missing_bytes_are_rejected() {
+        let ns = trained();
+        let mut long = encode(ns);
+        long.push(0);
+        assert!(decode_err(&long).contains("trailing"));
+        let good = encode(ns);
+        for cut in [MODEL_TAG.len(), 5, 13, good.len() / 2, good.len() - 1] {
+            decode_err(&good[..cut]);
+        }
+    }
+
+    #[test]
+    fn shapes_that_do_not_fit_are_rejected() {
+        let ns = trained();
+        let good = encode(ns);
+        let layers = first_layer_count_offset(ns);
+        // The first layer takes one input fewer than the scaler gives:
+        // the bytes still line up, so only the shape check can object.
+        let first = ns.predictors().values().next().unwrap().mlp();
+        let (w, _, _) = first.layers().next().unwrap();
+        let (rows, cols) = (w.rows(), w.cols());
+        let mut bad = Vec::new();
+        bad.extend_from_slice(&good[..layers + 8]);
+        bad.extend_from_slice(&((rows - 1) as u64).to_le_bytes());
+        bad.extend_from_slice(&good[layers + 16..layers + 25]);
+        bad.extend_from_slice(&good[layers + 25 + 4 * cols..]);
+        let msg = decode_err(&bad);
+        assert!(msg.contains("expected"), "{msg}");
+        // A ReLU flag that is neither 0 nor 1.
+        let mut bad = good.clone();
+        bad[layers + 24] = 2;
+        assert!(decode_err(&bad).contains("ReLU flag"));
+        // An unknown family code.
+        let mut bad = good.clone();
+        bad[13] = CLASSES.len() as u8;
+        assert!(decode_err(&bad).contains("unknown family code"));
+    }
+
+    /// A model payload with no families and one tile row whose tile is
+    /// `tile`.
+    fn one_row_payload(tile: &[u64]) -> Vec<u8> {
+        let mut w = Writer(MODEL_TAG.to_vec());
+        w.u8(code_of(&DTYPES, &DType::F32));
+        w.len(0);
+        w.len(1);
+        w.u8(code_of(&CLASSES, &OpClass::FullyConnected));
+        w.varint(2);
+        w.varint(64);
+        w.varint(64);
+        w.u8(1);
+        w.varint(32);
+        w.varint(80);
+        w.0.extend_from_slice(&6e6f64.to_le_bytes());
+        w.varint(tile.len() as u64);
+        for &d in tile {
+            w.varint(d);
+        }
+        w.varint(1);
+        w.0
+    }
+
+    #[test]
+    fn empty_or_zero_tile_extents_are_rejected() {
+        let ns = decode(&one_row_payload(&[32, 64])).unwrap();
+        let entry = &ns.tile_database().entries()[0];
+        assert_eq!(entry.output_dims, [64, 64]);
+        assert_eq!(entry.gemm_k, Some(32));
+        assert_eq!(entry.tile.dims(), [32, 64]);
+        for tile in [&[][..], &[32, 0][..]] {
+            assert!(decode_err(&one_row_payload(tile)).contains("zero extent"));
+        }
+    }
+
+    #[test]
+    fn varints_round_trip_and_reject_overflow() {
+        let values = [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ];
+        let mut w = Writer(Vec::new());
+        for &v in &values {
+            w.varint(v);
+        }
+        let mut r = Reader { bytes: &w.0 };
+        for &v in &values {
+            assert_eq!(r.varint("v").unwrap(), v);
+        }
+        assert!(r.bytes.is_empty());
+        let too_long = [0xffu8; 11];
+        assert!(Reader { bytes: &too_long }.varint("v").is_err());
+        let mut past_64 = [0xffu8; 10];
+        past_64[9] = 0x02;
+        assert!(Reader { bytes: &past_64 }.varint("v").is_err());
+    }
+
+    #[test]
+    fn registry_payload_splits_into_manifest_and_model() {
+        let ns = trained();
+        let payload = encode_registry(b"{\"m\":1}", ns);
+        let (manifest, model) = split_registry(&payload).unwrap();
+        assert_eq!(manifest, b"{\"m\":1}");
+        assert_eq!(model, encode(ns).as_slice());
+        let mut bad = payload.clone();
+        bad[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(split_registry(&bad).is_err());
+        assert!(split_registry(&payload[..payload.len() - model.len()]).is_err());
+    }
+}

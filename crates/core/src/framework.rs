@@ -470,12 +470,31 @@ impl NeuSight {
         if predictors.is_empty() {
             return Err(CoreError::EmptyTrainingSet("all families".to_owned()));
         }
-        Ok(NeuSight {
+        Ok(NeuSight::from_parts(
             predictors,
-            tiledb: TileDatabase::from_records(dataset),
-            dtype: config.dtype,
+            TileDatabase::from_records(dataset),
+            config.dtype,
+        ))
+    }
+
+    /// Reassembles a trained framework from its parts, with a cold
+    /// prediction cache.
+    pub(crate) fn from_parts(
+        predictors: BTreeMap<String, KernelPredictor>,
+        tiledb: TileDatabase,
+        dtype: DType,
+    ) -> NeuSight {
+        NeuSight {
+            predictors,
+            tiledb,
+            dtype,
             cache: PredictionCache::default(),
-        })
+        }
+    }
+
+    /// The family predictors, keyed by [`OpClass::name`].
+    pub(crate) fn predictors(&self) -> &BTreeMap<String, KernelPredictor> {
+        &self.predictors
     }
 
     /// The element type used for traffic accounting.
@@ -841,29 +860,32 @@ impl NeuSight {
     }
 
     /// Persists the trained framework (predictor weights, scalers, tile
-    /// database) as JSON wrapped in the checksummed
-    /// [`neusight_guard::envelope`], so any later corruption of the file
-    /// is detected at load time instead of producing
-    /// plausible-but-wrong latencies.
+    /// database) in the binary [`codec`](crate::codec) layout wrapped in
+    /// the checksummed [`neusight_guard::envelope`], so any later
+    /// corruption of the file is detected at load time instead of
+    /// producing plausible-but-wrong latencies.
     ///
     /// # Errors
     ///
-    /// Returns I/O or serialization errors.
+    /// Returns I/O errors.
     pub fn save(&self, path: &Path) -> Result<()> {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        let json = serde_json::to_string(self).map_err(|e| CoreError::Format(e.to_string()))?;
-        neusight_guard::envelope::write_artifact(path, json.as_bytes()).map_err(|e| match e {
+        let bytes = crate::codec::encode(self);
+        neusight_guard::envelope::write_artifact(path, &bytes).map_err(|e| match e {
             neusight_guard::GuardError::Io(io) => CoreError::Io(io),
             other => CoreError::Format(other.to_string()),
         })?;
         Ok(())
     }
 
-    /// Loads a framework saved by [`NeuSight::save`]. Legacy bare-JSON
-    /// predictors (written before the envelope) load transparently with
-    /// a warning and the `guard.artifact.legacy.total` counter.
+    /// Loads a framework saved by [`NeuSight::save`]. The payload's
+    /// leading tag picks the decoder (see [`codec::decode`](crate::codec::decode)):
+    /// envelopes holding JSON, written before the binary layout, still
+    /// load, and legacy bare-JSON predictors (written before the
+    /// envelope) load transparently with a warning and the
+    /// `guard.artifact.legacy.total` counter.
     ///
     /// # Errors
     ///
@@ -877,9 +899,7 @@ impl NeuSight {
                 neusight_guard::GuardError::Io(io) => CoreError::Io(io),
                 other => CoreError::Format(other.to_string()),
             })?;
-        let json = std::str::from_utf8(&decoded.payload)
-            .map_err(|e| CoreError::Format(format!("artifact payload is not UTF-8: {e}")))?;
-        serde_json::from_str(json).map_err(|e| CoreError::Format(e.to_string()))
+        crate::codec::decode(&decoded.payload)
     }
 
     /// Applies `f` to every weight and bias of every family predictor's

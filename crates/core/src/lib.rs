@@ -37,6 +37,7 @@
 //! ```
 
 pub mod ablation;
+pub mod codec;
 pub mod error;
 pub mod features;
 pub mod framework;

@@ -23,7 +23,7 @@ use neusight_gpu::{
     catalog, roofline, DType, GpuSpec, KernelDataset, KernelLaunch, OpClass, OpDesc,
 };
 use neusight_nn::head::AlphaBetaHead;
-use neusight_nn::{Dataset, Loss, Mlp, Sample, StandardScaler, TrainConfig, Trainer};
+use neusight_nn::{Dataset, Head, Loss, Mlp, Sample, StandardScaler, TrainConfig, Trainer};
 use serde::{Deserialize, Serialize};
 
 /// Floor applied to predicted utilization so latencies stay finite.
@@ -183,6 +183,50 @@ impl KernelPredictor {
             scaler,
             validation_smape,
         })
+    }
+
+    /// Reassembles a trained predictor from its parts, checking that they
+    /// fit together: the scaler and the MLP both take the
+    /// [`features::NUM_FEATURES`] features, and the MLP gives the raw
+    /// outputs the `(α, β)` head reads.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Format`] when the dimensions disagree.
+    pub(crate) fn from_parts(
+        class: OpClass,
+        mlp: Mlp,
+        scaler: StandardScaler,
+        validation_smape: f32,
+    ) -> Result<KernelPredictor> {
+        let dims = (scaler.dim(), mlp.input_dim(), mlp.output_dim());
+        let expected = (
+            features::NUM_FEATURES,
+            features::NUM_FEATURES,
+            AlphaBetaHead.raw_dim(),
+        );
+        if dims != expected {
+            return Err(CoreError::Format(format!(
+                "{class} predictor: scaler width, MLP input and MLP output are {dims:?}, \
+                 expected {expected:?}"
+            )));
+        }
+        Ok(KernelPredictor {
+            class,
+            mlp,
+            scaler,
+            validation_smape,
+        })
+    }
+
+    /// The trained network.
+    pub(crate) fn mlp(&self) -> &Mlp {
+        &self.mlp
+    }
+
+    /// The feature standardizer fitted on the training split.
+    pub(crate) fn scaler(&self) -> &StandardScaler {
+        &self.scaler
     }
 
     /// The family this predictor serves.

@@ -4,11 +4,16 @@
 //!
 //! The registry replaces the single-file `neusight-predictor.json` load
 //! for deployments that hot-reload weights: every artifact is
-//! `<dir>/<version>.json`, the payload is a [`VersionedArtifact`] JSON
-//! document wrapped in the checksummed guard envelope, and versions order
+//! `<dir>/<version>.json` (the suffix is what the scan selects by), the
+//! payload is a registry payload of the binary [`codec`](crate::codec)
+//! layout (the manifest as length-prefixed JSON, then the model's bits)
+//! wrapped in the checksummed guard envelope, and versions order
 //! lexicographically (use a zero-padded convention such as `v0003` so the
-//! lexicographic latest is the numeric latest).
+//! lexicographic latest is the numeric latest). Artifacts published
+//! before the binary layout carry a [`VersionedArtifact`] JSON payload
+//! and still load.
 
+use crate::codec;
 use crate::error::{CoreError, Result};
 use crate::framework::NeuSight;
 use neusight_guard::envelope;
@@ -38,7 +43,8 @@ pub struct ModelManifest {
     pub golden_mape: Option<f64>,
 }
 
-/// A registry artifact payload: manifest + the framework itself.
+/// A registry artifact: manifest + the framework itself. Also the JSON
+/// payload of artifacts published before the binary layout.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VersionedArtifact {
     /// Deployment metadata.
@@ -83,9 +89,11 @@ fn validate_version(version: &str) -> Result<()> {
 }
 
 /// Decodes one registry artifact file into its manifest + model. The
-/// guard envelope catches corruption and truncation; a decoded payload
-/// must additionally parse as a [`VersionedArtifact`] whose recomputed
-/// weight fingerprint matches the manifest.
+/// guard envelope catches corruption and truncation; the payload's
+/// leading tag picks the decoder (binary registry payload, or a
+/// [`VersionedArtifact`] JSON document from before the binary layout),
+/// and the model's recomputed weight fingerprint must match the
+/// manifest.
 ///
 /// # Errors
 ///
@@ -97,10 +105,21 @@ pub fn load_artifact(path: &Path) -> Result<VersionedArtifact> {
         neusight_guard::GuardError::Io(io) => CoreError::Io(io),
         other => CoreError::Format(other.to_string()),
     })?;
-    let json = std::str::from_utf8(&decoded.payload)
-        .map_err(|e| CoreError::Format(format!("registry payload is not UTF-8: {e}")))?;
-    let artifact: VersionedArtifact =
-        serde_json::from_str(json).map_err(|e| CoreError::Format(e.to_string()))?;
+    let artifact = if decoded.payload.starts_with(&codec::REGISTRY_TAG) {
+        let (manifest, model) = codec::split_registry(&decoded.payload)?;
+        let manifest = std::str::from_utf8(manifest)
+            .map_err(|e| CoreError::Format(format!("registry manifest is not UTF-8: {e}")))?;
+        let manifest: ModelManifest =
+            serde_json::from_str(manifest).map_err(|e| CoreError::Format(e.to_string()))?;
+        VersionedArtifact {
+            manifest,
+            model: codec::decode(model)?,
+        }
+    } else {
+        let json = std::str::from_utf8(&decoded.payload)
+            .map_err(|e| CoreError::Format(format!("registry payload is not UTF-8: {e}")))?;
+        serde_json::from_str(json).map_err(|e| CoreError::Format(e.to_string()))?
+    };
     validate_version(&artifact.manifest.version)?;
     let recomputed = model_fingerprint(&artifact.model)?;
     if recomputed != artifact.manifest.fingerprint {
@@ -236,15 +255,12 @@ impl Registry {
             fingerprint: model_fingerprint(model)?,
             golden_mape,
         };
-        let artifact = VersionedArtifact {
-            manifest: manifest.clone(),
-            model: model.clone(),
-        };
-        let json =
-            serde_json::to_string(&artifact).map_err(|e| CoreError::Format(e.to_string()))?;
+        let manifest_json =
+            serde_json::to_string(&manifest).map_err(|e| CoreError::Format(e.to_string()))?;
+        let payload = codec::encode_registry(manifest_json.as_bytes(), model);
         let path = self.path_of(version);
         fs::create_dir_all(&self.dir)?;
-        envelope::write_artifact(&path, json.as_bytes()).map_err(|e| match e {
+        envelope::write_artifact(&path, &payload).map_err(|e| match e {
             neusight_guard::GuardError::Io(io) => CoreError::Io(io),
             other => CoreError::Format(other.to_string()),
         })?;
@@ -412,6 +428,28 @@ mod tests {
         let json = serde_json::to_string(&artifact).unwrap();
         fs::create_dir_all(registry.dir()).unwrap();
         envelope::write_artifact(&registry.path_of("v0001"), json.as_bytes()).unwrap();
+        let err = registry.load("v0001").unwrap_err();
+        assert!(err.to_string().contains("fingerprint"), "{err}");
+        let _ = fs::remove_dir_all(registry.dir());
+    }
+
+    #[test]
+    fn binary_payload_fingerprint_mismatch_is_detected() {
+        // The same tamper as above, sealed in the binary registry layout.
+        let registry = temp_registry("fingerprint-binary");
+        let ns = trained();
+        let mut other = ns.clone();
+        other.map_predictor_parameters(|w| w * 1.5);
+        let manifest = ModelManifest {
+            version: "v0001".to_owned(),
+            parent: None,
+            fingerprint: model_fingerprint(&other).unwrap(),
+            golden_mape: None,
+        };
+        let json = serde_json::to_string(&manifest).unwrap();
+        fs::create_dir_all(registry.dir()).unwrap();
+        let payload = codec::encode_registry(json.as_bytes(), &ns);
+        envelope::write_artifact(&registry.path_of("v0001"), &payload).unwrap();
         let err = registry.load("v0001").unwrap_err();
         assert!(err.to_string().contains("fingerprint"), "{err}");
         let _ = fs::remove_dir_all(registry.dir());

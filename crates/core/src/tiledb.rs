@@ -296,12 +296,25 @@ impl TileDatabase {
                 split_k: record.launch.split_k,
             });
         }
-        let db = TileDatabase {
-            entries,
-            index: OnceLock::new(),
-        };
+        let db = TileDatabase::from_entries(entries);
         db.groups();
         db
+    }
+
+    /// A database of `entries`, in order. The search index is built on
+    /// the first query.
+    #[must_use]
+    pub(crate) fn from_entries(entries: Vec<TileEntry>) -> TileDatabase {
+        TileDatabase {
+            entries,
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The rows, in recorded order.
+    #[must_use]
+    pub(crate) fn entries(&self) -> &[TileEntry] {
+        &self.entries
     }
 
     /// Number of rows.

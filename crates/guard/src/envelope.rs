@@ -9,7 +9,7 @@
 //! 4       4     schema_version  (u32, currently 1)
 //! 8       8     payload_len     (u64, bytes of payload)
 //! 16      8     checksum        (u64, FNV-1a over payload)
-//! 24      …     payload         (JSON bytes)
+//! 24      …     payload         (the artifact's own bytes)
 //! ```
 //!
 //! FNV-1a's per-byte step `h ← (h XOR b) × prime` is a bijection on
@@ -128,7 +128,8 @@ impl From<io::Error> for GuardError {
 /// A successfully decoded artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decoded {
-    /// The artifact payload (JSON bytes).
+    /// The artifact payload, in whatever layout its writer chose (a
+    /// binary predictor, or JSON).
     pub payload: Vec<u8>,
     /// Whether this was a legacy bare-JSON file (no checksum verified).
     pub legacy: bool,

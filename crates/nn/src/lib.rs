@@ -48,7 +48,7 @@ pub mod trainer;
 
 pub use head::Head;
 pub use loss::Loss;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, ShapeError};
 pub use mlp::Mlp;
 pub use optim::AdamW;
 pub use scaler::StandardScaler;

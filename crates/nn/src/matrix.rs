@@ -5,6 +5,21 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Parameters whose shapes do not fit together: the error of the
+/// validated constructors [`Matrix::try_from_vec`],
+/// [`Mlp::from_layers`](crate::Mlp::from_layers) and
+/// [`StandardScaler::from_parts`](crate::StandardScaler::from_parts).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShapeError(pub(crate) String);
+
+impl fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
 /// Row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -36,14 +51,27 @@ impl Matrix {
     /// Panics if `data.len() != rows * cols` or either dimension is zero.
     #[must_use]
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Matrix {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be nonzero");
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "data length {} does not match {rows}x{cols}",
-            data.len()
-        );
-        Matrix { rows, cols, data }
+        Matrix::try_from_vec(rows, cols, data).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Matrix::from_vec`] for untrusted shapes: returns an error where
+    /// `from_vec` panics.
+    ///
+    /// # Errors
+    ///
+    /// [`ShapeError`] if either dimension is zero or
+    /// `data.len() != rows * cols`.
+    pub fn try_from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Matrix, ShapeError> {
+        if rows == 0 || cols == 0 {
+            return Err(ShapeError("matrix dimensions must be nonzero".to_owned()));
+        }
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(ShapeError(format!(
+                "data length {} does not match {rows}x{cols}",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
     }
 
     /// Creates a matrix by evaluating `f(row, col)`.
@@ -831,6 +859,15 @@ mod tests {
                 assert!(same, "({m}x{k})·({k}x{n}): {name} differs from matmul");
             }
         }
+    }
+
+    #[test]
+    fn try_from_vec_rejects_what_from_vec_panics_on() {
+        assert!(Matrix::try_from_vec(2, 2, vec![1.0]).is_err());
+        assert!(Matrix::try_from_vec(0, 2, Vec::new()).is_err());
+        assert!(Matrix::try_from_vec(usize::MAX, 2, vec![1.0]).is_err());
+        let m = Matrix::try_from_vec(1, 2, vec![1.0, 2.0]).unwrap();
+        assert_eq!(m, Matrix::from_vec(1, 2, vec![1.0, 2.0]));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`Mlp::forward_train`] / [`Mlp::backward`] pair computes exact gradients
 //! for every weight and bias.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, ShapeError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -15,9 +15,9 @@ use serde::{Deserialize, Serialize};
 /// One dense layer: `y = x·W + b` with optional ReLU.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct Dense {
-    pub(crate) weight: Matrix, // in x out
-    pub(crate) bias: Vec<f32>,
-    pub(crate) relu: bool,
+    weight: Matrix, // in x out
+    bias: Vec<f32>,
+    relu: bool,
     #[serde(skip)]
     grad_weight: Option<Matrix>,
     #[serde(skip)]
@@ -34,9 +34,13 @@ impl Dense {
         #[allow(clippy::cast_precision_loss)]
         let bound = (6.0 / in_dim as f32).sqrt();
         let weight = Matrix::from_fn(in_dim, out_dim, |_, _| rng.gen_range(-bound..bound));
+        Dense::with_params(weight, vec![0.0; out_dim], relu)
+    }
+
+    fn with_params(weight: Matrix, bias: Vec<f32>, relu: bool) -> Dense {
         Dense {
             weight,
-            bias: vec![0.0; out_dim],
+            bias,
             relu,
             grad_weight: None,
             grad_bias: None,
@@ -151,6 +155,55 @@ impl Mlp {
             input_dim,
             output_dim,
         }
+    }
+
+    /// Rebuilds a network from its dense layers, input layer first, as
+    /// [`Mlp::layers`] lists them: each layer's `in × out` weights, its
+    /// `out` biases and whether ReLU follows it.
+    ///
+    /// # Errors
+    ///
+    /// [`ShapeError`] if there are no layers, a layer's bias length is not
+    /// its output width, or a layer's input width is not the previous
+    /// layer's output width.
+    pub fn from_layers(layers: Vec<(Matrix, Vec<f32>, bool)>) -> Result<Mlp, ShapeError> {
+        let (Some(first), Some(last)) = (layers.first(), layers.last()) else {
+            return Err(ShapeError("a network needs at least one layer".to_owned()));
+        };
+        let (input_dim, output_dim) = (first.0.rows(), last.0.cols());
+        let mut prev = input_dim;
+        for (i, (weight, bias, _)) in layers.iter().enumerate() {
+            if weight.rows() != prev {
+                return Err(ShapeError(format!(
+                    "layer {i} takes {} inputs, but the layer before it gives {prev}",
+                    weight.rows()
+                )));
+            }
+            if bias.len() != weight.cols() {
+                return Err(ShapeError(format!(
+                    "layer {i} has {} biases for {} outputs",
+                    bias.len(),
+                    weight.cols()
+                )));
+            }
+            prev = weight.cols();
+        }
+        Ok(Mlp {
+            layers: layers
+                .into_iter()
+                .map(|(weight, bias, relu)| Dense::with_params(weight, bias, relu))
+                .collect(),
+            input_dim,
+            output_dim,
+        })
+    }
+
+    /// The dense layers, input layer first: weights (`in × out`), biases,
+    /// and whether ReLU follows.
+    pub fn layers(&self) -> impl ExactSizeIterator<Item = (&Matrix, &[f32], bool)> {
+        self.layers
+            .iter()
+            .map(|l| (&l.weight, l.bias.as_slice(), l.relu))
     }
 
     /// Input feature dimension.
@@ -419,6 +472,27 @@ mod tests {
         let restored: Mlp = serde_json::from_str(&json).unwrap();
         let x = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32 * 0.2);
         assert_eq!(mlp.forward(&x).as_slice(), restored.forward(&x).as_slice());
+    }
+
+    #[test]
+    fn from_layers_round_trips_and_validates_shapes() {
+        let mlp = Mlp::new(3, &[8, 4], 2, 5);
+        let layers: Vec<_> = mlp
+            .layers()
+            .map(|(w, b, relu)| (w.clone(), b.to_vec(), relu))
+            .collect();
+        let rebuilt = Mlp::from_layers(layers.clone()).unwrap();
+        assert_eq!((rebuilt.input_dim(), rebuilt.output_dim()), (3, 2));
+        let x = Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.3 - 0.4);
+        assert_eq!(mlp.forward(&x).as_slice(), rebuilt.forward(&x).as_slice());
+
+        assert!(Mlp::from_layers(Vec::new()).is_err());
+        let mut short_bias = layers.clone();
+        short_bias[1].1.pop();
+        assert!(Mlp::from_layers(short_bias).is_err());
+        let mut broken_chain = layers;
+        broken_chain.remove(1);
+        assert!(Mlp::from_layers(broken_chain).is_err());
     }
 
     #[test]

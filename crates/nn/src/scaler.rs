@@ -5,6 +5,7 @@
 //! FLOPs vs cache-ratio features), so predictors standardize (and usually
 //! log-compress, see [`log_compress`]) their inputs before the MLP.
 
+use crate::matrix::ShapeError;
 use serde::{Deserialize, Serialize};
 
 /// `sign(x) · ln(1 + |x|)`: order-of-magnitude compression that is finite
@@ -65,6 +66,35 @@ impl StandardScaler {
             })
             .collect();
         StandardScaler { means, stds }
+    }
+
+    /// Rebuilds a fitted scaler from its per-column means and stds, as
+    /// [`StandardScaler::means`] and [`StandardScaler::stds`] give them.
+    ///
+    /// # Errors
+    ///
+    /// [`ShapeError`] if the two lengths differ.
+    pub fn from_parts(means: Vec<f32>, stds: Vec<f32>) -> Result<StandardScaler, ShapeError> {
+        if means.len() != stds.len() {
+            return Err(ShapeError(format!(
+                "scaler has {} means but {} stds",
+                means.len(),
+                stds.len()
+            )));
+        }
+        Ok(StandardScaler { means, stds })
+    }
+
+    /// Per-column means.
+    #[must_use]
+    pub fn means(&self) -> &[f32] {
+        &self.means
+    }
+
+    /// Per-column standard deviations (a unit std for constant columns).
+    #[must_use]
+    pub fn stds(&self) -> &[f32] {
+        &self.stds
     }
 
     /// Feature dimensionality this scaler was fitted for.
@@ -176,6 +206,15 @@ mod tests {
                 prop_assert!(scaler.transform(row)[0].is_finite());
             }
         }
+    }
+
+    #[test]
+    fn from_parts_round_trips_and_validates_lengths() {
+        let scaler = StandardScaler::fit(&[vec![1.0f32, 2.0], vec![3.0, 5.0]], 2);
+        let back =
+            StandardScaler::from_parts(scaler.means().to_vec(), scaler.stds().to_vec()).unwrap();
+        assert_eq!(scaler, back);
+        assert!(StandardScaler::from_parts(vec![0.0; 2], vec![1.0; 3]).is_err());
     }
 
     #[test]
