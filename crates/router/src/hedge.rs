@@ -21,6 +21,7 @@
 
 use neusight_fault::TokenBucket;
 use neusight_obs as obs;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Hedging and retry-budget tuning.
@@ -63,6 +64,10 @@ impl Default for HedgeConfig {
 pub struct Hedger {
     config: HedgeConfig,
     budget: TokenBucket,
+    /// `router.stage.upstream_wait_ns`, the hedge trigger's source.
+    waits: Arc<obs::Histogram>,
+    hedge_suppressed: Arc<obs::Counter>,
+    retry_suppressed: Arc<obs::Counter>,
 }
 
 impl Hedger {
@@ -70,7 +75,13 @@ impl Hedger {
     #[must_use]
     pub fn new(config: HedgeConfig) -> Hedger {
         let budget = TokenBucket::new(config.budget_ratio, config.burst);
-        Hedger { config, budget }
+        Hedger {
+            config,
+            budget,
+            waits: obs::metrics::histogram("router.stage.upstream_wait_ns"),
+            hedge_suppressed: obs::metrics::counter("router.hedge.suppressed"),
+            retry_suppressed: obs::metrics::counter("router.retry.suppressed"),
+        }
     }
 
     /// Whether duplicate-sending is enabled at all.
@@ -86,14 +97,18 @@ impl Hedger {
     }
 
     /// Tries to spend one budget token for a hedge or a failure retry.
-    /// `kind` labels the suppression counter (`hedge` / `retry`).
+    /// `kind` (`"hedge"`, else a retry) picks the suppression counter,
+    /// `router.hedge.suppressed` or `router.retry.suppressed`.
     pub fn try_spend(&self, kind: &str) -> bool {
         if self.budget.try_spend() {
-            true
-        } else {
-            obs::metrics::counter(&format!("router.{kind}.suppressed")).inc();
-            false
+            return true;
         }
+        if kind == "hedge" {
+            self.hedge_suppressed.inc();
+        } else {
+            self.retry_suppressed.inc();
+        }
+        false
     }
 
     /// Tokens currently available (for status pages and tests).
@@ -113,11 +128,10 @@ impl Hedger {
         if let Some(delay) = self.config.delay_override {
             return Some(delay);
         }
-        let waits = obs::metrics::histogram("router.stage.upstream_wait_ns");
-        if waits.count() < self.config.min_observations {
+        if self.waits.count() < self.config.min_observations {
             return None;
         }
-        let p99 = Duration::from_nanos(waits.quantile_upper_bound(0.99));
+        let p99 = Duration::from_nanos(self.waits.quantile_upper_bound(0.99));
         Some(p99.max(self.config.floor))
     }
 }

@@ -23,6 +23,11 @@
 //! - aggregates `/healthz` and `/metrics` across the fleet (upstream
 //!   samples are re-labeled `replica="…"`).
 //!
+//! The front door runs on serve's epoll reactor
+//! ([`neusight_serve::reactor`]): one loop thread serves every client
+//! connection, and upstream forwarding happens as non-blocking exchanges
+//! over pooled keep-alive sockets in the same epoll set. Linux only.
+//!
 //! The resilience tier makes the cluster self-healing:
 //!
 //! - **supervision** ([`supervisor`]): spawn-mode children that die are
@@ -32,8 +37,9 @@
 //!   shrinks by measured elapsed time at each hop and expired requests
 //!   answer 504 without burning an upstream exchange;
 //! - **hedged requests** ([`hedge`]): a primary slower than the live
-//!   p99 gets one duplicate at the next ring owner, first answer wins,
-//!   capped by a token budget shared with failure retries;
+//!   p99 gets one duplicate at the next ring owner — a second in-flight
+//!   exchange; the first good answer wins and the loser's socket is
+//!   closed — capped by a token budget shared with failure retries;
 //! - **adaptive shedding**: replica queue-sojourn (CoDel-style) drives
 //!   a brownout tier (degraded roofline answers) and, at 2× the target,
 //!   router-side 503s with an honest `Retry-After`.
@@ -57,6 +63,7 @@
 //! # }
 //! ```
 
+mod front;
 pub mod gossip;
 pub mod hedge;
 pub mod proxy;

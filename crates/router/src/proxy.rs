@@ -1,28 +1,29 @@
-//! The router process: accept loop, per-connection proxying, fleet
-//! aggregation pages, and the prober thread.
+//! The router process: configuration, lifecycle handles, the prober
+//! thread, and the operator pages that fan out across the fleet.
 //!
-//! Each accepted connection gets a handler thread (blocking reads via
-//! [`http::read_request`]) that keeps one upstream keep-alive
-//! connection per replica it has talked to, so the steady-state hop adds
-//! a hash + one pooled socket write, not a dial. Predict traffic routes
-//! by [`RouteKey`] over the fleet's consistent-hash ring; everything
-//! else is either answered locally (aggregated `/healthz`, `/metrics`)
-//! or forwarded to any live replica.
+//! Client connections and predict forwarding run on serve's epoll
+//! reactor (see `front.rs`): one loop thread multiplexes every
+//! downstream connection and every upstream exchange, so the router's
+//! thread count does not grow with connections or hedges. Predict
+//! traffic routes by [`RouteKey`](crate::RouteKey) over the fleet's
+//! consistent-hash ring; everything else is either answered locally
+//! (aggregated `/healthz`) or forwarded to any live replica. The
+//! operator fan-outs below (`/metrics`, `/v1/admin/reload`,
+//! `/v1/admin/model`) keep their blocking clients and run on short-lived
+//! threads that answer through the loop's mailbox.
 
 use crate::gossip;
 use crate::hedge::{HedgeConfig, Hedger};
-use crate::ring::RouteKey;
-use crate::upstream::{fleet_status, probe_fleet, Fleet, Upstream, PROBE_INTERVAL};
+use crate::upstream::{probe_fleet, Fleet, Probes, Upstream, PROBE_INTERVAL};
 use neusight_fault::BreakerState;
+use neusight_guard::recover_poison;
 use neusight_obs as obs;
-use neusight_serve::deadline::{effective_budget_ms, shrink_ms};
-use neusight_serve::http::{self, json_string, ReadOutcome, Request, Response};
-use neusight_serve::{Client, ClientResponse, MultiClient, PredictRequest};
-use std::collections::HashMap;
+use neusight_serve::http::{json_string, Response};
+use neusight_serve::{Client, ClientResponse};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -36,10 +37,6 @@ pub struct RouterConfig {
     /// Connect/read timeout for upstream exchanges; also the router's
     /// own per-request deadline when the client sends no `X-Deadline-Ms`.
     pub upstream_timeout: Duration,
-    /// Idle timeout for client (downstream) connections.
-    pub idle_timeout: Duration,
-    /// Cap on concurrent client connections.
-    pub workers: usize,
     /// Warm a replica's cache from a live donor when it (re)joins.
     pub warm_gossip: bool,
     /// Hedged-request tuning (also carries the shared retry budget).
@@ -56,8 +53,6 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".to_owned(),
             upstreams: Vec::new(),
             upstream_timeout: Duration::from_secs(10),
-            idle_timeout: Duration::from_secs(30),
-            workers: 256,
             warm_gossip: false,
             hedge: HedgeConfig::default(),
             shed_target_ms: None,
@@ -65,18 +60,79 @@ impl Default for RouterConfig {
     }
 }
 
-/// State shared by the accept loop, handlers, and the prober.
-struct RouterShared {
-    config: RouterConfig,
-    fleet: Arc<Fleet>,
-    hedger: Hedger,
+/// Request-path metric handles, resolved once at bind.
+pub(crate) struct RouterMetrics {
+    pub(crate) requests: Arc<obs::Counter>,
+    pub(crate) deadline_expired: Arc<obs::Counter>,
+    pub(crate) breaker_short_circuit: Arc<obs::Counter>,
+    pub(crate) failovers: Arc<obs::Counter>,
+    pub(crate) status_5xx: Arc<obs::Counter>,
+    pub(crate) errors: Arc<obs::Counter>,
+    pub(crate) retries: Arc<obs::Counter>,
+    pub(crate) retry_budget_exhausted: Arc<obs::Counter>,
+    pub(crate) no_live_upstream: Arc<obs::Counter>,
+    pub(crate) hedge_fired: Arc<obs::Counter>,
+    pub(crate) hedge_won: Arc<obs::Counter>,
+    pub(crate) shed: Arc<obs::Counter>,
+    pub(crate) route_ns: Arc<obs::Histogram>,
+    pub(crate) upstream_wait_ns: Arc<obs::Histogram>,
+}
+
+impl RouterMetrics {
+    fn new() -> RouterMetrics {
+        let counter = obs::metrics::counter;
+        RouterMetrics {
+            requests: counter("router.requests"),
+            deadline_expired: counter("router.deadline.expired"),
+            breaker_short_circuit: counter("router.upstream.breaker_short_circuit"),
+            failovers: counter("router.upstream.failovers"),
+            status_5xx: counter("router.upstream.status_5xx"),
+            errors: counter("router.upstream.errors"),
+            retries: counter("router.upstream.retries"),
+            retry_budget_exhausted: counter("router.retry.budget_exhausted"),
+            no_live_upstream: counter("router.no_live_upstream"),
+            hedge_fired: counter("router.hedge.fired"),
+            hedge_won: counter("router.hedge.won"),
+            shed: counter("router.shed.total"),
+            route_ns: obs::metrics::histogram("router.stage.route_ns"),
+            upstream_wait_ns: obs::metrics::histogram("router.stage.upstream_wait_ns"),
+        }
+    }
+}
+
+/// State shared by the event loop, the operator fan-outs, and the prober.
+pub(crate) struct RouterShared {
+    pub(crate) config: RouterConfig,
+    pub(crate) fleet: Arc<Fleet>,
+    pub(crate) hedger: Hedger,
+    pub(crate) metrics: RouterMetrics,
     stop: AtomicBool,
+    /// Set once the router stops; `wake` rouses the prober's wait.
+    halted: Mutex<bool>,
+    wake: Condvar,
     started: Instant,
 }
 
 impl RouterShared {
-    fn stop_requested(&self) -> bool {
+    pub(crate) fn stop_requested(&self) -> bool {
         self.stop.load(Ordering::SeqCst) || neusight_serve::signal::signaled()
+    }
+
+    /// Stops the prober now rather than at its next probe.
+    pub(crate) fn halt(&self) {
+        *recover_poison(self.halted.lock()) = true;
+        self.wake.notify_all();
+    }
+
+    /// Waits up to `timeout` for [`RouterShared::halt`]; returns whether
+    /// the router halted.
+    fn wait_halted(&self, timeout: Duration) -> bool {
+        let halted = recover_poison(self.halted.lock());
+        let (halted, _) = recover_poison(
+            self.wake
+                .wait_timeout_while(halted, timeout, |halted| !*halted),
+        );
+        *halted
     }
 }
 
@@ -95,15 +151,10 @@ pub struct RouterHandle {
 
 impl RouterHandle {
     /// Requests a graceful drain: stop accepting, finish in-flight
-    /// exchanges, join handlers.
+    /// exchanges, stop the prober.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// The shared fleet (see [`Router::fleet`]).
-    #[must_use]
-    pub fn fleet(&self) -> Arc<Fleet> {
-        Arc::clone(&self.shared.fleet)
+        self.shared.halt();
     }
 }
 
@@ -130,7 +181,7 @@ impl RunningRouter {
     /// The shared fleet (see [`Router::fleet`]).
     #[must_use]
     pub fn fleet(&self) -> Arc<Fleet> {
-        self.handle.fleet()
+        Arc::clone(&self.handle.shared.fleet)
     }
 
     /// Triggers a drain and waits for the router to exit.
@@ -171,7 +222,10 @@ impl Router {
                 config,
                 fleet,
                 hedger,
+                metrics: RouterMetrics::new(),
                 stop: AtomicBool::new(false),
+                halted: Mutex::new(false),
+                wake: Condvar::new(),
                 started: Instant::now(),
             }),
         })
@@ -198,57 +252,24 @@ impl Router {
         }
     }
 
-    /// Runs the accept loop until shutdown, then drains.
+    /// Serves on the event loop until shutdown, then drains.
     ///
     /// # Errors
     ///
-    /// Propagates listener failures.
+    /// Propagates listener and event-loop failures; on a non-Linux
+    /// platform reports [`io::ErrorKind::Unsupported`].
     pub fn run(self) -> io::Result<()> {
         let Router {
             listener, shared, ..
         } = self;
-        listener.set_nonblocking(true)?;
-
         let prober = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || run_prober(&shared))
         };
-
-        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-        while !shared.stop_requested() {
-            handlers.retain(|h| !h.is_finished());
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if handlers.len() >= shared.config.workers {
-                        let mut stream = stream;
-                        let _ = Response::error(503, "connection limit reached")
-                            .write_to(&mut stream, false);
-                        continue;
-                    }
-                    let shared = Arc::clone(&shared);
-                    handlers.push(thread::spawn(move || {
-                        if neusight_guard::catch("router.connection", || {
-                            handle_connection(&shared, stream)
-                        })
-                        .is_err()
-                        {
-                            obs::metrics::counter("router.connection.panics").inc();
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-
-        for handler in handlers {
-            let _ = handler.join();
-        }
+        let result = serve_front_door(&shared, &listener);
+        shared.halt();
         let _ = prober.join();
-        Ok(())
+        result
     }
 
     /// Binds and runs on a background thread — the test/bench entry
@@ -270,6 +291,19 @@ impl Router {
     }
 }
 
+#[cfg(target_os = "linux")]
+fn serve_front_door(shared: &Arc<RouterShared>, listener: &TcpListener) -> io::Result<()> {
+    crate::front::run(shared, listener)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn serve_front_door(_shared: &Arc<RouterShared>, _listener: &TcpListener) -> io::Result<()> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "neusight-router requires Linux epoll",
+    ))
+}
+
 /// The prober loop: health-checks the fleet on a fixed cadence (downed
 /// replicas additionally paced by per-endpoint backoff), gossip-warms
 /// replicas that just came back (when enabled), and runs the brownout
@@ -278,14 +312,14 @@ impl Router {
 /// replica on a new ephemeral port.
 fn run_prober(shared: &RouterShared) {
     let mut generation = shared.fleet.addr_generation();
-    let mut probes = build_probes(shared);
+    let mut probes = Probes::new(&shared.fleet, shared.config.upstream_timeout);
     let mut brownout_active = false;
     // First pass immediately: attach mode should notice an already-dead
     // replica before the first request arrives.
     loop {
         if shared.fleet.addr_generation() != generation {
             generation = shared.fleet.addr_generation();
-            probes = build_probes(shared);
+            probes = Probes::new(&shared.fleet, shared.config.upstream_timeout);
         }
         let recovered = probe_fleet(&shared.fleet, &mut probes);
         if shared.config.warm_gossip {
@@ -294,29 +328,16 @@ fn run_prober(shared: &RouterShared) {
             }
         }
         control_brownout(shared, &mut probes, &mut brownout_active);
-        // Sleep in short slices so shutdown is prompt.
-        let deadline = Instant::now() + PROBE_INTERVAL;
-        while Instant::now() < deadline {
-            if shared.stop_requested() {
-                return;
-            }
-            thread::sleep(Duration::from_millis(10));
-        }
-        if shared.stop_requested() {
+        // One wakeup per probe interval; the drain wakes it at once.
+        if shared.wait_halted(PROBE_INTERVAL) {
             return;
         }
     }
 }
 
-/// Probe connections for the fleet's *current* addresses.
-fn build_probes(shared: &RouterShared) -> MultiClient {
-    let addrs: Vec<SocketAddr> = shared.fleet.upstreams().iter().map(|u| u.addr()).collect();
-    MultiClient::new(&addrs, shared.config.upstream_timeout)
-}
-
 /// Worst queue sojourn (ms) across live replicas — the congestion signal
 /// the shed controller acts on.
-fn worst_sojourn(fleet: &Fleet) -> u64 {
+pub(crate) fn worst_sojourn(fleet: &Fleet) -> u64 {
     fleet
         .upstreams()
         .iter()
@@ -330,8 +351,8 @@ fn worst_sojourn(fleet: &Fleet) -> u64 {
 /// sojourn crosses the target, flip the fleet into roofline degraded
 /// mode (cheap answers instead of queueing); restore full predictions
 /// once sojourn falls below half the target. Hard 503 shedding at 2× the
-/// target lives in [`shed_check`] on the request path.
-fn control_brownout(shared: &RouterShared, probes: &mut MultiClient, active: &mut bool) {
+/// target happens on the request path (`front.rs`).
+fn control_brownout(shared: &RouterShared, probes: &mut Probes, active: &mut bool) {
     let Some(target) = shared.config.shed_target_ms else {
         return;
     };
@@ -353,27 +374,9 @@ fn control_brownout(shared: &RouterShared, probes: &mut MultiClient, active: &mu
         if upstream.is_healthy() {
             // Best-effort: an unreachable replica will be probed out of
             // the ring anyway.
-            let _ = probes.post_json(index, "/v1/control/brownout", &body);
+            let _ = probes.exchange(index, |c| c.post_json("/v1/control/brownout", &body));
         }
     }
-}
-
-/// The hard tier of adaptive shedding: when the worst live-replica
-/// sojourn exceeds 2× the target, answer 503 *at the router* with an
-/// honest `Retry-After` derived from the observed sojourn, instead of
-/// queueing the request behind a standing queue.
-fn shed_check(shared: &RouterShared) -> Option<Response> {
-    let target = shared.config.shed_target_ms?;
-    let worst = worst_sojourn(&shared.fleet);
-    if worst < target.saturating_mul(2) {
-        return None;
-    }
-    obs::metrics::counter("router.shed.total").inc();
-    let retry_after = worst.saturating_mul(2).div_ceil(1000).clamp(1, 30);
-    Some(
-        Response::error(503, "overloaded: queue sojourn above shed target")
-            .with_header("Retry-After", retry_after.to_string()),
-    )
 }
 
 /// Best-effort cache warm of a recovered replica from any *other* live
@@ -404,350 +407,6 @@ fn warm_replica(shared: &RouterShared, name: &str) {
     }
 }
 
-/// Serves one downstream connection's keep-alive loop.
-fn handle_connection(shared: &RouterShared, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let mut carry: Vec<u8> = Vec::new();
-    // Pooled keep-alive connections to the replicas this downstream
-    // connection has routed to, keyed by replica name.
-    let mut pool: HashMap<String, Client> = HashMap::new();
-    loop {
-        let outcome = http::read_request(
-            &mut stream,
-            shared.config.idle_timeout,
-            || shared.stop_requested(),
-            &mut carry,
-        );
-        match outcome {
-            Ok(ReadOutcome::Request(request)) => {
-                obs::metrics::counter("router.requests").inc();
-                let trace = obs::TraceContext::start(request.header("x-request-id"));
-                let wants_close = request.wants_close();
-                let response = route(shared, &request, &trace, &mut pool);
-                let keep_alive = !wants_close && !shared.stop_requested();
-                let write_ok = response
-                    .write_to_traced(&mut stream, keep_alive, Some(&trace))
-                    .is_ok();
-                if !write_ok || !keep_alive {
-                    return;
-                }
-            }
-            Ok(ReadOutcome::Malformed(message, status)) => {
-                let _ = Response::error(status, message).write_to(&mut stream, false);
-                return;
-            }
-            Ok(ReadOutcome::Closed | ReadOutcome::IdleTimeout | ReadOutcome::Draining) | Err(_) => {
-                return
-            }
-        }
-    }
-}
-
-/// Routes one request to a handler.
-fn route(
-    shared: &RouterShared,
-    request: &Request,
-    trace: &obs::TraceContext,
-    pool: &mut HashMap<String, Client>,
-) -> Response {
-    const ROUTES: [&str; 7] = [
-        "/healthz",
-        "/metrics",
-        "/v1/models",
-        "/v1/gpus",
-        "/v1/predict",
-        "/v1/admin/reload",
-        "/v1/admin/model",
-    ];
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/predict") => forward_predict(shared, request, trace, pool),
-        ("GET", "/healthz") => health(shared),
-        ("GET", "/metrics") => metrics_page(shared, pool),
-        ("GET", "/v1/admin/model") => model_status(shared, pool),
-        ("POST", "/v1/admin/reload") => rolling_reload(shared, request, pool),
-        ("GET", path @ ("/v1/models" | "/v1/gpus")) => forward_any(shared, path, pool),
-        (_, path) if ROUTES.contains(&path) => {
-            let allow = match path {
-                "/v1/predict" | "/v1/admin/reload" => "POST",
-                _ => "GET",
-            };
-            Response::error(405, &format!("use {allow} for {path}"))
-                .with_header("Allow", allow.to_owned())
-        }
-        _ => Response::error(404, "no such route"),
-    }
-}
-
-/// `POST /v1/predict`: hash the (GPU, op-family) key, forward to the
-/// shard owner, and fail over — draining the replica out of the ring —
-/// on upstream failure. A request is answered 5xx only when *no* live
-/// replica remains, the retry budget runs dry, or the shed controller
-/// rejects it up front.
-///
-/// The deadline budget telescopes: the client's `X-Deadline-Ms` (capped
-/// by the router's own hop deadline) shrinks by measured elapsed time
-/// before every attempt, and the *remaining* budget is forwarded so the
-/// replica can refuse work it cannot finish in time. An expired request
-/// answers 504 immediately instead of burning an upstream exchange.
-fn forward_predict(
-    shared: &RouterShared,
-    request: &Request,
-    trace: &obs::TraceContext,
-    pool: &mut HashMap<String, Client>,
-) -> Response {
-    let arrival = Instant::now();
-    if let Some(shed) = shed_check(shared) {
-        return shed;
-    }
-    let Ok(body) = std::str::from_utf8(&request.body) else {
-        return Response::error(400, "body is not UTF-8");
-    };
-    let parsed: PredictRequest = match serde_json::from_str(body) {
-        Ok(parsed) => parsed,
-        Err(e) => return Response::error(400, &format!("bad predict request: {e}")),
-    };
-    let budget_ms = effective_budget_ms(shared.config.upstream_timeout, request.deadline_ms());
-    if budget_ms == 0 {
-        obs::metrics::counter("router.deadline.expired").inc();
-        return Response::error(504, "deadline exceeded");
-    }
-    shared.hedger.on_request();
-    let key = RouteKey::from_predict(&parsed.model, &parsed.gpu);
-    // Each failed attempt drains the owner and re-routes; the ring
-    // shrinks monotonically within one request, so this terminates.
-    let attempts = shared.fleet.upstreams().len().max(1);
-    for attempt in 0..attempts {
-        let Some(upstream) = shared.fleet.route(&key) else {
-            break;
-        };
-        if !upstream.breaker.allow() {
-            // Open breaker: treat like a failed attempt without an
-            // exchange — drain and re-route.
-            obs::metrics::counter("router.upstream.breaker_short_circuit").inc();
-            shared.fleet.mark_down(&upstream.name);
-            continue;
-        }
-        let remaining_ms = shrink_ms(budget_ms, arrival.elapsed());
-        if remaining_ms == 0 {
-            obs::metrics::counter("router.deadline.expired").inc();
-            return Response::error(504, "deadline exceeded");
-        }
-        obs::metrics::histogram("router.stage.route_ns")
-            .record_secs(arrival.elapsed().as_secs_f64());
-        let wait_started = Instant::now();
-        // Hedge only the first attempt: a failover retry is already a
-        // second copy of the work.
-        let hedge_plan = if attempt == 0 {
-            shared
-                .hedger
-                .hedge_delay()
-                .and_then(|delay| shared.fleet.route_successor(&key).map(|t| (delay, t)))
-        } else {
-            None
-        };
-        let (result, responder) = match hedge_plan {
-            Some((delay, target)) => hedged_exchange(
-                shared,
-                &upstream,
-                &target,
-                pool,
-                body,
-                trace,
-                remaining_ms,
-                delay,
-            ),
-            None => {
-                let result = exchange(shared, &upstream, pool, |client| {
-                    client.post_json_with_id_and_deadline(
-                        "/v1/predict",
-                        body,
-                        &trace.id_string(),
-                        remaining_ms,
-                    )
-                });
-                (result, Arc::clone(&upstream))
-            }
-        };
-        match result {
-            Ok(reply) if reply.status < 500 => {
-                responder.breaker.record_success();
-                obs::metrics::histogram("router.stage.upstream_wait_ns")
-                    .record_secs(wait_started.elapsed().as_secs_f64());
-                if attempt > 0 {
-                    obs::metrics::counter("router.upstream.failovers").inc();
-                }
-                return relay(reply);
-            }
-            Ok(reply) => {
-                // Upstream 5xx: predict is idempotent, so fail over.
-                responder.breaker.record_failure();
-                obs::metrics::counter("router.upstream.status_5xx").inc();
-                shared.fleet.mark_down(&responder.name);
-                let _ = reply;
-            }
-            Err(_) => {
-                responder.breaker.record_failure();
-                obs::metrics::counter("router.upstream.errors").inc();
-                shared.fleet.mark_down(&responder.name);
-            }
-        }
-        // A failover retry is extra upstream load; it spends from the
-        // same token budget as hedges (the gRPC retry-throttle shape),
-        // so a mass failure cannot turn into a retry storm.
-        if attempt + 1 < attempts
-            && shared.fleet.route(&key).is_some()
-            && !shared.hedger.try_spend("retry")
-        {
-            obs::metrics::counter("router.retry.budget_exhausted").inc();
-            return Response::error(503, "retry budget exhausted")
-                .with_header("Retry-After", "1".to_owned());
-        }
-        obs::metrics::counter("router.upstream.retries").inc();
-    }
-    obs::metrics::counter("router.no_live_upstream").inc();
-    Response::error(503, "no live upstream replica")
-}
-
-/// What one background exchange worker reports: which copy it was, the
-/// outcome, and the connection (for pool reuse) if still clean.
-type ExchangeVerdict = (bool, io::Result<ClientResponse>, Option<Client>);
-
-/// Runs one predict exchange on a background thread, reporting through
-/// `tx`. Detached on purpose: the losing copy of a hedged pair finishes
-/// (or times out) in the background and its connection is dropped.
-#[allow(clippy::too_many_arguments)]
-fn spawn_exchange(
-    tx: &mpsc::Sender<ExchangeVerdict>,
-    is_hedge: bool,
-    timeout: Duration,
-    upstream: Arc<Upstream>,
-    client: Option<Client>,
-    body: String,
-    request_id: String,
-    deadline_ms: u64,
-) {
-    let tx = tx.clone();
-    thread::spawn(move || {
-        let (result, client) = exchange_owned(timeout, &upstream, client, |c| {
-            c.post_json_with_id_and_deadline("/v1/predict", &body, &request_id, deadline_ms)
-        });
-        let _ = tx.send((is_hedge, result, client));
-    });
-}
-
-/// A hedged predict: send to the primary, wait the hedge delay, and if
-/// it still has not answered fire one duplicate at the next ring owner
-/// (budget permitting), taking whichever answer lands first. Returns the
-/// winning result and the upstream it came from (for breaker/ring
-/// accounting). The losing copy's connection is closed, not pooled — its
-/// socket has a stale response in flight.
-#[allow(clippy::too_many_arguments)]
-fn hedged_exchange(
-    shared: &RouterShared,
-    primary: &Arc<Upstream>,
-    successor: &Arc<Upstream>,
-    pool: &mut HashMap<String, Client>,
-    body: &str,
-    trace: &obs::TraceContext,
-    deadline_ms: u64,
-    hedge_delay: Duration,
-) -> (io::Result<ClientResponse>, Arc<Upstream>) {
-    let (tx, rx) = mpsc::channel();
-    let timeout = shared.config.upstream_timeout;
-    // Overall wait: the remaining deadline (plus render slack), never
-    // longer than the socket timeout would allow anyway.
-    let overall = Duration::from_millis(deadline_ms)
-        .min(timeout)
-        .saturating_add(Duration::from_millis(250));
-    spawn_exchange(
-        &tx,
-        false,
-        timeout,
-        Arc::clone(primary),
-        pool.remove(&primary.name),
-        body.to_owned(),
-        trace.id_string(),
-        deadline_ms,
-    );
-    let mut hedged = false;
-    let first = match rx.recv_timeout(hedge_delay) {
-        Ok(verdict) => verdict,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            if shared.hedger.try_spend("hedge") {
-                hedged = true;
-                obs::metrics::counter("router.hedge.fired").inc();
-                spawn_exchange(
-                    &tx,
-                    true,
-                    timeout,
-                    Arc::clone(successor),
-                    pool.remove(&successor.name),
-                    body.to_owned(),
-                    trace.id_string(),
-                    deadline_ms,
-                );
-            }
-            match rx.recv_timeout(overall) {
-                Ok(verdict) => verdict,
-                Err(_) => {
-                    return (
-                        Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "upstream wait expired",
-                        )),
-                        Arc::clone(primary),
-                    )
-                }
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            return (
-                Err(io::Error::other("exchange worker died")),
-                Arc::clone(primary),
-            )
-        }
-    };
-    let good = |result: &io::Result<ClientResponse>| matches!(result, Ok(r) if r.status < 500);
-    let settle = |(is_hedge, result, client): ExchangeVerdict,
-                  pool: &mut HashMap<String, Client>| {
-        let winner = if is_hedge { successor } else { primary };
-        if let Some(client) = client {
-            pool.insert(winner.name.clone(), client);
-        }
-        if is_hedge && good(&result) {
-            obs::metrics::counter("router.hedge.won").inc();
-        }
-        (result, Arc::clone(winner))
-    };
-    if good(&first.1) || !hedged {
-        return settle(first, pool);
-    }
-    // First arrival failed but a second copy is in flight: give it the
-    // rest of the window before reporting the failure.
-    match rx.recv_timeout(overall) {
-        Ok(second) if good(&second.1) => settle(second, pool),
-        _ => settle(first, pool),
-    }
-}
-
-/// Forwards a shard-agnostic GET to any live replica.
-fn forward_any(shared: &RouterShared, path: &str, pool: &mut HashMap<String, Client>) -> Response {
-    for _ in 0..shared.fleet.upstreams().len().max(1) {
-        let Some(upstream) = shared.fleet.any_live() else {
-            break;
-        };
-        match exchange(shared, &upstream, pool, |client| client.get(path)) {
-            Ok(reply) if reply.status < 500 => return relay(reply),
-            Ok(_) | Err(_) => {
-                upstream.breaker.record_failure();
-                shared.fleet.mark_down(&upstream.name);
-            }
-        }
-    }
-    Response::error(503, "no live upstream replica")
-}
-
 /// How long `rolling_reload` waits for one replica's shadow evaluation
 /// to settle before treating the roll as stuck.
 const RELOAD_SETTLE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -764,12 +423,8 @@ const RELOAD_SETTLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// rolls back the candidate, leaving the remainder on the old version
 /// (version skew is tolerated: gossip refuses cross-version imports and
 /// every response carries `X-Model-Version`).
-fn rolling_reload(
-    shared: &RouterShared,
-    request: &Request,
-    pool: &mut HashMap<String, Client>,
-) -> Response {
-    let Ok(body) = std::str::from_utf8(&request.body) else {
+pub(crate) fn rolling_reload(shared: &RouterShared, body: &[u8]) -> Response {
+    let Ok(body) = std::str::from_utf8(body) else {
         return Response::error(400, "body is not UTF-8");
     };
     let body = body.to_owned();
@@ -789,7 +444,7 @@ fn rolling_reload(
             continue;
         }
         let drained = shared.fleet.mark_down(&upstream.name);
-        let reply = exchange(shared, upstream, pool, |client| {
+        let reply = exchange(shared, upstream, |client| {
             client.post_json("/v1/admin/reload", &body)
         });
         if drained {
@@ -799,7 +454,7 @@ fn rolling_reload(
             Ok(reply) if reply.status == 200 => ("promoted".to_owned(), reply_version(&reply.body)),
             Ok(reply) if reply.status == 202 => {
                 let candidate = reply_version(&reply.body);
-                settle_shadow(shared, upstream, pool, candidate.as_deref())
+                settle_shadow(shared, upstream, candidate.as_deref())
             }
             Ok(reply) => (
                 format!("rejected-{}", reply.status),
@@ -868,14 +523,11 @@ fn reply_version(body: &[u8]) -> Option<String> {
 fn settle_shadow(
     shared: &RouterShared,
     upstream: &Arc<Upstream>,
-    pool: &mut HashMap<String, Client>,
     candidate: Option<&str>,
 ) -> (String, Option<String>) {
     let deadline = Instant::now() + RELOAD_SETTLE_TIMEOUT;
     while Instant::now() < deadline && !shared.stop_requested() {
-        let Ok(reply) = exchange(shared, upstream, pool, |client| {
-            client.get("/v1/admin/model")
-        }) else {
+        let Ok(reply) = exchange(shared, upstream, |client| client.get("/v1/admin/model")) else {
             thread::sleep(Duration::from_millis(50));
             continue;
         };
@@ -904,14 +556,12 @@ fn settle_shadow(
 
 /// `GET /v1/admin/model`: every replica's model status side by side,
 /// plus the distinct serving versions (more than one = mid-roll skew).
-fn model_status(shared: &RouterShared, pool: &mut HashMap<String, Client>) -> Response {
+pub(crate) fn model_status(shared: &RouterShared) -> Response {
     let mut entries: Vec<String> = Vec::new();
     let mut versions: Vec<String> = Vec::new();
     for upstream in shared.fleet.upstreams() {
         let status = if upstream.is_healthy() {
-            match exchange(shared, upstream, pool, |client| {
-                client.get("/v1/admin/model")
-            }) {
+            match exchange(shared, upstream, |client| client.get("/v1/admin/model")) {
                 Ok(reply) if reply.status == 200 => {
                     if let Some(version) = reply_version(&reply.body) {
                         if !versions.contains(&version) {
@@ -941,119 +591,67 @@ fn model_status(shared: &RouterShared, pool: &mut HashMap<String, Client>) -> Re
     )
 }
 
-/// One exchange with a replica over an owned (optional) connection,
+/// One blocking exchange with a replica for the operator fan-outs,
 /// wrapped in the chaos failpoints. Dials `upstream.addr()` — read at
 /// call time, so a supervised respawn's new port takes effect on the
-/// next dial. Returns the connection for reuse only if the exchange
-/// left it clean.
-fn exchange_owned(
-    timeout: Duration,
-    upstream: &Arc<Upstream>,
-    client: Option<Client>,
+/// next exchange.
+fn exchange(
+    shared: &RouterShared,
+    upstream: &Upstream,
     run: impl FnOnce(&mut Client) -> io::Result<ClientResponse>,
-) -> (io::Result<ClientResponse>, Option<Client>) {
+) -> io::Result<ClientResponse> {
     if let Some(injected) = neusight_fault::fail_point!("router.upstream.connect") {
         injected.sleep();
         if injected.fail {
-            return (Err(io::Error::other(injected.error())), None);
+            return Err(io::Error::other(injected.error()));
         }
     }
-    let mut client = match client {
-        Some(client) => client,
-        None => match Client::connect_timeout(upstream.addr(), timeout) {
-            Ok(client) => client,
-            Err(e) => return (Err(e), None),
-        },
-    };
+    let mut client = Client::connect_timeout(upstream.addr(), shared.config.upstream_timeout)?;
     if let Some(injected) = neusight_fault::fail_point!("router.upstream.slow") {
         injected.sleep();
     }
-    let result = run(&mut client);
+    let result = run(&mut client)?;
     if let Some(injected) = neusight_fault::fail_point!("router.upstream.read") {
         injected.sleep();
         if injected.fail {
-            return (Err(io::Error::other(injected.error())), None);
+            return Err(io::Error::other(injected.error()));
         }
     }
-    if result.is_err() {
-        (result, None)
-    } else {
-        (result, Some(client))
-    }
+    Ok(result)
 }
 
-/// One pooled exchange with a replica: takes the pooled connection (if
-/// any), runs [`exchange_owned`], and re-pools the connection when it
-/// survived. Any error drops it so the next attempt redials.
-fn exchange(
-    shared: &RouterShared,
-    upstream: &Arc<Upstream>,
-    pool: &mut HashMap<String, Client>,
-    run: impl FnOnce(&mut Client) -> io::Result<ClientResponse>,
-) -> io::Result<ClientResponse> {
-    let pooled = pool.remove(&upstream.name);
-    let (result, client) = exchange_owned(shared.config.upstream_timeout, upstream, pooled, run);
-    if let Some(client) = client {
-        pool.insert(upstream.name.clone(), client);
-    }
-    result
-}
-
-/// Re-wraps an upstream reply for the downstream socket, preserving
-/// status and body bytes exactly (the bitwise-identity contract) and the
-/// replica's `X-Model-Version` stamp — clients observing a rolling model
-/// swap through the router see exactly which generation answered.
-fn relay(reply: neusight_serve::ClientResponse) -> Response {
-    let model_version = reply.header("x-model-version").map(str::to_owned);
-    let content_type = reply.header("content-type").unwrap_or("application/json");
-    let response = match content_type {
-        ct if ct.starts_with("application/json") => Response::json(
-            reply.status,
-            String::from_utf8_lossy(&reply.body).into_owned(),
-        ),
-        ct if ct.starts_with("text/plain") => Response::text(
-            reply.status,
-            String::from_utf8_lossy(&reply.body).into_owned(),
-        ),
-        _ => Response::octets(reply.status, reply.body),
-    };
-    match model_version {
-        Some(version) => response.with_header("X-Model-Version", version),
-        None => response,
-    }
-}
-
-/// Aggregated fleet health.
-fn health(shared: &RouterShared) -> Response {
-    let statuses = fleet_status(&shared.fleet);
-    let live = statuses.iter().filter(|s| s.healthy).count();
+/// Aggregated fleet health, plus the front door's own load: requests
+/// waiting for an answer and upstream exchanges in flight.
+pub(crate) fn health(shared: &RouterShared, inflight: usize, exchanges: usize) -> Response {
+    let upstreams = shared.fleet.upstreams();
+    let healthy: Vec<bool> = upstreams.iter().map(|u| u.is_healthy()).collect();
+    let live = healthy.iter().filter(|h| **h).count();
     let status = match live {
         0 => "down",
-        n if n == statuses.len() => "ok",
+        n if n == upstreams.len() => "ok",
         _ => "degraded",
     };
-    let replicas: Vec<String> = statuses
+    let replicas: Vec<String> = upstreams
         .iter()
-        .map(|s| {
+        .zip(&healthy)
+        .map(|(u, healthy)| {
             format!(
-                "{{\"name\":{},\"addr\":{},\"healthy\":{},\"breaker\":{}}}",
-                json_string(&s.name),
-                json_string(&s.addr.to_string()),
-                s.healthy,
-                json_string(breaker_label(s.breaker)),
+                "{{\"name\":{},\"addr\":{},\"healthy\":{healthy},\"breaker\":{}}}",
+                json_string(&u.name),
+                json_string(&u.addr().to_string()),
+                json_string(breaker_label(u.breaker.state())),
             )
         })
         .collect();
     #[allow(clippy::cast_precision_loss)]
     let body = format!(
-        "{{\"status\":\"{status}\",\"uptime_s\":{:.3},\"live\":{live},\"total\":{},\"rehash_total\":{},\"replicas\":[{}]}}",
+        "{{\"status\":\"{status}\",\"uptime_s\":{:.3},\"live\":{live},\"total\":{},\"rehash_total\":{},\"inflight\":{inflight},\"exchanges\":{exchanges},\"replicas\":[{}]}}",
         shared.started.elapsed().as_secs_f64(),
-        statuses.len(),
+        upstreams.len(),
         obs::metrics::counter("router.rehash_total").get(),
         replicas.join(","),
     );
-    let status_code = if live == 0 { 503 } else { 200 };
-    Response::json(status_code, body)
+    Response::json(if live == 0 { 503 } else { 200 }, body)
 }
 
 /// Human label for a breaker state.
@@ -1067,7 +665,7 @@ fn breaker_label(state: BreakerState) -> &'static str {
 
 /// The router's own registry plus every live replica's exposition,
 /// replica-labeled.
-fn metrics_page(shared: &RouterShared, pool: &mut HashMap<String, Client>) -> Response {
+pub(crate) fn metrics_page(shared: &RouterShared) -> Response {
     let mut text = obs::export::prometheus(&obs::metrics::snapshot());
     text.push_str("# TYPE neusight_router_info gauge\n");
     text.push_str(&format!(
@@ -1080,7 +678,7 @@ fn metrics_page(shared: &RouterShared, pool: &mut HashMap<String, Client>) -> Re
         if !upstream.is_healthy() {
             continue;
         }
-        let Ok(reply) = exchange(shared, upstream, pool, |client| client.get("/metrics")) else {
+        let Ok(reply) = exchange(shared, upstream, |client| client.get("/metrics")) else {
             continue;
         };
         if reply.status == 200 {

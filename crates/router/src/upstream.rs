@@ -10,8 +10,8 @@
 //! — so a GC-pause-length stall costs one slow probe, not a full
 //! re-hash. A per-upstream [`CircuitBreaker`] tracks the failure
 //! run-lengths and shows up in the aggregated health page, and probe
-//! pacing for downed replicas rides the decorrelated-jitter backoff
-//! inside [`neusight_serve::MultiClient`].
+//! pacing for downed replicas rides a decorrelated-jitter backoff per
+//! replica (`Probes`).
 //!
 //! Addresses are mutable: a supervised replica that dies and respawns
 //! comes back on a *new* ephemeral port under its old ring name, so the
@@ -20,13 +20,14 @@
 //! probe connections when the generation moves.
 
 use crate::ring::{HashRing, RouteKey};
-use neusight_fault::{BreakerConfig, BreakerState, CircuitBreaker};
+use neusight_fault::{Backoff, BreakerConfig, CircuitBreaker};
 use neusight_obs as obs;
-use neusight_serve::MultiClient;
+use neusight_serve::{Client, ClientResponse};
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Consecutive probe observations required to flip ring membership in
 /// either direction.
@@ -239,19 +240,83 @@ pub(crate) fn parse_sojourn_ms(body: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
+/// The prober's keep-alive connection to each replica. A failed probe
+/// drops the connection (the next one redials) and opens a
+/// decorrelated-jitter backoff window (25 ms growing to 2 s), so dead
+/// replicas are probed at a decorrelated pace, not in lockstep.
+pub(crate) struct Probes {
+    timeout: Duration,
+    probes: Vec<Probe>,
+}
+
+struct Probe {
+    addr: SocketAddr,
+    client: Option<Client>,
+    backoff: Backoff,
+    retry_at: Option<Instant>,
+}
+
+impl Probes {
+    /// Probes for the fleet's current addresses; nothing is dialed until
+    /// the first exchange. `timeout` bounds connects and reads.
+    pub(crate) fn new(fleet: &Fleet, timeout: Duration) -> Probes {
+        let (base, cap) = (Duration::from_millis(25), Duration::from_secs(2));
+        let probes = (fleet.upstreams().iter().enumerate())
+            .map(|(seed, upstream)| Probe {
+                addr: upstream.addr(),
+                client: None,
+                backoff: Backoff::new(base, cap, seed as u64),
+                retry_at: None,
+            })
+            .collect();
+        Probes { timeout, probes }
+    }
+
+    /// Whether replica `index` is outside its failure-backoff window.
+    fn ready(&self, index: usize) -> bool {
+        self.probes[index]
+            .retry_at
+            .is_none_or(|at| Instant::now() >= at)
+    }
+
+    /// One exchange with replica `index`, dialing if necessary.
+    pub(crate) fn exchange(
+        &mut self,
+        index: usize,
+        run: impl FnOnce(&mut Client) -> io::Result<ClientResponse>,
+    ) -> io::Result<ClientResponse> {
+        let probe = &mut self.probes[index];
+        let attempt = match probe.client.take() {
+            Some(client) => Ok(client),
+            None => Client::connect_timeout(probe.addr, self.timeout),
+        }
+        .and_then(|mut client| Ok((run(&mut client)?, client)));
+        match attempt {
+            Ok((response, client)) => {
+                (probe.client, probe.retry_at) = (Some(client), None);
+                Ok(response)
+            }
+            Err(e) => {
+                probe.retry_at = Some(Instant::now() + probe.backoff.next_delay());
+                Err(e)
+            }
+        }
+    }
+}
+
 /// One pass of the active prober: probes every upstream that is outside
 /// its backoff window, feeds the per-upstream breaker, and flips ring
 /// membership on *damped* transitions — [`FLAP_THRESHOLD`] consecutive
 /// probe failures to drain, the same run of successes to readmit.
 /// Returns the names of replicas that just came (back) up — the caller
 /// may gossip-warm them.
-pub fn probe_fleet(fleet: &Fleet, probes: &mut MultiClient) -> Vec<String> {
+pub(crate) fn probe_fleet(fleet: &Fleet, probes: &mut Probes) -> Vec<String> {
     let mut recovered = Vec::new();
     for (index, upstream) in fleet.upstreams().iter().enumerate() {
         if !probes.ready(index) {
             continue;
         }
-        match probes.get(index, "/healthz") {
+        match probes.exchange(index, |client| client.get("/healthz")) {
             Ok(response) if response.status == 200 => {
                 // The probe doubles as the breaker's trial request: it
                 // moves an Open breaker to HalfOpen once the cooldown
@@ -288,33 +353,6 @@ pub fn probe_fleet(fleet: &Fleet, probes: &mut MultiClient) -> Vec<String> {
     recovered
 }
 
-/// Health-page snapshot of one upstream.
-pub struct UpstreamStatus {
-    /// Ring name.
-    pub name: String,
-    /// Socket address.
-    pub addr: SocketAddr,
-    /// In the ring right now?
-    pub healthy: bool,
-    /// Breaker state (`closed` / `open` / `half-open`).
-    pub breaker: BreakerState,
-}
-
-/// Snapshot of the whole fleet for the aggregated `/healthz` page.
-#[must_use]
-pub fn fleet_status(fleet: &Fleet) -> Vec<UpstreamStatus> {
-    fleet
-        .upstreams()
-        .iter()
-        .map(|u| UpstreamStatus {
-            name: u.name.clone(),
-            addr: u.addr(),
-            healthy: u.is_healthy(),
-            breaker: u.breaker.state(),
-        })
-        .collect()
-}
-
 /// Interval between prober passes while everything is healthy; downed
 /// replicas are additionally paced by the per-endpoint backoff.
 pub const PROBE_INTERVAL: Duration = Duration::from_millis(100);
@@ -322,6 +360,7 @@ pub const PROBE_INTERVAL: Duration = Duration::from_millis(100);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neusight_fault::BreakerState;
 
     fn fleet_of(n: usize) -> Fleet {
         Fleet::new(
@@ -414,6 +453,35 @@ mod tests {
         assert!(up.breaker.allow(), "fresh process takes traffic at once");
         // An unknown name is a no-op, not a panic.
         fleet.set_addr("replica-99", "127.0.0.1:18889".parse().unwrap());
+    }
+
+    /// A dead replica's failed probes leave the live one's connection
+    /// and pacing untouched.
+    #[test]
+    fn probes_isolate_per_replica_failure_state() {
+        // Bind-then-drop: the port is (almost certainly) closed, so the
+        // connect fails fast with a refusal rather than a timeout.
+        let dead = {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap()
+        };
+        let live_listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let live = live_listener.local_addr().unwrap();
+        let fleet = Fleet::new(vec![("replica-0".into(), dead), ("replica-1".into(), live)]);
+        let mut probes = Probes::new(&fleet, Duration::from_millis(250));
+        assert_eq!(probes.probes[0].addr, dead);
+        assert!(probes.ready(0) && probes.ready(1));
+
+        assert!(probes.exchange(0, |c| c.get("/healthz")).is_err());
+        assert!(
+            probes.probes[0].retry_at.is_some(),
+            "a failure opens a backoff window"
+        );
+        assert!(probes.exchange(0, |c| c.get("/healthz")).is_err());
+        assert!(probes.probes[0].client.is_none());
+        // The live replica never failed, so it carries no backoff.
+        assert!(probes.probes[1].retry_at.is_none());
+        assert!(probes.ready(1));
     }
 
     #[test]

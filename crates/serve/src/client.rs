@@ -1,25 +1,22 @@
 //! A minimal blocking HTTP/1.1 client with keep-alive — just enough to
-//! drive the server from the load generator and integration tests without
-//! external dependencies — plus [`MultiClient`], a fleet-of-endpoints
-//! variant with per-endpoint connection and retry state, shared by the
-//! router's health probes and the load generator's multi-endpoint mode.
+//! drive the server from the load generator, integration tests, and the
+//! router's probes and operator fan-outs without external dependencies.
+//!
+//! The wire format lives in two functions, [`render_request`] and
+//! [`decode_response`], which the reactor's non-blocking upstream
+//! exchanges use too: the router's forwarding hop and this client send
+//! and parse the same bytes.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use crate::http::MAX_HEAD_BYTES;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
-
-/// Outcome of [`Client::post_json_with_retry`].
-#[derive(Debug, Clone)]
-pub struct RetriedResponse {
-    /// The final response (any status — 429 only if the budget ran out).
-    pub response: ClientResponse,
-    /// 429-triggered retries performed before this response.
-    pub retries: u32,
-}
+use std::time::Duration;
 
 /// A keep-alive connection to one server.
 pub struct Client {
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
+    /// Response bytes read but not yet decoded.
+    buf: Vec<u8>,
     addr: SocketAddr,
 }
 
@@ -50,6 +47,91 @@ impl ClientResponse {
     pub fn text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
     }
+
+    /// Whether the server announced it will close the connection.
+    #[must_use]
+    pub fn closes(&self) -> bool {
+        self.header("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+    }
+}
+
+/// Renders a request (head and body) the way [`Client`] sends it.
+pub fn render_request(
+    out: &mut Vec<u8>,
+    method: &str,
+    path: &str,
+    host: SocketAddr,
+    body: Option<(&str, &[u8])>,
+    extra_headers: &[(&str, &str)],
+) {
+    let _ = write!(out, "{method} {path} HTTP/1.1\r\nHost: {host}\r\n");
+    for (name, value) in extra_headers {
+        let _ = write!(out, "{name}: {value}\r\n");
+    }
+    if let Some((content_type, body)) = body {
+        let _ = write!(
+            out,
+            "Content-Type: {content_type}\r\nContent-Length: {}\r\n",
+            body.len()
+        );
+    }
+    out.extend_from_slice(b"\r\n");
+    if let Some((_, body)) = body {
+        out.extend_from_slice(body);
+    }
+}
+
+fn invalid(message: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message.into())
+}
+
+/// Decodes one response from the front of `buf` and drains its bytes.
+/// `Ok(None)` means the head or the body has not fully arrived yet.
+///
+/// # Errors
+///
+/// `InvalidData` for an unparsable status line, a bad `Content-Length`,
+/// or a head over [`MAX_HEAD_BYTES`].
+pub fn decode_response(buf: &mut Vec<u8>) -> io::Result<Option<ClientResponse>> {
+    let Some(head_len) = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4) else {
+        if buf.len() > MAX_HEAD_BYTES {
+            return Err(invalid("response head too large"));
+        }
+        return Ok(None);
+    };
+    let head =
+        std::str::from_utf8(&buf[..head_len]).map_err(|_| invalid("response head is not UTF-8"))?;
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().unwrap_or_default();
+    let status: u16 = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .ok_or_else(|| invalid(format!("bad status line: {status_line:?}")))?;
+    let mut headers = Vec::new();
+    let mut content_length = 0usize;
+    for line in lines {
+        if let Some((name, value)) = line.split_once(':') {
+            let name = name.trim().to_ascii_lowercase();
+            let value = value.trim().to_owned();
+            if name == "content-length" {
+                content_length = value.parse().map_err(|_| invalid("bad Content-Length"))?;
+            }
+            headers.push((name, value));
+        }
+    }
+    let total = head_len + content_length;
+    if buf.len() < total {
+        return Ok(None);
+    }
+    let body = buf[head_len..total].to_vec();
+    buf.drain(..total);
+    Ok(Some(ClientResponse {
+        status,
+        headers,
+        body,
+    }))
 }
 
 impl Client {
@@ -72,7 +154,8 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         Ok(Client {
-            reader: BufReader::new(stream),
+            stream,
+            buf: Vec::new(),
             addr,
         })
     }
@@ -162,40 +245,6 @@ impl Client {
         self.request("POST", path, Some(("application/octet-stream", body)), &[])
     }
 
-    /// Issues a POST, honoring `429 Too Many Requests`: on a 429, sleeps
-    /// for the server's `Retry-After` hint (clamped to `max_wait`) and
-    /// retries, up to `max_retries` times. Any other status returns
-    /// immediately; a final 429 is returned once the budget is spent, so
-    /// callers still see the overload instead of an error.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures and malformed responses.
-    pub fn post_json_with_retry(
-        &mut self,
-        path: &str,
-        body: &str,
-        max_retries: u32,
-        max_wait: Duration,
-    ) -> io::Result<RetriedResponse> {
-        let mut retries = 0u32;
-        loop {
-            let response = self.post_json(path, body)?;
-            if response.status != 429 || retries >= max_retries {
-                return Ok(RetriedResponse { response, retries });
-            }
-            let hint_s: u64 = response
-                .header("retry-after")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1);
-            let wait = Duration::from_secs(hint_s).min(max_wait);
-            if !wait.is_zero() {
-                std::thread::sleep(wait);
-            }
-            retries += 1;
-        }
-    }
-
     fn request(
         &mut self,
         method: &str,
@@ -203,239 +252,26 @@ impl Client {
         body: Option<(&str, &[u8])>,
         extra_headers: &[(&str, &str)],
     ) -> io::Result<ClientResponse> {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {}\r\n", self.addr);
-        for (name, value) in extra_headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        if let Some((content_type, body)) = body {
-            head.push_str(&format!("Content-Type: {content_type}\r\n"));
-            head.push_str(&format!("Content-Length: {}\r\n", body.len()));
-        }
-        head.push_str("\r\n");
-        let stream = self.reader.get_mut();
-        stream.write_all(head.as_bytes())?;
-        if let Some((_, body)) = body {
-            stream.write_all(body)?;
-        }
-        stream.flush()?;
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> io::Result<ClientResponse> {
-        let mut status_line = String::new();
-        if self.reader.read_line(&mut status_line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed before status line",
-            ));
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|code| code.parse().ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad status line: {status_line:?}"),
-                )
-            })?;
-        let mut headers = Vec::new();
-        let mut content_length = 0usize;
+        let mut out = Vec::new();
+        render_request(&mut out, method, path, self.addr, body, extra_headers);
+        self.stream.write_all(&out)?;
+        let mut chunk = [0u8; 8192];
         loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
+            if let Some(response) = decode_response(&mut self.buf)? {
+                return Ok(response);
+            }
+            let n = self.stream.read(&mut chunk)?;
+            if n == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    "connection closed inside headers",
+                    if self.buf.is_empty() {
+                        "connection closed before status line"
+                    } else {
+                        "connection closed inside a response"
+                    },
                 ));
             }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim().to_ascii_lowercase();
-                let value = value.trim().to_owned();
-                if name == "content-length" {
-                    content_length = value.parse().map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length")
-                    })?;
-                }
-                headers.push((name, value));
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        Ok(ClientResponse {
-            status,
-            headers,
-            body,
-        })
-    }
-}
-
-/// A client over a *fleet* of endpoints, each with its own keep-alive
-/// connection, consecutive-failure count, and decorrelated-jitter retry
-/// pacing — so one dead replica cannot stall or reset the others' state.
-///
-/// Connections are lazy: the first request to an endpoint dials it, a
-/// failed request drops the cached connection (the next request redials),
-/// and failures start a per-endpoint backoff window during which
-/// [`MultiClient::ready`] reports `false`. Callers that respect `ready`
-/// (the router's prober does) probe dead endpoints at a decorrelated
-/// pace instead of hammering them in lockstep.
-pub struct MultiClient {
-    endpoints: Vec<Endpoint>,
-    timeout: Duration,
-}
-
-struct Endpoint {
-    addr: SocketAddr,
-    client: Option<Client>,
-    consecutive_failures: u32,
-    backoff: neusight_fault::Backoff,
-    retry_at: Option<Instant>,
-}
-
-/// Base delay for the per-endpoint failure backoff.
-const BACKOFF_BASE: Duration = Duration::from_millis(25);
-/// Cap for the per-endpoint failure backoff.
-const BACKOFF_CAP: Duration = Duration::from_secs(2);
-
-impl Endpoint {
-    fn new(addr: SocketAddr, seed: u64) -> Endpoint {
-        Endpoint {
-            addr,
-            client: None,
-            consecutive_failures: 0,
-            backoff: neusight_fault::Backoff::new(BACKOFF_BASE, BACKOFF_CAP, seed),
-            retry_at: None,
-        }
-    }
-}
-
-impl MultiClient {
-    /// Wraps a set of endpoints; nothing is dialed until the first
-    /// request. `timeout` applies per endpoint to connects and reads.
-    #[must_use]
-    pub fn new(addrs: &[SocketAddr], timeout: Duration) -> MultiClient {
-        MultiClient {
-            endpoints: addrs
-                .iter()
-                .enumerate()
-                .map(|(index, addr)| Endpoint::new(*addr, index as u64))
-                .collect(),
-            timeout,
-        }
-    }
-
-    /// Number of endpoints.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    /// Whether the fleet is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.endpoints.is_empty()
-    }
-
-    /// Address of endpoint `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range index.
-    #[must_use]
-    pub fn addr(&self, index: usize) -> SocketAddr {
-        self.endpoints[index].addr
-    }
-
-    /// Consecutive failed requests against endpoint `index` since its
-    /// last success.
-    #[must_use]
-    pub fn consecutive_failures(&self, index: usize) -> u32 {
-        self.endpoints[index].consecutive_failures
-    }
-
-    /// Whether endpoint `index` is outside its failure-backoff window.
-    /// Healthy endpoints are always ready; a failing endpoint becomes
-    /// ready again once its decorrelated-jitter delay elapses.
-    #[must_use]
-    pub fn ready(&self, index: usize) -> bool {
-        match self.endpoints[index].retry_at {
-            Some(at) => Instant::now() >= at,
-            None => true,
-        }
-    }
-
-    /// Issues a GET against endpoint `index`, dialing if necessary.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect and I/O failures; each failure bumps the
-    /// endpoint's consecutive-failure count and extends its backoff.
-    pub fn get(&mut self, index: usize, path: &str) -> io::Result<ClientResponse> {
-        self.exchange(index, |client| client.get(path))
-    }
-
-    /// Issues a JSON POST against endpoint `index`, dialing if necessary.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect and I/O failures; each failure bumps the
-    /// endpoint's consecutive-failure count and extends its backoff.
-    pub fn post_json(
-        &mut self,
-        index: usize,
-        path: &str,
-        body: &str,
-    ) -> io::Result<ClientResponse> {
-        self.exchange(index, |client| client.post_json(path, body))
-    }
-
-    /// Issues a binary POST against endpoint `index` (cache gossip).
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect and I/O failures; each failure bumps the
-    /// endpoint's consecutive-failure count and extends its backoff.
-    pub fn post_octets(
-        &mut self,
-        index: usize,
-        path: &str,
-        body: &[u8],
-    ) -> io::Result<ClientResponse> {
-        self.exchange(index, |client| client.post_octets(path, body))
-    }
-
-    fn exchange(
-        &mut self,
-        index: usize,
-        run: impl FnOnce(&mut Client) -> io::Result<ClientResponse>,
-    ) -> io::Result<ClientResponse> {
-        let timeout = self.timeout;
-        let endpoint = &mut self.endpoints[index];
-        let attempt = (|| {
-            if endpoint.client.is_none() {
-                endpoint.client = Some(Client::connect_timeout(endpoint.addr, timeout)?);
-            }
-            run(endpoint.client.as_mut().expect("connected above"))
-        })();
-        match attempt {
-            Ok(response) => {
-                endpoint.consecutive_failures = 0;
-                endpoint.retry_at = None;
-                Ok(response)
-            }
-            Err(e) => {
-                // A failed exchange may have desynchronized the keep-alive
-                // stream; drop it so the next attempt redials.
-                endpoint.client = None;
-                endpoint.consecutive_failures = endpoint.consecutive_failures.saturating_add(1);
-                endpoint.retry_at = Some(Instant::now() + endpoint.backoff.next_delay());
-                Err(e)
-            }
+            self.buf.extend_from_slice(&chunk[..n]);
         }
     }
 }
@@ -444,29 +280,45 @@ impl MultiClient {
 mod tests {
     use super::*;
 
-    /// A dead endpoint accumulates failures and enters backoff; a second
-    /// endpoint's state is untouched.
     #[test]
-    fn multi_client_isolates_per_endpoint_failure_state() {
-        // Bind-then-drop: the port is (almost certainly) closed, so the
-        // connect fails fast with a refusal rather than a timeout.
-        let dead = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap()
-        };
-        let live_listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let live = live_listener.local_addr().unwrap();
-        let mut clients = MultiClient::new(&[dead, live], Duration::from_millis(250));
-        assert_eq!(clients.len(), 2);
-        assert_eq!(clients.addr(0), dead);
-        assert!(clients.ready(0) && clients.ready(1));
+    fn decode_waits_for_the_whole_response_and_keeps_the_rest() {
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nhiHTTP/1.1";
+        let mut buf = wire[..30].to_vec();
+        assert!(decode_response(&mut buf).unwrap().is_none());
+        buf = wire.to_vec();
+        let response = decode_response(&mut buf).unwrap().expect("complete");
+        assert_eq!(
+            (response.status, response.body.as_slice()),
+            (200, &b"hi"[..])
+        );
+        assert!(response.closes());
+        assert_eq!(buf, b"HTTP/1.1", "pipelined bytes stay buffered");
+        let mut bad = b"garbage\r\n\r\n".to_vec();
+        assert_eq!(
+            decode_response(&mut bad).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
 
-        assert!(clients.get(0, "/healthz").is_err());
-        assert_eq!(clients.consecutive_failures(0), 1);
-        assert!(clients.get(0, "/healthz").is_err());
-        assert_eq!(clients.consecutive_failures(0), 2);
-        // The live endpoint never failed, so it carries no backoff.
-        assert_eq!(clients.consecutive_failures(1), 0);
-        assert!(clients.ready(1));
+    #[test]
+    fn rendered_requests_parse_as_requests() {
+        let mut out = Vec::new();
+        let host: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        render_request(
+            &mut out,
+            "POST",
+            "/v1/predict",
+            host,
+            Some(("application/json", b"{}")),
+            &[("X-Deadline-Ms", "7")],
+        );
+        let crate::http::HeadParse::Complete(head) = crate::http::parse_head(&out) else {
+            panic!("a rendered request must parse");
+        };
+        assert_eq!(
+            (head.path, head.content_length, head.deadline_ms),
+            ("/v1/predict", 2, Some(7))
+        );
+        assert_eq!(&out[head.head_len..], b"{}");
     }
 }

@@ -16,19 +16,24 @@ use std::time::{Duration, Instant};
 /// render.
 pub type ReplyResult = Result<Arc<str>, ServeError>;
 
-/// A mailbox for dispatcher completions destined for an event loop: the
-/// dispatcher pushes `(connection token, result, trace)` triples and
-/// fires the wake callback (the reactor's wakeup fd), and the event loop
-/// drains the batch on its next turn.
-pub struct Completions {
-    results: Mutex<Vec<(u64, ReplyResult, obs::TraceContext)>>,
+/// What the dispatcher posts for one finished job: the reply and the
+/// stage-stamped trace.
+pub type Completed = (ReplyResult, obs::TraceContext);
+
+/// A mailbox for background completions destined for an event loop: a
+/// worker pushes `(ticket, value)` pairs and fires the wake callback (the
+/// reactor's wakeup fd), and the event loop drains the batch on its next
+/// turn. Serve's dispatcher posts [`Completed`] values; the router's
+/// operator fan-outs post finished responses.
+pub struct Completions<T> {
+    results: Mutex<Vec<(u64, T)>>,
     wake: Box<dyn Fn() + Send + Sync>,
 }
 
-impl Completions {
+impl<T> Completions<T> {
     /// Creates a mailbox whose `wake` is invoked (outside the lock) after
     /// every push.
-    pub fn new(wake: impl Fn() + Send + Sync + 'static) -> Arc<Completions> {
+    pub fn new(wake: impl Fn() + Send + Sync + 'static) -> Arc<Completions<T>> {
         Arc::new(Completions {
             results: Mutex::new(Vec::new()),
             wake: Box::new(wake),
@@ -36,14 +41,14 @@ impl Completions {
     }
 
     /// Delivers one completion and wakes the consumer.
-    pub fn push(&self, token: u64, result: ReplyResult, trace: obs::TraceContext) {
-        guard::recover_poison(self.results.lock()).push((token, result, trace));
+    pub fn push(&self, ticket: u64, value: T) {
+        guard::recover_poison(self.results.lock()).push((ticket, value));
         (self.wake)();
     }
 
     /// Takes everything delivered so far.
     #[must_use]
-    pub fn drain(&self) -> Vec<(u64, ReplyResult, obs::TraceContext)> {
+    pub fn drain(&self) -> Vec<(u64, T)> {
         std::mem::take(&mut *guard::recover_poison(self.results.lock()))
     }
 }
@@ -54,7 +59,7 @@ pub struct Reply {
     /// The reactor's per-request ticket.
     pub token: u64,
     /// The event loop's mailbox.
-    pub completions: Arc<Completions>,
+    pub completions: Arc<Completions<Completed>>,
 }
 
 impl Reply {
@@ -62,7 +67,7 @@ impl Reply {
     /// the event loop no longer waits for (connection closed, deadline
     /// fired) is dropped there: the prediction is memoized either way.
     pub fn send(self, result: ReplyResult, trace: obs::TraceContext) {
-        self.completions.push(self.token, result, trace);
+        self.completions.push(self.token, (result, trace));
     }
 }
 

@@ -1,137 +1,18 @@
-//! A minimal, allocation-light HTTP/1.1 codec over blocking `TcpStream`s:
-//! request parsing with bounded head/body sizes, and response writing with
-//! explicit `Content-Length` and keep-alive control.
+//! A minimal, allocation-light HTTP/1.1 server codec over byte buffers:
+//! in-place request-head parsing with bounded head/body sizes, and
+//! response rendering with explicit `Content-Length` and keep-alive
+//! control. The reactor owns the sockets; this module never touches one.
+//! (The client side of the wire lives in [`crate::client`].)
 //!
 //! Only the slice of HTTP/1.1 the prediction service needs is implemented:
 //! `GET`/`POST`, `Content-Length` bodies (no chunked transfer), and the
 //! `Connection: close` / `keep-alive` negotiation. Everything else is
 //! rejected with a clean 4xx rather than guessed at.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
-
 /// Upper bound on the request line + headers, bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body, bytes.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
-
-/// A parsed HTTP request.
-#[derive(Debug, Clone)]
-pub struct Request {
-    /// Upper-cased method (`GET`, `POST`, …).
-    pub method: String,
-    /// Request path without the query string.
-    pub path: String,
-    /// Routing-relevant header `(name, value)` pairs, names lower-cased.
-    /// Since the in-place parser landed, only `connection: close`,
-    /// `x-request-id`, and `x-deadline-ms` are retained —
-    /// `Content-Length` is consumed during body framing and nothing else
-    /// influences routing, tracing, or deadlines.
-    pub headers: Vec<(String, String)>,
-    /// Raw body bytes (empty when no `Content-Length`).
-    pub body: Vec<u8>,
-}
-
-impl Request {
-    /// First header value with the given (lower-case) name.
-    #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Whether the client asked for the connection to close after this
-    /// exchange.
-    #[must_use]
-    pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-    }
-
-    /// The remaining `X-Deadline-Ms` budget the client sent, if any.
-    #[must_use]
-    pub fn deadline_ms(&self) -> Option<u64> {
-        self.header("x-deadline-ms").and_then(|v| v.parse().ok())
-    }
-}
-
-/// Outcome of trying to read one request off a connection.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// A complete request was parsed.
-    Request(Request),
-    /// The peer closed (or errored) the connection before a full request.
-    Closed,
-    /// No request arrived within the idle window — the idle reaper fires.
-    IdleTimeout,
-    /// The server is draining and no new request had started arriving.
-    Draining,
-    /// The bytes received do not parse as HTTP (response: 400) or exceed
-    /// the head/body bounds (431/413).
-    Malformed(&'static str, u16),
-}
-
-/// Reads one HTTP/1.1 request from `stream`.
-///
-/// The stream must have a read timeout set (the poll slice); each timeout
-/// tick re-checks `draining` and the accumulated idle time, so a
-/// keep-alive connection notices shutdown and idle expiry within one
-/// slice. Bytes already received keep the connection out of both reaps:
-/// once a request has started arriving it is read to completion (or until
-/// `idle` passes with no progress at all).
-///
-/// `carry` holds bytes that arrived beyond the previous request's
-/// declared body (pipelining); they are consumed first and any new excess
-/// is written back, so pipelined garbage is *parsed* (and rejected) on
-/// the next call rather than silently swallowed.
-pub fn read_request(
-    stream: &mut TcpStream,
-    idle: Duration,
-    draining: impl Fn() -> bool,
-    carry: &mut Vec<u8>,
-) -> io::Result<ReadOutcome> {
-    let mut buf: Vec<u8> = std::mem::take(carry);
-    let mut chunk = [0u8; 4096];
-    let started = Instant::now();
-    loop {
-        // Head already complete? Parse and (maybe) read the body. The
-        // size cap applies either way: a head over the bound is rejected
-        // even when its terminator happened to arrive in the same read,
-        // so the 431 contract does not depend on packet boundaries.
-        let head_end = find_head_end(&buf);
-        if head_end.unwrap_or(buf.len()) > MAX_HEAD_BYTES {
-            return Ok(ReadOutcome::Malformed("request head too large", 431));
-        }
-        if let Some(head_len) = head_end {
-            return finish_request(stream, buf, head_len, started, idle, carry);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(ReadOutcome::Closed),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if is_timeout(&e) => {
-                if buf.is_empty() && draining() {
-                    return Ok(ReadOutcome::Draining);
-                }
-                if started.elapsed() >= idle {
-                    return Ok(ReadOutcome::IdleTimeout);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => return Ok(ReadOutcome::Closed),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Whether an I/O error is a read-timeout tick (platform-dependent kind).
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
 
 /// Byte length of the head including the blank line, if complete.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -141,9 +22,8 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 /// A request head parsed **in place**: every field borrows from the
 /// connection's read buffer, so parsing a well-formed request allocates
 /// nothing. Routing only ever consults the method, path,
-/// `Content-Length`, and `Connection` disposition, so no header vector is
-/// materialized; the blocking [`read_request`] still builds a [`Request`]
-/// (allocating) from this view.
+/// `Content-Length`, `Connection` disposition, and the trace and deadline
+/// headers, so no header vector is materialized.
 #[derive(Debug, Clone, Copy)]
 pub struct HeadView<'a> {
     /// Method exactly as sent (match with [`HeadView::method_is`]).
@@ -188,11 +68,10 @@ pub enum HeadParse<'a> {
 
 /// Parses an HTTP/1.1 request head in place from the front of `buf`.
 ///
-/// Shared by the blocking [`read_request`] (the router's reader) and the
-/// reactor's per-connection state machine, so both reject malformed input
-/// with byte-identical status/message pairs. Error precedence (431 before anything, then 400
-/// UTF-8, 400 request line, 505 version, 400 header line, 400
-/// Content-Length, 413 body bound) matches the original reader exactly.
+/// The reactor parses every request of both front ends (serve and the
+/// router) through this one function. Error precedence is fixed: 431
+/// before anything, then 400 UTF-8, 400 request line, 505 version, 400
+/// header line, 400 Content-Length, 413 body bound.
 #[must_use]
 pub fn parse_head(buf: &[u8]) -> HeadParse<'_> {
     let head_end = find_head_end(buf);
@@ -257,73 +136,6 @@ pub fn parse_head(buf: &[u8]) -> HeadParse<'_> {
         request_id,
         deadline_ms,
     })
-}
-
-/// Parses the completed head and reads the declared body. Bytes past the
-/// declared body (the start of a pipelined request) go into `carry`.
-fn finish_request(
-    stream: &mut TcpStream,
-    mut buf: Vec<u8>,
-    head_len: usize,
-    started: Instant,
-    idle: Duration,
-    carry: &mut Vec<u8>,
-) -> io::Result<ReadOutcome> {
-    let (method, path, content_length, wants_close, request_id, deadline_ms) =
-        match parse_head(&buf) {
-            HeadParse::Complete(view) => {
-                debug_assert_eq!(view.head_len, head_len);
-                (
-                    view.method.to_ascii_uppercase(),
-                    view.path.to_owned(),
-                    view.content_length,
-                    view.wants_close,
-                    view.request_id.map(str::to_owned),
-                    view.deadline_ms,
-                )
-            }
-            HeadParse::Malformed(msg, status) => return Ok(ReadOutcome::Malformed(msg, status)),
-            // The caller found the terminator, so the head cannot be
-            // incomplete here.
-            HeadParse::Incomplete => return Ok(ReadOutcome::Malformed("bad request line", 400)),
-        };
-    let mut headers = if wants_close {
-        vec![("connection".to_owned(), "close".to_owned())]
-    } else {
-        Vec::new()
-    };
-    if let Some(id) = request_id {
-        headers.push(("x-request-id".to_owned(), id));
-    }
-    if let Some(ms) = deadline_ms {
-        headers.push(("x-deadline-ms".to_owned(), ms.to_string()));
-    }
-    // Read the remainder of the body past what arrived with the head.
-    let mut body: Vec<u8> = buf.split_off(head_len);
-    let mut chunk = [0u8; 4096];
-    while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(ReadOutcome::Closed),
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e) if is_timeout(&e) => {
-                if started.elapsed() >= idle {
-                    // Unlike pre-head idling (a quiet keep-alive), a
-                    // stalled body means the client promised
-                    // Content-Length bytes and stopped sending — tell it
-                    // so before closing rather than hanging up silently.
-                    return Ok(ReadOutcome::Malformed("request body timed out", 408));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    *carry = body.split_off(content_length.min(body.len()));
-    Ok(ReadOutcome::Request(Request {
-        method,
-        path,
-        headers,
-        body,
-    }))
 }
 
 /// An HTTP response ready to serialize.
@@ -391,9 +203,7 @@ impl Response {
     ///
     /// The reactor reuses one write buffer per connection: `clear()` +
     /// `render_into` produces zero steady-state allocations once the
-    /// buffer has grown to the working-set response size. The byte
-    /// sequence is identical to what [`Response::write_to`] puts on the
-    /// wire.
+    /// buffer has grown to the working-set response size.
     pub fn render_into(&self, out: &mut Vec<u8>, keep_alive: bool) {
         self.render_traced(out, keep_alive, None);
     }
@@ -401,7 +211,7 @@ impl Response {
     /// [`render_into`](Self::render_into), plus an `X-Request-Id` header
     /// echoed straight from the trace — no `String` per response. The
     /// header always lands in the same position (right after the standard
-    /// block) so both server modes emit byte-identical responses.
+    /// block), so serve and the router frame responses identically.
     pub fn render_traced(
         &self,
         out: &mut Vec<u8>,
@@ -431,33 +241,6 @@ impl Response {
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
-    }
-
-    /// Serializes the response, with the connection disposition header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors.
-    pub fn write_to(&self, stream: &mut TcpStream, keep_alive: bool) -> io::Result<()> {
-        self.write_to_traced(stream, keep_alive, None)
-    }
-
-    /// [`write_to`](Self::write_to) with the zero-allocation
-    /// `X-Request-Id` echo of [`render_traced`](Self::render_traced).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors.
-    pub fn write_to_traced(
-        &self,
-        stream: &mut TcpStream,
-        keep_alive: bool,
-        trace: Option<&neusight_obs::TraceContext>,
-    ) -> io::Result<()> {
-        let mut out = Vec::with_capacity(256 + self.body.len());
-        self.render_traced(&mut out, keep_alive, trace);
-        stream.write_all(&out)?;
-        stream.flush()
     }
 }
 
@@ -562,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_head_error_precedence_matches_reader() {
+    fn parse_head_reports_errors_in_precedence_order() {
         assert!(matches!(parse_head(b"GET /"), HeadParse::Incomplete));
         let cases: [(&[u8], u16); 5] = [
             (b"NONSENSE\r\n\r\n", 400),

@@ -10,8 +10,8 @@
 //! matching the repo's vendored-offline constraint; serving needs Linux.
 //! The moving parts, one module each:
 //!
-//! - [`http`] — a small, strict HTTP/1.1 codec (keep-alive, bounded
-//!   head/body, `Content-Length` bodies only).
+//! - [`http`] — a small, strict HTTP/1.1 server codec (keep-alive,
+//!   bounded head/body, `Content-Length` bodies only).
 //! - [`queue`] — the bounded admission queue; a full queue means `429`,
 //!   never a stalled socket.
 //! - [`dispatch`] — the micro-batching dispatcher; concurrent requests
@@ -22,10 +22,14 @@
 //!   in-process callers.
 //! - [`server`] — configuration, routing, admission, graceful drain.
 //! - `reactor` — the epoll event loop: one thread multiplexing every
-//!   connection, with `sys` (epoll/eventfd wrappers) and `timer` (a
-//!   hashed timer wheel) underneath.
+//!   connection and upstream exchange behind a small `Service` trait,
+//!   which serve and the router both implement; `sys` (epoll, eventfd,
+//!   non-blocking connect) and `timer` (a hashed timer wheel) sit
+//!   underneath. Linux only.
 //! - [`signal`] — SIGTERM/SIGINT → atomic flag, no external crates.
-//! - [`client`] — a blocking keep-alive client for loadgen and tests.
+//! - [`client`] — a blocking keep-alive client for loadgen, tests, and
+//!   the router's probes, plus the response decoder the reactor's
+//!   upstream exchanges share with it.
 //!
 //! ```no_run
 //! use neusight_serve::{ServeConfig, Server};
@@ -46,14 +50,14 @@ pub mod http;
 pub mod lifecycle;
 pub mod model;
 pub mod queue;
-mod reactor;
+pub mod reactor;
 pub mod server;
 pub mod service;
 pub mod signal;
 mod sys;
 mod timer;
 
-pub use client::{Client, ClientResponse, MultiClient, RetriedResponse};
+pub use client::{Client, ClientResponse};
 pub use lifecycle::{
     golden_mape, golden_ops, golden_sanity, LifecycleConfig, ReloadOutcome, ReloadRequest,
 };

@@ -3,10 +3,11 @@
 //!
 //! # Request lifecycle
 //!
-//! 1. The reactor thread accepts connections (bounded by `workers`;
-//!    beyond that, connections get an immediate 503 and close) and reads
-//!    HTTP/1.1 requests in a keep-alive loop. Connections that stay
-//!    silent past `idle_timeout` are reaped.
+//! 1. The reactor thread ([`crate::reactor`]) accepts connections
+//!    (bounded by `workers`; beyond that, connections get an immediate
+//!    503 and close) and reads HTTP/1.1 requests in a keep-alive loop.
+//!    Connections that stay silent past `idle_timeout` are reaped. Serve
+//!    plugs into the loop as a [`reactor::Service`].
 //! 2. `POST /v1/predict` bodies are parsed and **admitted** to a bounded
 //!    queue — a full queue answers `429 Too Many Requests` with
 //!    `Retry-After` instead of stalling the socket.
@@ -20,13 +21,15 @@
 use crate::dispatch::{self, DispatchConfig, Job};
 use crate::http::{self, Response};
 use crate::queue::{BoundedQueue, QueueFull};
+#[cfg(target_os = "linux")]
+use crate::reactor;
 use crate::service::{PredictRequest, PredictService};
 use crate::signal;
 use neusight_core::NeuSight;
 use neusight_guard as guard;
 use neusight_obs as obs;
-use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -91,13 +94,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// Hot-path HTTP metric handles.
+/// Hot-path HTTP metric handles. (The reactor owns the connection gauge
+/// and the request-latency histogram.)
 pub(crate) struct HttpMetrics {
     pub(crate) requests: Arc<obs::Counter>,
     pub(crate) rejected_429: Arc<obs::Counter>,
     pub(crate) timeouts: Arc<obs::Counter>,
-    pub(crate) latency_ns: Arc<obs::Histogram>,
-    pub(crate) connections: Arc<obs::Gauge>,
     pub(crate) queue_depth: Arc<obs::Gauge>,
     pub(crate) inflight: Arc<obs::Gauge>,
 }
@@ -108,8 +110,6 @@ impl HttpMetrics {
             requests: obs::metrics::counter("serve.http.requests"),
             rejected_429: obs::metrics::counter("serve.http.429"),
             timeouts: obs::metrics::counter("serve.http.timeout"),
-            latency_ns: obs::metrics::histogram("serve.request_latency_ns"),
-            connections: obs::metrics::gauge("serve.connections.active"),
             queue_depth: obs::metrics::gauge("serve.queue.depth"),
             inflight: obs::metrics::gauge("serve.requests.inflight"),
         }
@@ -125,7 +125,6 @@ pub(crate) struct Shared {
     pub(crate) draining: AtomicBool,
     /// Terminates the dispatcher once the event loop has exited.
     pub(crate) dispatcher_stop: AtomicBool,
-    pub(crate) active_connections: AtomicUsize,
     /// Predict jobs admitted to the queue and not yet answered.
     pub(crate) inflight: AtomicUsize,
     /// CoDel-style congestion signal from the dispatcher: the *minimum*
@@ -179,12 +178,6 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
     }
-
-    /// Whether a drain is underway.
-    #[must_use]
-    pub fn draining(&self) -> bool {
-        self.shared.stop_requested()
-    }
 }
 
 impl Server {
@@ -213,7 +206,6 @@ impl Server {
                 queue,
                 draining: AtomicBool::new(false),
                 dispatcher_stop: AtomicBool::new(false),
-                active_connections: AtomicUsize::new(0),
                 inflight: AtomicUsize::new(0),
                 sojourn_ms: AtomicU64::new(0),
                 started: Instant::now(),
@@ -237,12 +229,6 @@ impl Server {
         }
     }
 
-    /// Direct access to the service (e.g. cache-capacity control).
-    #[must_use]
-    pub fn service(&self) -> &PredictService {
-        &self.shared.service
-    }
-
     /// Runs the epoll event loop until shutdown, then drains and joins
     /// the dispatcher. Returns only after the drain completes.
     ///
@@ -257,7 +243,6 @@ impl Server {
         if shared.config.handle_signals {
             signal::install();
         }
-        listener.set_nonblocking(true)?;
 
         let dispatcher = {
             let shared = Arc::clone(&shared);
@@ -286,7 +271,14 @@ impl Server {
         };
 
         #[cfg(target_os = "linux")]
-        let result = crate::reactor::run(&shared, &listener);
+        let result = {
+            let limits = reactor::Limits {
+                name: "serve",
+                max_connections: shared.config.workers,
+                idle_timeout: shared.config.idle_timeout,
+            };
+            reactor::run(&mut Front { shared: &shared }, &listener, &limits)
+        };
         #[cfg(not(target_os = "linux"))]
         let result = Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -355,9 +347,119 @@ impl RunningServer {
     }
 }
 
+/// Serve's side of the reactor: routing, admission, and dispatcher
+/// completions.
+#[cfg(target_os = "linux")]
+struct Front<'a> {
+    shared: &'a Shared,
+}
+
+#[cfg(target_os = "linux")]
+impl reactor::Service for Front<'_> {
+    /// An admitted predict owns nothing beyond its ticket.
+    type Pending = ();
+    type Completion = dispatch::Completed;
+
+    fn stop_requested(&self) -> bool {
+        self.shared.stop_requested()
+    }
+
+    fn on_turn(&mut self) {
+        maybe_dump_on_signal();
+        maybe_reload_on_signal(self.shared);
+    }
+
+    fn request(
+        &mut self,
+        io: &mut reactor::Io<dispatch::Completed>,
+        ticket: u64,
+        request: &reactor::Request<'_>,
+        trace: &obs::TraceContext,
+    ) -> reactor::Step<()> {
+        use reactor::Step::{Respond, Wait};
+        let shared = self.shared;
+        shared.metrics.requests.inc();
+        if (request.method, request.path) != ("POST", "/v1/predict") {
+            return Respond(route(shared, request.method, request.path, request.body));
+        }
+        let parsed = match parse_predict_body(request.body) {
+            Ok(_) if shared.stop_requested() => {
+                return Respond(Response::error(503, "server is draining"))
+            }
+            Ok(parsed) => parsed,
+            Err(response) => return Respond(response),
+        };
+        // The client's propagated X-Deadline-Ms caps the configured
+        // deadline, and an already-expired budget answers 504 without
+        // burning a dispatcher slot.
+        let budget_ms =
+            crate::deadline::effective_budget_ms(shared.config.deadline, request.deadline_ms);
+        if budget_ms == 0 {
+            shared.metrics.timeouts.inc();
+            obs::metrics::counter("serve.deadline.expired_on_arrival").inc();
+            return Respond(Response::error(504, "deadline exceeded"));
+        }
+        let deadline = Instant::now() + Duration::from_millis(budget_ms);
+        let reply = dispatch::Reply {
+            token: ticket,
+            completions: Arc::clone(io.completions()),
+        };
+        match admit(shared, parsed, deadline, reply, *trace) {
+            Ok(()) => {
+                // The dispatcher's own 504 gets 250 ms to arrive before
+                // the reactor times out.
+                io.schedule(ticket, deadline + Duration::from_millis(250), 0);
+                Wait(())
+            }
+            Err(rejection) => Respond(rejection),
+        }
+    }
+
+    fn event(
+        &mut self,
+        _io: &mut reactor::Io<dispatch::Completed>,
+        _ticket: u64,
+        _pending: &mut (),
+        event: reactor::Event<dispatch::Completed>,
+        trace: &mut obs::TraceContext,
+    ) -> Option<Response> {
+        // Answered or timed out, the admitted request has left flight.
+        self.shared.inflight_sub();
+        Some(match event {
+            reactor::Event::Completion((result, completed)) => {
+                // The dispatcher's copy carries the queue, batch, and
+                // predict stamps.
+                *trace = completed;
+                match result {
+                    Ok(body) => Response::json(200, body.to_string())
+                        .with_header("X-Model-Version", self.shared.service.model_version()),
+                    Err(e) => Response::error(e.status, &e.message),
+                }
+            }
+            // Serve starts no upstream exchanges: any other event is the
+            // deadline timer beating the dispatcher. Its trace copy (the
+            // loop's) records the timeout.
+            _ => {
+                self.shared.metrics.timeouts.inc();
+                Response::error(504, "deadline exceeded")
+            }
+        })
+    }
+
+    fn cancel(&mut self, _io: &mut reactor::Io<dispatch::Completed>, (): ()) {
+        // Orphan the job: its completion (the prediction is memoized
+        // regardless) and its deadline timer both become no-ops.
+        self.shared.inflight_sub();
+    }
+
+    fn finish_trace(&self, trace: obs::TraceContext) {
+        trace.finish();
+    }
+}
+
 /// Dumps the flight recorder to [`obs::trace::dump_path`] if SIGUSR1
 /// arrived since the last poll. Called from the event loop.
-pub(crate) fn maybe_dump_on_signal() {
+fn maybe_dump_on_signal() {
     if !signal::take_usr1() {
         return;
     }
@@ -375,7 +477,7 @@ pub(crate) fn maybe_dump_on_signal() {
 /// since the last poll. Called from the event loop; the gate itself
 /// (golden sanity + canary) is a few milliseconds of CPU, cheap enough
 /// for one loop turn.
-pub(crate) fn maybe_reload_on_signal(shared: &Shared) {
+fn maybe_reload_on_signal(shared: &Shared) {
     if !signal::take_hup() {
         return;
     }
@@ -389,26 +491,8 @@ pub(crate) fn maybe_reload_on_signal(shared: &Shared) {
     );
 }
 
-/// 503s a connection accepted beyond the worker cap.
-pub(crate) fn reject_connection(mut stream: TcpStream) {
-    let _ = Response::error(503, "connection limit reached").write_to(&mut stream, false);
-    let _ = stream.flush();
-}
-
-/// Outcome of the routing step: either a ready response, or a parsed
-/// predict request that still needs queue admission.
-pub(crate) enum RouteOutcome {
-    /// Answer immediately.
-    Respond(Response),
-    /// Admit to the dispatcher queue (via [`admit`]) and reply when the
-    /// job completes.
-    Predict(PredictRequest),
-}
-
-/// Maps a request to a handler — everything except the predict wait.
-pub(crate) fn route_common(shared: &Shared, method: &str, path: &str, body: &[u8]) -> RouteOutcome {
-    use RouteOutcome::Respond;
-    shared.metrics.requests.inc();
+/// Answers every route except an admissible predict.
+fn route(shared: &Shared, method: &str, path: &str, body: &[u8]) -> Response {
     const ROUTES: [&str; 11] = [
         "/healthz",
         "/metrics",
@@ -422,48 +506,36 @@ pub(crate) fn route_common(shared: &Shared, method: &str, path: &str, body: &[u8
         "/v1/admin/reload",
         "/v1/admin/model",
     ];
+    let service = &shared.service;
     match (method, path) {
-        ("POST", "/v1/predict") => match parse_predict_body(body) {
-            Ok(_) if shared.stop_requested() => Respond(Response::error(503, "server is draining")),
-            Ok(parsed) => RouteOutcome::Predict(parsed),
-            Err(response) => Respond(response),
-        },
-        ("GET", "/healthz") => Respond(health(shared)),
-        ("GET", "/metrics") => Respond(metrics_page(shared)),
-        ("GET", "/v1/models") => Respond(Response::json(200, shared.service.models_json())),
-        ("GET", "/v1/gpus") => Respond(Response::json(200, shared.service.gpus_json())),
-        ("GET", "/v1/debug/traces") => Respond(Response::json(200, obs::trace::dump_json())),
-        ("GET", "/v1/cache/export") => Respond(Response::octets(
+        ("GET", "/healthz") => health(shared),
+        ("GET", "/metrics") => metrics_page(shared),
+        ("GET", "/v1/models") => Response::json(200, service.models_json()),
+        ("GET", "/v1/gpus") => Response::json(200, service.gpus_json()),
+        ("GET", "/v1/debug/traces") => Response::json(200, obs::trace::dump_json()),
+        ("GET", "/v1/cache/export") => Response::octets(
             200,
-            shared
-                .service
-                .export_cache(crate::service::MAX_GOSSIP_ENTRIES),
-        )),
-        ("POST", "/v1/cache/import") => Respond(match shared.service.import_cache(body) {
+            service.export_cache(crate::service::MAX_GOSSIP_ENTRIES),
+        ),
+        ("POST", "/v1/cache/import") => match service.import_cache(body) {
             Ok(imported) => Response::json(200, format!("{{\"imported\":{imported}}}")),
             Err(e) => Response::error(e.status, &e.message),
-        }),
-        ("POST", "/v1/control/brownout") => Respond(brownout(shared, body)),
-        ("POST", "/v1/admin/reload") => Respond(reload(shared, body)),
-        ("GET", "/v1/admin/model") => {
-            Respond(Response::json(200, shared.service.model_status_json()))
-        }
+        },
+        ("POST", "/v1/control/brownout") => brownout(shared, body),
+        ("POST", "/v1/admin/reload") => reload(shared, body),
+        ("GET", "/v1/admin/model") => Response::json(200, service.model_status_json()),
         (_, path) if ROUTES.contains(&path) => {
-            let allow = if path == "/v1/predict"
-                || path == "/v1/cache/import"
-                || path == "/v1/control/brownout"
-                || path == "/v1/admin/reload"
-            {
-                "POST"
-            } else {
-                "GET"
+            let allow = match path {
+                "/v1/predict"
+                | "/v1/cache/import"
+                | "/v1/control/brownout"
+                | "/v1/admin/reload" => "POST",
+                _ => "GET",
             };
-            Respond(
-                Response::error(405, &format!("use {allow} for {path}"))
-                    .with_header("Allow", allow.to_owned()),
-            )
+            Response::error(405, &format!("use {allow} for {path}"))
+                .with_header("Allow", allow.to_owned())
         }
-        _ => Respond(Response::error(404, "no such route")),
+        _ => Response::error(404, "no such route"),
     }
 }
 
@@ -518,7 +590,7 @@ fn parse_predict_body(body: &[u8]) -> Result<PredictRequest, Response> {
 
 /// Admits a parsed predict request to the dispatcher queue. On a full
 /// queue, returns the 429 (with `Retry-After`) to send instead.
-pub(crate) fn admit(
+fn admit(
     shared: &Shared,
     request: PredictRequest,
     deadline: Instant,
@@ -610,26 +682,4 @@ fn metrics_page(shared: &Shared) -> Response {
         shared.service.model_epoch(),
     ));
     Response::text(200, text)
-}
-
-/// Renders a successful predict body, stamping the `X-Model-Version`
-/// header.
-pub(crate) fn predict_response(shared: &Shared, body: &str) -> Response {
-    Response::json(200, body.to_string())
-        .with_header("X-Model-Version", shared.service.model_version())
-}
-
-/// The request's enforced budget, or the immediate `504` for a request
-/// that arrived already out of budget.
-pub(crate) fn request_budget(
-    shared: &Shared,
-    deadline_ms: Option<u64>,
-) -> Result<Duration, Response> {
-    let budget_ms = crate::deadline::effective_budget_ms(shared.config.deadline, deadline_ms);
-    if budget_ms == 0 {
-        shared.metrics.timeouts.inc();
-        obs::metrics::counter("serve.deadline.expired_on_arrival").inc();
-        return Err(Response::error(504, "deadline exceeded"));
-    }
-    Ok(Duration::from_millis(budget_ms))
 }

@@ -1,5 +1,5 @@
-//! Thin, safe wrappers over the Linux readiness primitives the reactor
-//! needs: `epoll` and `eventfd`.
+//! Thin, safe wrappers over the Linux primitives the reactor needs:
+//! `epoll`, `eventfd`, and a non-blocking TCP connect.
 //!
 //! The workspace vendors no `libc` crate, so the handful of syscalls are
 //! declared directly; std already links the C library, these symbols
@@ -9,7 +9,8 @@
 #![cfg(target_os = "linux")]
 
 use std::io;
-use std::os::fd::RawFd;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{FromRawFd, RawFd};
 
 /// Readiness: data available to read.
 pub const EPOLLIN: u32 = 0x001;
@@ -26,6 +27,12 @@ const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0x80000;
 const EFD_NONBLOCK: i32 = 0x800;
 const EFD_CLOEXEC: i32 = 0x80000;
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = 10;
+const SOCK_STREAM: i32 = 1;
+const SOCK_NONBLOCK: i32 = 0x800;
+const SOCK_CLOEXEC: i32 = 0x80000;
+const EINPROGRESS: i32 = 115;
 
 /// Mirror of the kernel's `struct epoll_event`. On x86-64 the kernel ABI
 /// packs it (no padding between `events` and `data`); other architectures
@@ -46,6 +53,54 @@ extern "C" {
     fn close(fd: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn socket(domain: i32, kind: i32, protocol: i32) -> i32;
+    fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
+}
+
+/// Starts a TCP connect without blocking. The connection completes (or
+/// fails) in the background: the socket turns writable once it is up,
+/// and until then writes report `WouldBlock`; a failed connect surfaces
+/// as the error of the next write.
+///
+/// # Errors
+///
+/// Propagates `socket` failure and immediate `connect` failure (for
+/// example a refused loopback port).
+pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
+    // `struct sockaddr_in` / `sockaddr_in6`, laid out by hand: family
+    // (native order), port (network order), then the address fields.
+    let mut raw = [0u8; 28];
+    raw[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    let len = match addr {
+        SocketAddr::V4(v4) => {
+            raw[..2].copy_from_slice(&AF_INET.to_ne_bytes());
+            raw[4..8].copy_from_slice(&v4.ip().octets());
+            16
+        }
+        SocketAddr::V6(v6) => {
+            raw[..2].copy_from_slice(&AF_INET6.to_ne_bytes());
+            raw[4..8].copy_from_slice(&v6.flowinfo().to_be_bytes());
+            raw[8..24].copy_from_slice(&v6.ip().octets());
+            raw[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
+            28
+        }
+    };
+    let family = i32::from(u16::from_ne_bytes([raw[0], raw[1]]));
+    let fd = unsafe { socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // Owned from here on: dropping the stream closes the fd on every path.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    if unsafe { connect(fd, raw.as_ptr(), len) } == 0 {
+        return Ok(stream);
+    }
+    let err = io::Error::last_os_error();
+    if err.raw_os_error() == Some(EINPROGRESS) {
+        Ok(stream)
+    } else {
+        Err(err)
+    }
 }
 
 /// Per-call capacity of [`Epoll::wait`]'s kernel buffer. More ready fds
@@ -268,5 +323,35 @@ mod tests {
         epoll.wait(1000, &mut events).unwrap();
         assert!(events.iter().any(|(token, _)| *token == 2));
         epoll.delete(served.as_raw_fd());
+    }
+
+    #[test]
+    fn nonblocking_connect_completes_or_refuses() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut stream = connect_nonblocking(listener.local_addr().unwrap()).unwrap();
+        let mut epoll = Epoll::new().unwrap();
+        epoll.add(stream.as_raw_fd(), EPOLLOUT, 3).unwrap();
+        let mut events = Vec::new();
+        epoll.wait(1000, &mut events).unwrap();
+        assert!(events.iter().any(|(token, _)| *token == 3));
+        stream.write_all(b"ping").unwrap();
+        let (mut served, _) = listener.accept().unwrap();
+        let mut buf = [0u8; 4];
+        served.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"ping");
+
+        // A closed port refuses, either at once or on the first write.
+        let dead = listener.local_addr().unwrap();
+        drop((listener, served));
+        match connect_nonblocking(dead) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionRefused),
+            Ok(mut stream) => {
+                epoll.add(stream.as_raw_fd(), EPOLLOUT, 4).unwrap();
+                events.clear();
+                epoll.wait(1000, &mut events).unwrap();
+                let err = stream.write(b"x").unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+            }
+        }
     }
 }

@@ -22,21 +22,21 @@ const SLOTS: usize = 256;
 pub enum TimerKind {
     /// Connection idle check: reap if quiet past the idle window.
     Idle,
-    /// Request deadline: 504 if the dispatcher has not completed by now.
-    Deadline,
+    /// A service timer for a waiting request (a deadline, a hedge delay),
+    /// carrying the service's own tag.
+    Service(u64),
 }
 
-/// A scheduled timer. `token`/`generation` identify the connection (and
-/// its slab generation) it belongs to; the reactor validates both before
-/// acting, which is what makes lazy cancellation safe.
+/// A scheduled timer. `key` is the connection token (idle timers) or the
+/// request ticket (service timers); both carry a generation or are never
+/// reused, and the reactor validates them before acting, which is what
+/// makes lazy cancellation safe.
 #[derive(Debug, Clone, Copy)]
 pub struct Timer {
     /// When the timer is due.
     pub deadline: Instant,
-    /// Connection token the timer refers to.
-    pub token: u64,
-    /// Request ticket (deadline timers) or 0 (idle timers).
-    pub ticket: u64,
+    /// Connection token or request ticket the timer refers to.
+    pub key: u64,
     /// What to do on fire.
     pub kind: TimerKind,
 }
@@ -95,9 +95,9 @@ impl TimerWheel {
         self.cursor = target;
     }
 
-    /// Number of scheduled (possibly stale) timers, across all slots.
-    /// Total scheduled timers; exported by the reactor as the
-    /// `serve.reactor.timer_wheel.occupancy` gauge.
+    /// Number of scheduled (possibly stale) timers, across all slots;
+    /// exported by the reactor as the `<service>.reactor.timer_wheel.occupancy`
+    /// gauge.
     #[must_use]
     pub fn len(&self) -> usize {
         self.slots.iter().map(Vec::len).sum()
@@ -115,11 +115,10 @@ impl TimerWheel {
 mod tests {
     use super::*;
 
-    fn timer(deadline: Instant, token: u64, kind: TimerKind) -> Timer {
+    fn timer(deadline: Instant, key: u64, kind: TimerKind) -> Timer {
         Timer {
             deadline,
-            token,
-            ticket: 0,
+            key,
             kind,
         }
     }
@@ -132,12 +131,12 @@ mod tests {
         wheel.schedule(timer(
             start + Duration::from_millis(80),
             2,
-            TimerKind::Deadline,
+            TimerKind::Service(0),
         ));
         wheel.schedule(timer(start + Duration::from_secs(60), 3, TimerKind::Idle));
         let mut fired = Vec::new();
         wheel.advance(start + Duration::from_millis(100), &mut fired);
-        let mut tokens: Vec<u64> = fired.iter().map(|t| t.token).collect();
+        let mut tokens: Vec<u64> = fired.iter().map(|t| t.key).collect();
         tokens.sort_unstable();
         assert_eq!(tokens, vec![1, 2]);
         assert_eq!(wheel.len(), 1, "the 60 s timer stays");
@@ -148,7 +147,7 @@ mod tests {
         fired.clear();
         wheel.advance(start + Duration::from_secs(61), &mut fired);
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].token, 3);
+        assert_eq!(fired[0].key, 3);
         assert!(wheel.is_empty());
     }
 
@@ -166,6 +165,6 @@ mod tests {
         let mut fired = Vec::new();
         wheel.advance(start + Duration::from_millis(525), &mut fired);
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].token, 9);
+        assert_eq!(fired[0].key, 9);
     }
 }

@@ -2,9 +2,10 @@
 //! replicas over ephemeral sockets, plus property tests for the
 //! consistent-hash ring the router shards on.
 //!
-//! Covers the contracts ISSUE 8 pins down: responses routed through the
-//! front-end are **bitwise** identical to direct replica responses and
-//! propagate the client's `X-Request-Id` end to end; killing a replica
+//! Covers the router's contracts: responses routed through the
+//! front-end are **bitwise** identical to direct replica responses (also
+//! when pipelined) and propagate the client's `X-Request-Id` end to end;
+//! a stalled body gets a 408; a client vanishing mid-hedge leaks nothing; killing a replica
 //! mid-load produces zero 5xx (failover hides the loss) while
 //! `router.rehash_total` records the membership change; cache gossip
 //! warms a cold replica through the checksummed guard envelope and
@@ -18,9 +19,14 @@ use neusight::router::{
     gossip, ChildProcess, HashRing, HedgeConfig, RouteKey, Router, RouterConfig, RunningRouter,
     Supervisor, SupervisorConfig,
 };
+use neusight::serve::client::{decode_response, render_request};
 use neusight::serve::deadline::{effective_budget_ms, shrink_ms};
-use neusight::serve::{Client, PredictResponse, RunningServer, ServeConfig, Server};
+use neusight::serve::{
+    Client, ClientResponse, PredictResponse, RunningServer, ServeConfig, Server,
+};
 use proptest::prelude::*;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -521,6 +527,224 @@ fn hedging_hides_a_slow_replica_within_the_duplicate_budget() {
         .post_json_with_id_and_deadline("/v1/predict", slow_body, "expired-budget", 0)
         .expect("expired deadline");
     assert_eq!(expired.status, 504, "{}", expired.text());
+
+    router.shutdown_and_join().expect("router drain");
+    for replica in replicas {
+        replica.shutdown_and_join().expect("replica drain");
+    }
+}
+
+/// Renders one predict for the wire, with an optional `X-Request-Id`.
+fn predict_bytes(out: &mut Vec<u8>, host: SocketAddr, body: &str, request_id: Option<&str>) {
+    let id = request_id.map(|id| ("X-Request-Id", id));
+    render_request(
+        out,
+        "POST",
+        "/v1/predict",
+        host,
+        Some(("application/json", body.as_bytes())),
+        id.as_slice(),
+    );
+}
+
+/// Reads `count` responses off a raw connection.
+fn read_responses(stream: &mut TcpStream, count: usize) -> Vec<ClientResponse> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let (mut buf, mut chunk, mut responses) = (Vec::new(), [0u8; 8192], Vec::new());
+    while responses.len() < count {
+        if let Some(response) = decode_response(&mut buf).expect("well-formed response") {
+            responses.push(response);
+            continue;
+        }
+        let n = stream.read(&mut chunk).expect("read");
+        assert!(
+            n > 0,
+            "connection closed after {} responses",
+            responses.len()
+        );
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    responses
+}
+
+/// Pipelining through the router: two predicts written back to back on
+/// one connection come back in request order, each byte-identical to
+/// the direct replica answer.
+#[test]
+fn pipelined_predicts_through_the_router_come_back_in_order() {
+    let (replicas, router) = spawn_cluster(2);
+    let mut direct = Client::connect(replicas[0].addr()).expect("connect replica");
+    let references: Vec<Vec<u8>> = BODIES[..2]
+        .iter()
+        .map(|body| {
+            let reference = direct.post_json("/v1/predict", body).expect("direct");
+            assert_eq!(reference.status, 200, "{}", reference.text());
+            reference.body
+        })
+        .collect();
+
+    let mut wire = Vec::new();
+    for (index, body) in BODIES[..2].iter().enumerate() {
+        predict_bytes(
+            &mut wire,
+            router.addr(),
+            body,
+            Some(&format!("pipelined-{index}")),
+        );
+    }
+    let mut stream = TcpStream::connect(router.addr()).expect("connect router");
+    stream
+        .write_all(&wire)
+        .expect("one write carries both requests");
+    let responses = read_responses(&mut stream, 2);
+    for (index, (response, reference)) in responses.iter().zip(&references).enumerate() {
+        assert_eq!(response.status, 200, "{}", response.text());
+        let id = format!("pipelined-{index}");
+        assert_eq!(response.header("x-request-id"), Some(id.as_str()));
+        assert_eq!(
+            &response.body, reference,
+            "pipelined answer {index} diverged"
+        );
+    }
+
+    router.shutdown_and_join().expect("router drain");
+    for replica in replicas {
+        replica.shutdown_and_join().expect("replica drain");
+    }
+}
+
+/// A request whose body never finishes arriving is answered 408 once
+/// the router's idle timeout (30 s) passes, and the connection closes.
+#[test]
+fn a_stalled_request_body_through_the_router_gets_408_then_close() {
+    let (replicas, router) = spawn_cluster(1);
+    let mut stream = TcpStream::connect(router.addr()).expect("connect router");
+    stream
+        .write_all(
+            b"POST /v1/predict HTTP/1.1\r\nHost: router\r\nContent-Length: 64\r\n\r\n{\"model\":",
+        )
+        .expect("partial request");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut received = Vec::new();
+    stream
+        .read_to_end(&mut received)
+        .expect("the router answers, then closes");
+    let text = String::from_utf8_lossy(&received);
+    assert!(text.starts_with("HTTP/1.1 408 "), "{text}");
+    assert!(text.contains("Connection: close\r\n"), "{text}");
+    assert!(
+        text.ends_with("{\"error\":\"request body timed out\"}"),
+        "{text}"
+    );
+
+    router.shutdown_and_join().expect("router drain");
+    for replica in replicas {
+        replica.shutdown_and_join().expect("replica drain");
+    }
+}
+
+/// Makes `close` send a reset instead of a FIN (`SO_LINGER` 0), so the
+/// peer sees the connection vanish at once.
+fn reset_on_close(stream: &TcpStream) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct Linger {
+        on: i32,
+        seconds: i32,
+    }
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const Linger, len: u32) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_LINGER: i32 = 13;
+    let linger = Linger { on: 1, seconds: 0 };
+    let size = std::mem::size_of::<Linger>() as u32;
+    let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_LINGER, &linger, size) };
+    assert_eq!(rc, 0, "setsockopt(SO_LINGER)");
+}
+
+/// The router's `/healthz` text once its waiting requests and upstream
+/// exchanges match `want`, or `None` if they never do within `patience`.
+fn await_router_load(client: &mut Client, want: &str, patience: Duration) -> Option<String> {
+    let deadline = Instant::now() + patience;
+    loop {
+        let text = client.get("/healthz").expect("healthz").text();
+        if text.contains(want) {
+            return Some(text);
+        }
+        if Instant::now() >= deadline {
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A client that disconnects while its hedged pair is in flight: both
+/// upstream exchanges are cancelled and the request's waiting entry is
+/// gone long before the slow replicas would have answered, and the
+/// router keeps serving.
+#[test]
+fn a_client_vanishing_mid_hedge_leaves_the_router_serving_with_nothing_waiting() {
+    neusight::obs::set_enabled(true);
+    let replicas: Vec<RunningServer> = (0..3)
+        .map(|_| {
+            let config = ServeConfig {
+                service_delay: Duration::from_secs(2),
+                ..ServeConfig::default()
+            };
+            Server::spawn(config, tiny_neusight()).expect("spawn replica")
+        })
+        .collect();
+    let router = Router::spawn(RouterConfig {
+        upstreams: replicas
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (format!("replica-{i}"), r.addr()))
+            .collect(),
+        hedge: HedgeConfig {
+            enabled: true,
+            delay_override: Some(Duration::from_millis(20)),
+            ..HedgeConfig::default()
+        },
+        ..RouterConfig::default()
+    })
+    .expect("spawn router");
+    let mut admin = Client::connect(router.addr()).expect("connect router");
+
+    let mut wire = Vec::new();
+    predict_bytes(&mut wire, router.addr(), BODIES[0], None);
+    let mut doomed = TcpStream::connect(router.addr()).expect("connect router");
+    doomed.write_all(&wire).expect("predict");
+    let paired = await_router_load(
+        &mut admin,
+        "\"inflight\":1,\"exchanges\":2",
+        Duration::from_secs(1),
+    );
+    assert!(paired.is_some(), "the hedge never fired");
+
+    reset_on_close(&doomed);
+    drop(doomed);
+    // Each replica sleeps 2 s before answering: finding nothing in
+    // flight well inside that window means the pair was cancelled.
+    let settled = await_router_load(
+        &mut admin,
+        "\"inflight\":0,\"exchanges\":0",
+        Duration::from_secs(1),
+    );
+    assert!(
+        settled.is_some(),
+        "the vanished client's hedged pair leaked"
+    );
+
+    let health = admin.get("/healthz").expect("healthz");
+    assert_eq!(health.status, 200);
+    assert!(health.text().contains("\"live\":3"), "{}", health.text());
+    let models = admin.get("/v1/models").expect("models");
+    assert_eq!(models.status, 200, "{}", models.text());
 
     router.shutdown_and_join().expect("router drain");
     for replica in replicas {
