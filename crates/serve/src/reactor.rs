@@ -868,7 +868,6 @@ impl<S: Service> Reactor<'_, S> {
         conn.close_after_write = !keep_alive;
         conn.state = ConnState::Writing;
         conn.trace = Some(trace);
-        conn.sock.set_interest(&self.io.epoll, token, EPOLLOUT);
         self.try_write(token);
     }
 
@@ -880,14 +879,16 @@ impl<S: Service> Reactor<'_, S> {
             conn.sock.stage(|buf| response.render_into(buf, false));
             conn.close_after_write = true;
             conn.state = ConnState::Writing;
-            conn.sock.set_interest(&self.io.epoll, token, EPOLLOUT);
         }
         self.try_write(token);
     }
 
     /// Flushes as much of the write buffer as the socket accepts, then
     /// transitions: close (error or `close_after_write`), stay `Writing`
-    /// on a partial write, or return to `Reading` for keep-alive.
+    /// (interest `EPOLLOUT`) on a partial write, or return to `Reading`
+    /// for keep-alive. `EPOLLOUT` is registered only once a write blocks,
+    /// so a response that fits the socket buffer costs no extra
+    /// `epoll_ctl`.
     fn try_write(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(token) else {
             return;
