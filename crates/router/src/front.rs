@@ -35,13 +35,23 @@ pub(crate) fn run(shared: &Arc<RouterShared>, listener: &TcpListener) -> io::Res
         max_connections: 256,
         idle_timeout: Duration::from_secs(30),
     };
-    let shared = Arc::clone(shared);
-    reactor::run(&mut Front { shared }, listener, &limits)
+    let mut front = Front {
+        shared: Arc::clone(shared),
+        fan_outs: Vec::new(),
+    };
+    let result = reactor::run(&mut front, listener, &limits);
+    // A fan-out whose client left runs on after the drain; wait for it.
+    for fan_out in front.fan_outs {
+        let _ = fan_out.join();
+    }
+    result
 }
 
 /// The router's side of the reactor.
 struct Front {
     shared: Arc<RouterShared>,
+    /// Operator fan-out threads not yet reaped.
+    fan_outs: Vec<thread::JoinHandle<()>>,
 }
 
 /// One upstream copy of a request in flight.
@@ -377,21 +387,22 @@ impl Front {
     /// Runs a blocking operator fan-out on a short-lived thread that
     /// answers through the loop's mailbox.
     fn fan_out(
-        &self,
+        &mut self,
         io: &Io<Response>,
         ticket: u64,
         job: impl FnOnce(&RouterShared) -> Response + Send + 'static,
     ) -> Step<Option<Forward>> {
         let shared = Arc::clone(&self.shared);
         let completions = Arc::clone(io.completions());
-        thread::spawn(move || {
+        self.fan_outs.retain(|fan_out| !fan_out.is_finished());
+        self.fan_outs.push(thread::spawn(move || {
             let response =
                 neusight_guard::catch("router.fan_out", || job(&shared)).unwrap_or_else(|_| {
                     obs::metrics::counter("router.connection.panics").inc();
                     Response::error(500, "operator fan-out panicked")
                 });
             completions.push(ticket, response);
-        });
+        }));
         Step::Wait(None)
     }
 }

@@ -156,6 +156,12 @@ impl RouterHandle {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.halt();
     }
+
+    /// The shared fleet (see [`Router::fleet`]).
+    #[must_use]
+    pub fn fleet(&self) -> Arc<Fleet> {
+        Arc::clone(&self.shared.fleet)
+    }
 }
 
 /// A router running on a background thread.
@@ -181,7 +187,7 @@ impl RunningRouter {
     /// The shared fleet (see [`Router::fleet`]).
     #[must_use]
     pub fn fleet(&self) -> Arc<Fleet> {
-        Arc::clone(&self.handle.shared.fleet)
+        self.handle.fleet()
     }
 
     /// Triggers a drain and waits for the router to exit.

@@ -178,6 +178,12 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
     }
+
+    /// Whether a drain is underway.
+    #[must_use]
+    pub fn draining(&self) -> bool {
+        self.shared.stop_requested()
+    }
 }
 
 impl Server {
@@ -227,6 +233,12 @@ impl Server {
         ServerHandle {
             shared: Arc::clone(&self.shared),
         }
+    }
+
+    /// Direct access to the service (e.g. cache-capacity control).
+    #[must_use]
+    pub fn service(&self) -> &PredictService {
+        &self.shared.service
     }
 
     /// Runs the epoll event loop until shutdown, then drains and joins

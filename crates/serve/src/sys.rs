@@ -86,12 +86,15 @@ pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
         }
     };
     let family = i32::from(u16::from_ne_bytes([raw[0], raw[1]]));
+    // SAFETY: a plain syscall on integer arguments; the result is checked.
     let fd = unsafe { socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
     if fd < 0 {
         return Err(io::Error::last_os_error());
     }
-    // Owned from here on: dropping the stream closes the fd on every path.
+    // SAFETY: `fd` is a fresh socket nothing else owns; from here on the
+    // stream closes it on every path.
     let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    // SAFETY: `raw` is a live buffer holding a `len`-byte socket address.
     if unsafe { connect(fd, raw.as_ptr(), len) } == 0 {
         return Ok(stream);
     }

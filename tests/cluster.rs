@@ -663,6 +663,8 @@ fn reset_on_close(stream: &TcpStream) {
     const SO_LINGER: i32 = 13;
     let linger = Linger { on: 1, seconds: 0 };
     let size = std::mem::size_of::<Linger>() as u32;
+    // SAFETY: `linger` outlives the call, `size` is its exact size, and
+    // the descriptor belongs to `stream`.
     let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_LINGER, &linger, size) };
     assert_eq!(rc, 0, "setsockopt(SO_LINGER)");
 }
