@@ -18,7 +18,7 @@
 //! - **Tokens** are `(generation << 32) | slab index`, validated on every
 //!   epoll event and idle timer, so events for closed (possibly
 //!   recycled) sockets are dropped. Upstream sockets' tokens carry
-//!   [`UPSTREAM_TAG`].
+//!   `UPSTREAM_TAG`.
 //! - **Interest follows state**: `Reading` wants `EPOLLIN`, `Waiting`
 //!   nothing (a level-triggered fd with a buffered request would spin),
 //!   `Writing` `EPOLLOUT`.
@@ -31,7 +31,7 @@
 //!   closed by its server), decoded by the blocking client's
 //!   [`decode_response`].
 //! - **Names follow the service**: the loop's metrics, failpoints, and
-//!   panic guards carry [`Service::name`] as prefix, so a router and its
+//!   panic guards carry [`Limits::name`] as prefix, so a router and its
 //!   replicas in one process never mix their counts.
 
 #![cfg(target_os = "linux")]
