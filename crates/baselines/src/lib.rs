@@ -39,25 +39,45 @@ pub trait OpLatencyPredictor {
     /// Predicted per-device latency of a graph: the sum of its kernels
     /// (sequential device execution), split by phase.
     fn predict_graph(&self, graph: &Graph, spec: &neusight_gpu::GpuSpec) -> GraphLatency {
+        self.predict_graph_by_kernel(graph, spec).0
+    }
+
+    /// [`OpLatencyPredictor::predict_graph`] plus the latency of each
+    /// kernel-table entry (indexed by [`KernelId`](neusight_graph::KernelId)):
+    /// each distinct kernel is predicted once, and the phase sums add the
+    /// nodes' latencies in execution order.
+    fn predict_graph_by_kernel(
+        &self,
+        graph: &Graph,
+        spec: &neusight_gpu::GpuSpec,
+    ) -> (GraphLatency, Vec<f64>) {
         let _span = neusight_obs::span!(
             "baseline_predict_graph",
             baseline = self.name(),
             gpu = spec.name(),
             nodes = graph.len()
         );
+        let kernel_s: Vec<f64> = graph
+            .kernels()
+            .iter()
+            .map(|op| self.predict_op(op, spec))
+            .collect();
         let (mut forward_s, mut backward_s) = (0.0, 0.0);
         for node in graph.iter() {
-            let lat = self.predict_op(&node.op, spec);
             match node.phase {
-                Phase::Forward => forward_s += lat,
-                Phase::Backward => backward_s += lat,
+                Phase::Forward => forward_s += kernel_s[node.kernel.0],
+                Phase::Backward => backward_s += kernel_s[node.kernel.0],
             }
         }
-        GraphLatency {
-            total_s: forward_s + backward_s,
-            forward_s,
-            backward_s,
-        }
+        let total_s = forward_s + backward_s;
+        (
+            GraphLatency {
+                total_s,
+                forward_s,
+                backward_s,
+            },
+            kernel_s,
+        )
     }
 }
 

@@ -735,21 +735,23 @@ impl NeuSight {
             job_gpu.push(gpu);
         }
 
-        // Deduplicate nodes across all jobs: each unique `(GPU, op)` is
-        // predicted exactly once.
+        // Deduplicate kernels across all jobs: each unique `(GPU, op)` is
+        // predicted exactly once. Kernel tables are in first-seen node
+        // order, so `unique` lists ops in the order a walk over every
+        // job's nodes would first meet them.
         let mut unique: Vec<(usize, &OpDesc)> = Vec::new();
         let mut job_slots: Vec<Vec<usize>> = Vec::with_capacity(jobs.len());
         {
             let _stage = obs::span("dedup");
             let mut slot_of: HashMap<(usize, &OpDesc), usize> = HashMap::new();
             for ((graph, _), &gpu) in jobs.iter().zip(&job_gpu) {
-                let mut slots = Vec::with_capacity(graph.len());
-                for node in graph.iter() {
+                let mut slots = Vec::with_capacity(graph.kernels().len());
+                for op in graph.kernels() {
                     let next = unique.len();
-                    let slot = *slot_of.entry((gpu, &node.op)).or_insert(next);
+                    let slot = *slot_of.entry((gpu, op)).or_insert(next);
                     if slot == next {
-                        validate_op(&node.op, self.dtype)?;
-                        unique.push((gpu, &node.op));
+                        validate_op(op, self.dtype)?;
+                        unique.push((gpu, op));
                     }
                     slots.push(slot);
                 }
@@ -840,8 +842,8 @@ impl NeuSight {
         for ((graph, _), slots) in jobs.iter().zip(&job_slots) {
             let mut per_node_s = Vec::with_capacity(graph.len());
             let (mut forward_s, mut backward_s) = (0.0, 0.0);
-            for (node, &slot) in graph.iter().zip(slots) {
-                let lat = latencies[slot].expect("every unique op resolved");
+            for node in graph.iter() {
+                let lat = latencies[slots[node.kernel.0]].expect("every unique op resolved");
                 per_node_s.push(lat);
                 match node.phase {
                     Phase::Forward => forward_s += lat,
@@ -934,6 +936,7 @@ mod tests {
     use neusight_gpu::catalog;
     use neusight_graph::{config, inference_graph, training_graph};
     use neusight_sim::SimulatedGpu;
+    use proptest::prelude::*;
 
     fn tiny_framework() -> NeuSight {
         let gpus = training_gpus();
@@ -1357,5 +1360,127 @@ mod tests {
             (0.2..5.0).contains(&ratio),
             "prediction {predicted} vs measurement {measured}"
         );
+    }
+
+    /// The node-walk dedup `predict_graph_batch` ran before graphs carried
+    /// a kernel table: every node's op is probed in a `(GPU, op)` map, and
+    /// each first-seen op is predicted on the per-node uncached path.
+    /// Returns the predictions and the cache entries a cold run must
+    /// leave, in insertion order.
+    #[allow(clippy::type_complexity)]
+    fn node_walk_oracle(
+        ns: &NeuSight,
+        jobs: &[(&Graph, &GpuSpec)],
+    ) -> (Vec<GraphPrediction>, Vec<(u64, OpDesc, u64)>) {
+        let mut slot_of: HashMap<(u64, &OpDesc), usize> = HashMap::new();
+        let mut unique: Vec<(u64, OpDesc, f64)> = Vec::new();
+        let mut out = Vec::new();
+        for (graph, spec) in jobs {
+            let gpu = spec_fingerprint(spec);
+            let (mut forward_s, mut backward_s) = (0.0, 0.0);
+            let mut per_node_s = Vec::new();
+            for node in graph.iter() {
+                let next = unique.len();
+                let slot = *slot_of.entry((gpu, &node.op)).or_insert(next);
+                if slot == next {
+                    let lat = ns.predict_op_uncached(&node.op, spec).unwrap();
+                    unique.push((gpu, node.op.clone(), lat));
+                }
+                let lat = unique[slot].2;
+                per_node_s.push(lat);
+                match node.phase {
+                    Phase::Forward => forward_s += lat,
+                    Phase::Backward => backward_s += lat,
+                }
+            }
+            out.push(GraphPrediction {
+                total_s: forward_s + backward_s,
+                forward_s,
+                backward_s,
+                per_node_s,
+            });
+        }
+        let entries = unique
+            .into_iter()
+            .map(|(gpu, op, lat)| (gpu, op, lat.to_bits()))
+            .collect();
+        (out, entries)
+    }
+
+    /// The prediction cache's entries in insertion order.
+    fn cache_entries(ns: &NeuSight) -> Vec<(u64, OpDesc, u64)> {
+        let state = ns.cache.0.state.read();
+        let mut entries: Vec<(u64, (u64, OpDesc, u64))> = Vec::new();
+        for shard in state.shards.iter() {
+            for ((gpu, op), (lat, seq)) in &shard.inner.lock().map {
+                entries.push((*seq, (*gpu, op.clone(), lat.to_bits())));
+            }
+        }
+        entries.sort_by_key(|(seq, _)| *seq);
+        entries.into_iter().map(|(_, entry)| entry).collect()
+    }
+
+    fn prediction_bits(preds: &[GraphPrediction]) -> Vec<(u64, u64, u64, Vec<u64>)> {
+        preds
+            .iter()
+            .map(|p| {
+                let per_node = p.per_node_s.iter().map(|s| s.to_bits()).collect();
+                let (t, f, b) = (p.total_s, p.forward_s, p.backward_s);
+                (t.to_bits(), f.to_bits(), b.to_bits(), per_node)
+            })
+            .collect()
+    }
+
+    /// Table 4 plus the CNNs, inference and training, each plain and
+    /// fused, at batch 2.
+    fn oracle_graphs() -> &'static [Graph] {
+        static GRAPHS: OnceLock<Vec<Graph>> = OnceLock::new();
+        GRAPHS.get_or_init(|| {
+            let mut graphs = Vec::new();
+            for name in neusight_graph::workload_names() {
+                for training in [false, true] {
+                    let graph = neusight_graph::workload_graph(&name, 2, training).unwrap();
+                    graphs.push(neusight_graph::fuse_graph(&graph));
+                    graphs.push(graph);
+                }
+            }
+            graphs
+        })
+    }
+
+    fn oracle_framework() -> &'static NeuSight {
+        static NS: OnceLock<NeuSight> = OnceLock::new();
+        NS.get_or_init(tiny_framework)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Kernel-table dedup agrees bitwise with the node-walk oracle on
+        /// random batches (repeated graphs and GPUs included), cold and
+        /// warm, and leaves the same cache entries in the same order.
+        #[test]
+        fn kernel_table_dedup_matches_node_walk_oracle(
+            picks in prop::collection::vec(
+                (0usize..32, prop::sample::select(vec!["V100", "H100", "T4"])),
+                1..5,
+            ),
+        ) {
+            let ns = oracle_framework();
+            let specs: Vec<GpuSpec> =
+                picks.iter().map(|(_, gpu)| catalog::gpu(gpu).unwrap()).collect();
+            let jobs: Vec<(&Graph, &GpuSpec)> = picks
+                .iter()
+                .zip(&specs)
+                .map(|((graph, _), spec)| (&oracle_graphs()[*graph], spec))
+                .collect();
+            let (want, want_entries) = node_walk_oracle(ns, &jobs);
+            ns.clear_prediction_cache();
+            let cold = ns.predict_graph_batch(&jobs).unwrap();
+            prop_assert_eq!(cache_entries(ns), want_entries);
+            let warm = ns.predict_graph_batch(&jobs).unwrap();
+            prop_assert_eq!(prediction_bits(&cold), prediction_bits(&want));
+            prop_assert_eq!(prediction_bits(&warm), prediction_bits(&want));
+        }
     }
 }

@@ -432,16 +432,16 @@ mod tests {
         // Each stage holds 6 layers; total block count matches the model.
         let blocks: usize = stages
             .iter()
-            .map(|s| s.iter().filter(|n| n.name.ends_with("attn.qkv")).count())
+            .map(|s| s.iter().filter(|n| n.name().ends_with("attn.qkv")).count())
             .sum();
         assert_eq!(blocks, 24);
         // Boundary tensor: micro-batch 1 × seq 2048 × hidden 2048 × 4 B.
         assert!((boundary_bytes - (2048.0 * 2048.0 * 4.0)).abs() < 1.0);
         // Only the first stage embeds; only the last has the loss head.
-        assert!(stages[0].iter().any(|n| n.name == "embed.tokens"));
-        assert!(!stages[1].iter().any(|n| n.name == "embed.tokens"));
-        assert!(stages[3].iter().any(|n| n.name == "loss.softmax"));
-        assert!(!stages[0].iter().any(|n| n.name == "loss.softmax"));
+        assert!(stages[0].iter().any(|n| n.name() == "embed.tokens"));
+        assert!(!stages[1].iter().any(|n| n.name() == "embed.tokens"));
+        assert!(stages[3].iter().any(|n| n.name() == "loss.softmax"));
+        assert!(!stages[0].iter().any(|n| n.name() == "loss.softmax"));
     }
 
     #[test]
@@ -454,7 +454,7 @@ mod tests {
         };
         let per_stage: Vec<usize> = stages
             .iter()
-            .map(|s| s.iter().filter(|n| n.name.ends_with("attn.qkv")).count())
+            .map(|s| s.iter().filter(|n| n.name().ends_with("attn.qkv")).count())
             .collect();
         assert_eq!(per_stage, vec![3, 3, 2, 2]);
     }

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Kind of element-wise operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum EwKind {
     /// Element-wise addition (binary).
     Add,
@@ -134,6 +134,16 @@ pub enum OpClass {
 }
 
 impl OpClass {
+    /// Every class, in declaration order: `class as usize` indexes it.
+    pub const ALL: [OpClass; 6] = [
+        OpClass::Bmm,
+        OpClass::FullyConnected,
+        OpClass::Elementwise,
+        OpClass::Softmax,
+        OpClass::LayerNorm,
+        OpClass::MemoryBound,
+    ];
+
     /// All classes that have a dedicated trained predictor.
     #[must_use]
     pub const fn trained() -> [OpClass; 5] {
@@ -173,7 +183,7 @@ impl fmt::Display for OpClass {
 /// registers/shared memory, and writes only the last operator's output
 /// (plus any *side* inputs the later operators read, e.g. the second
 /// operand of a residual add or layer-norm parameters).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct FusedOp {
     ops: Vec<OpDesc>,
 }
@@ -231,7 +241,7 @@ impl FusedOp {
 ///
 /// Dimensions follow the conventions of the paper's data collection (§6.1);
 /// all dimensions must be at least 1.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum OpDesc {
     /// Batched matrix multiplication: `batch` independent `(m×k)·(k×n)`
     /// products.
@@ -875,6 +885,14 @@ mod tests {
     #[test]
     fn trained_classes_are_five() {
         assert_eq!(OpClass::trained().len(), 5);
+    }
+
+    #[test]
+    fn all_classes_index_by_discriminant() {
+        for (i, class) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i);
+        }
+        assert!(OpClass::trained().iter().all(|c| OpClass::ALL.contains(c)));
     }
 
     #[test]

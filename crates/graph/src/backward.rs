@@ -17,7 +17,7 @@
 //! (backward fusion support in compilers is far narrower than forward, so
 //! we conservatively leave backward unfused).
 
-use crate::ir::{Graph, NodeId, Phase};
+use crate::ir::{Graph, KernelId, NodeId, Phase};
 use neusight_gpu::{EwKind, OpDesc};
 
 /// Gradient kernels for one forward kernel, in execution order.
@@ -79,7 +79,9 @@ pub fn backward_ops(op: &OpDesc) -> Vec<OpDesc> {
 /// Appends the backward pass to a forward graph in place: walks forward
 /// nodes in reverse execution order and emits each node's gradient kernels
 /// in [`Phase::Backward`], chained sequentially (per-device execution is
-/// sequential, §2.2).
+/// sequential, §2.2). Gradient kernels are derived once per distinct
+/// forward kernel and interned when first used, so the kernel table stays
+/// in first-seen node order.
 ///
 /// # Panics
 ///
@@ -89,22 +91,20 @@ pub fn append_backward(graph: &mut Graph) {
         graph.phase_nodes(Phase::Backward).next().is_none(),
         "graph already has a backward pass"
     );
-    let forward: Vec<(NodeId, String, OpDesc)> = graph
-        .iter()
-        .map(|n| (n.id, n.name.clone(), n.op.clone()))
-        .collect();
-    let mut prev: Option<NodeId> = graph.nodes().last().map(|n| n.id);
-    for (fwd_id, name, op) in forward.into_iter().rev() {
-        for (i, grad_op) in backward_ops(&op).into_iter().enumerate() {
-            let mut inputs = vec![fwd_id];
-            if let Some(p) = prev {
-                if p != fwd_id {
-                    inputs.push(p);
-                }
-            }
-            let id =
-                graph.add_in_phase(format!("{name}.grad{i}"), grad_op, &inputs, Phase::Backward);
-            prev = Some(id);
+    let mut grads: Vec<Option<Vec<KernelId>>> = vec![None; graph.kernels().len()];
+    let mut prev = graph.len().checked_sub(1).map(NodeId);
+    for fwd_id in (0..graph.len()).rev().map(NodeId) {
+        let fwd = graph.node(fwd_id);
+        let (name, kernel) = (fwd.name.clone(), fwd.kernel);
+        if grads[kernel.0].is_none() {
+            let ops = backward_ops(graph.kernel(kernel));
+            grads[kernel.0] = Some(ops.iter().map(|op| graph.intern(op)).collect());
+        }
+        for (i, &grad) in grads[kernel.0].iter().flatten().enumerate() {
+            let chained = [fwd_id, prev.unwrap_or(fwd_id)];
+            let inputs = &chained[..if chained[1] == fwd_id { 1 } else { 2 }];
+            let op = graph.kernel(grad).clone();
+            prev = Some(graph.push(name.grad(i), op, grad, inputs, Phase::Backward));
         }
     }
 }

@@ -8,15 +8,16 @@
 //! layer-norm-shaped reduction over the spatial positions; max/avg pooling
 //! as a bandwidth-bound element-wise pass over the input.
 
-use crate::ir::{Graph, NodeId};
+use crate::ir::{Graph, NodeId, NodeName, Scope};
 use neusight_gpu::{ops::conv_out_hw, EwKind, OpDesc};
 
-/// A convolution + batch-norm + ReLU block; returns the output node and
-/// the output spatial extent.
+/// A convolution + batch-norm + ReLU block, its nodes named by `names`
+/// (conv, bn, relu); returns the output node and the output spatial
+/// extent.
 #[allow(clippy::too_many_arguments)]
 fn conv_bn_relu(
     g: &mut Graph,
-    name: &str,
+    names: [NodeName; 3],
     input: NodeId,
     batch: u64,
     in_c: u64,
@@ -26,23 +27,20 @@ fn conv_bn_relu(
     stride: u64,
     relu: bool,
 ) -> (NodeId, u64) {
+    let [conv_name, bn_name, relu_name] = names;
     let padding = kernel / 2;
     let conv = g.add(
-        format!("{name}.conv"),
+        conv_name,
         OpDesc::conv2d(batch, in_c, out_c, in_hw, kernel, stride, padding),
         &[input],
     );
     let out_hw = conv_out_hw(in_hw, kernel, stride, padding);
     let positions = batch * out_hw * out_hw;
     // Batch norm reduces over positions per channel: layer-norm-shaped work.
-    let bn = g.add(
-        format!("{name}.bn"),
-        OpDesc::layer_norm(positions, out_c),
-        &[conv],
-    );
+    let bn = g.add(bn_name, OpDesc::layer_norm(positions, out_c), &[conv]);
     let out = if relu {
         g.add(
-            format!("{name}.relu"),
+            relu_name,
             OpDesc::elementwise(EwKind::Relu, positions * out_c),
             &[bn],
         )
@@ -53,16 +51,17 @@ fn conv_bn_relu(
 }
 
 /// Max/avg pooling as a bandwidth-bound pass over the input tensor.
-fn pool(g: &mut Graph, name: &str, input: NodeId, numel_in: u64) -> NodeId {
+fn pool(g: &mut Graph, name: NodeName, input: NodeId, numel_in: u64) -> NodeId {
     g.add(name, OpDesc::elementwise(EwKind::Scale, numel_in), &[input])
 }
 
-/// A ResNet bottleneck block (1×1 reduce, 3×3, 1×1 expand, residual add);
-/// returns the output node and spatial extent.
+/// A ResNet bottleneck block (1×1 reduce, 3×3, 1×1 expand, residual add),
+/// named `stage{stage}.block{block}`; returns the output node and spatial
+/// extent.
 #[allow(clippy::too_many_arguments)]
 fn bottleneck(
     g: &mut Graph,
-    name: &str,
+    (stage, block): (u64, u64),
     input: NodeId,
     batch: u64,
     in_c: u64,
@@ -71,9 +70,10 @@ fn bottleneck(
     in_hw: u64,
     stride: u64,
 ) -> (NodeId, u64) {
+    let name = |suffix| NodeName::scoped(Scope::Block, stage, block, suffix);
     let (a, hw1) = conv_bn_relu(
         g,
-        &format!("{name}.a"),
+        ["a.conv", "a.bn", "a.relu"].map(name),
         input,
         batch,
         in_c,
@@ -85,7 +85,7 @@ fn bottleneck(
     );
     let (b, hw2) = conv_bn_relu(
         g,
-        &format!("{name}.b"),
+        ["b.conv", "b.bn", "b.relu"].map(name),
         a,
         batch,
         mid_c,
@@ -97,7 +97,7 @@ fn bottleneck(
     );
     let (c, hw3) = conv_bn_relu(
         g,
-        &format!("{name}.c"),
+        ["c.conv", "c.bn", "c.relu"].map(name),
         b,
         batch,
         mid_c,
@@ -111,7 +111,7 @@ fn bottleneck(
     let shortcut = if in_c != out_c || stride != 1 {
         let (s, _) = conv_bn_relu(
             g,
-            &format!("{name}.proj"),
+            ["proj.conv", "proj.bn", "proj.relu"].map(name),
             input,
             batch,
             in_c,
@@ -126,12 +126,12 @@ fn bottleneck(
         input
     };
     let add = g.add(
-        format!("{name}.residual"),
+        name("residual"),
         OpDesc::elementwise(EwKind::Add, batch * hw3 * hw3 * out_c),
         &[c, shortcut],
     );
     let relu = g.add(
-        format!("{name}.relu"),
+        name("relu"),
         OpDesc::elementwise(EwKind::Relu, batch * hw3 * hw3 * out_c),
         &[add],
     );
@@ -155,8 +155,9 @@ pub fn resnet50_inference(batch_size: u64) -> Graph {
         OpDesc::elementwise(EwKind::Scale, b * 3 * 224 * 224),
         &[],
     );
-    let (stem, hw) = conv_bn_relu(&mut g, "stem", stem_in, b, 3, 64, 224, 7, 2, true);
-    let pooled = pool(&mut g, "stem.maxpool", stem, b * 64 * hw * hw);
+    let stem_names = ["stem.conv", "stem.bn", "stem.relu"].map(NodeName::from);
+    let (stem, hw) = conv_bn_relu(&mut g, stem_names, stem_in, b, 3, 64, 224, 7, 2, true);
+    let pooled = pool(&mut g, "stem.maxpool".into(), stem, b * 64 * hw * hw);
     let hw = hw / 2; // 56
 
     // The four stages: (mid, out, blocks, first stride).
@@ -169,20 +170,11 @@ pub fn resnet50_inference(batch_size: u64) -> Graph {
     let mut x = pooled;
     let mut in_c = 64;
     let mut cur_hw = hw;
-    for (stage_idx, (mid, out, blocks, first_stride)) in stages.into_iter().enumerate() {
+    for (stage, (mid, out, blocks, first_stride)) in (1..).zip(stages) {
         for block in 0..blocks {
             let stride = if block == 0 { first_stride } else { 1 };
-            let (next, next_hw) = bottleneck(
-                &mut g,
-                &format!("stage{}.block{block}", stage_idx + 1),
-                x,
-                b,
-                in_c,
-                mid,
-                out,
-                cur_hw,
-                stride,
-            );
+            let (next, next_hw) =
+                bottleneck(&mut g, (stage, block), x, b, in_c, mid, out, cur_hw, stride);
             x = next;
             cur_hw = next_hw;
             in_c = out;
@@ -190,7 +182,12 @@ pub fn resnet50_inference(batch_size: u64) -> Graph {
     }
 
     // Global average pool + classifier.
-    let gap = pool(&mut g, "global_avg_pool", x, b * in_c * cur_hw * cur_hw);
+    let gap = pool(
+        &mut g,
+        "global_avg_pool".into(),
+        x,
+        b * in_c * cur_hw * cur_hw,
+    );
     let _ = g.add("classifier", OpDesc::fc(b, in_c, 1000), &[gap]);
     g
 }
@@ -227,11 +224,12 @@ pub fn vgg16_inference(batch_size: u64) -> Graph {
     let mut x = input;
     let mut in_c = 3;
     let mut hw = 224;
-    for (stage_idx, (channels, convs)) in stages.into_iter().enumerate() {
+    for (stage, (channels, convs)) in (1..).zip(stages) {
         for conv in 0..convs {
             let (next, next_hw) = conv_bn_relu(
                 &mut g,
-                &format!("stage{}.conv{conv}", stage_idx + 1),
+                ["conv", "bn", "relu"]
+                    .map(|suffix| NodeName::scoped(Scope::Conv, stage, conv, suffix)),
                 x,
                 b,
                 in_c,
@@ -247,7 +245,7 @@ pub fn vgg16_inference(batch_size: u64) -> Graph {
         }
         x = pool(
             &mut g,
-            &format!("stage{}.pool", stage_idx + 1),
+            NodeName::scoped(Scope::Stage, stage, 0, "pool"),
             x,
             b * in_c * hw * hw,
         );
@@ -284,7 +282,7 @@ mod tests {
             .filter(|n| matches!(n.op, OpDesc::Conv2d { .. }))
             .count();
         assert_eq!(convs, 53);
-        assert!(g.iter().any(|n| n.name == "classifier"));
+        assert!(g.iter().any(|n| n.name() == "classifier"));
     }
 
     #[test]
@@ -322,7 +320,7 @@ mod tests {
         // The last stage's convs operate at 7x7: implicit-GEMM M = 49.
         let last = g
             .iter()
-            .rfind(|n| n.name.starts_with("stage4.block2") && n.name.ends_with(".conv"))
+            .rfind(|n| n.name().starts_with("stage4.block2") && n.name().ends_with(".conv"))
             .expect("stage4 exists");
         if let OpDesc::Conv2d { in_hw, .. } = last.op {
             assert_eq!(in_hw, 7);

@@ -16,7 +16,7 @@ pub fn to_dot(graph: &Graph) -> String {
     for node in graph.iter() {
         let mut attrs = vec![format!(
             "label=\"{}\\n{}\"",
-            escape(&node.name),
+            escape(&node.name()),
             escape(&node.op.to_string())
         )];
         if node.phase == Phase::Backward {
@@ -27,7 +27,7 @@ pub fn to_dot(graph: &Graph) -> String {
             attrs.push("fillcolor=lightgray".to_owned());
         }
         let _ = writeln!(out, "  n{} [{}];", node.id.0, attrs.join(", "));
-        for input in &node.inputs {
+        for input in graph.inputs(node.id) {
             let _ = writeln!(out, "  n{} -> n{};", input.0, node.id.0);
         }
     }

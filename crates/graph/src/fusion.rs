@@ -43,7 +43,7 @@ pub fn fuse_graph(graph: &Graph) -> Graph {
     // First consumer (in execution order) of each node, if any.
     let mut first_consumer: Vec<Option<NodeId>> = vec![None; graph.len()];
     for node in graph.iter() {
-        for input in &node.inputs {
+        for input in graph.inputs(node.id) {
             if first_consumer[input.0].is_none() {
                 first_consumer[input.0] = Some(node.id);
             }
@@ -84,7 +84,11 @@ pub fn fuse_graph(graph: &Graph) -> Graph {
                     break;
                 }
                 // Other inputs must precede the chain head.
-                if next.inputs.iter().any(|&i| i != tail && i.0 >= node.id.0) {
+                if graph
+                    .inputs(next_id)
+                    .iter()
+                    .any(|&i| i != tail && i.0 >= node.id.0)
+                {
                     break;
                 }
                 // Element-flow compatibility.
@@ -125,16 +129,13 @@ pub fn fuse_graph(graph: &Graph) -> Graph {
         let name = if chain.len() == 1 {
             head.name.clone()
         } else {
-            let names: Vec<&str> = chain
-                .iter()
-                .map(|&id| graph.node(id).name.as_str())
-                .collect();
-            format!("fused({})", names.join("+"))
+            let names: Vec<String> = chain.iter().map(|&id| graph.node(id).name()).collect();
+            format!("fused({})", names.join("+")).into()
         };
         // External inputs: every member input that is outside the chain.
         let mut inputs: Vec<NodeId> = Vec::new();
         for &member in chain {
-            for &input in &graph.node(member).inputs {
+            for &input in graph.inputs(member) {
                 if chain.contains(&input) {
                     continue;
                 }
@@ -212,7 +213,7 @@ mod tests {
         let fused = fuse_graph(&g);
         let has_add_ln = fused
             .iter()
-            .any(|n| n.name.contains("attn.residual") && n.name.contains("ffn.norm"));
+            .any(|n| n.name().contains("attn.residual") && n.name().contains("ffn.norm"));
         assert!(has_add_ln, "expected residual+norm fusion");
     }
 

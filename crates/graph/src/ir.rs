@@ -10,9 +10,10 @@
 //! kernels sequentially per device, §2.2).
 
 use neusight_gpu::{DType, GpuError, OpClass, OpDesc};
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a node inside one [`Graph`] (its position in execution
 /// order).
@@ -25,6 +26,11 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// Identifier of a distinct kernel in a [`Graph`]'s kernel table (its
+/// position in first-seen node order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct KernelId(pub usize);
+
 /// Which pass of an iteration a node belongs to. Pipeline-parallel
 /// scheduling needs forward and backward latencies separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -36,37 +42,164 @@ pub enum Phase {
     Backward,
 }
 
-/// One kernel-level operation in the dataflow graph.
+/// A node name, kept as the static parts and indices the zoo's builders
+/// compose it from and rendered on demand: a training graph names ~1000
+/// nodes from a handful of parts, so only free-form names (fusion,
+/// hand-built graphs) own a string.
+#[derive(Debug, Clone)]
+pub struct NodeName {
+    base: BaseName,
+    /// Backward nodes render as `{base}.grad{i}`.
+    grad: Option<u32>,
+}
+
+#[derive(Debug, Clone)]
+enum BaseName {
+    Static(&'static str),
+    Owned(Arc<str>),
+    /// `{scope}.{suffix}`, the scope carrying indices `i` and `j`.
+    Scoped(Scope, u32, u32, &'static str),
+}
+
+/// The indexed scopes the zoo's builders name nodes in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Scope {
+    /// `layer{i}`: a transformer block.
+    Layer,
+    /// `layer{i}.moe.expert{j}`: one expert of a mixture-of-experts block.
+    Expert,
+    /// `stage{i}`: a CNN stage.
+    Stage,
+    /// `stage{i}.block{j}`: a ResNet bottleneck block.
+    Block,
+    /// `stage{i}.conv{j}`: a VGG convolution.
+    Conv,
+}
+
+impl NodeName {
+    /// `{scope}.{suffix}`, e.g. `layer3.attn.qkv` or `stage1.block2.a.conv`;
+    /// scopes with one index ignore `j`.
+    #[must_use]
+    pub(crate) fn scoped(scope: Scope, i: u64, j: u64, suffix: &'static str) -> NodeName {
+        let index = |x: u64| u32::try_from(x).expect("name index fits in u32");
+        BaseName::Scoped(scope, index(i), index(j), suffix).into()
+    }
+
+    /// The name of this forward node's `index`-th gradient kernel:
+    /// `{self}.grad{index}`.
+    #[must_use]
+    pub(crate) fn grad(&self, index: usize) -> NodeName {
+        debug_assert!(self.grad.is_none(), "only forward nodes have gradients");
+        let grad = Some(u32::try_from(index).expect("gradient index fits in u32"));
+        NodeName {
+            grad,
+            ..self.clone()
+        }
+    }
+}
+
+impl From<BaseName> for NodeName {
+    fn from(base: BaseName) -> NodeName {
+        NodeName { base, grad: None }
+    }
+}
+
+impl From<&'static str> for NodeName {
+    fn from(name: &'static str) -> NodeName {
+        BaseName::Static(name).into()
+    }
+}
+
+impl From<String> for NodeName {
+    fn from(name: String) -> NodeName {
+        BaseName::Owned(name.into()).into()
+    }
+}
+
+impl fmt::Display for NodeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.base {
+            BaseName::Static(name) => f.write_str(name)?,
+            BaseName::Owned(name) => f.write_str(name)?,
+            BaseName::Scoped(scope, i, j, suffix) => match scope {
+                Scope::Layer => write!(f, "layer{i}.{suffix}")?,
+                Scope::Expert => write!(f, "layer{i}.moe.expert{j}.{suffix}")?,
+                Scope::Stage => write!(f, "stage{i}.{suffix}")?,
+                Scope::Block => write!(f, "stage{i}.block{j}.{suffix}")?,
+                Scope::Conv => write!(f, "stage{i}.conv{j}.{suffix}")?,
+            },
+        }
+        self.grad.map_or(Ok(()), |i| write!(f, ".grad{i}"))
+    }
+}
+
+/// Names are equal when they render the same, however they are stored.
+impl PartialEq for NodeName {
+    fn eq(&self, other: &NodeName) -> bool {
+        self.to_string() == other.to_string()
+    }
+}
+
+impl Serialize for NodeName {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+}
+
+impl Deserialize for NodeName {
+    fn from_value(v: &Value) -> Result<NodeName, serde::Error> {
+        String::from_value(v).map(NodeName::from)
+    }
+}
+
+/// One kernel-level operation in the dataflow graph. Its inputs live in
+/// the graph's flat input list ([`Graph::inputs`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Node {
     /// Position in execution order.
     pub id: NodeId,
-    /// Human-readable name, e.g. `"layer3.attn.qkv"`.
-    pub name: String,
+    pub(crate) name: NodeName,
     /// The kernel this node executes.
     pub op: OpDesc,
-    /// Dataflow predecessors.
-    pub inputs: Vec<NodeId>,
+    /// The entry of [`Graph::kernels`] equal to `op`.
+    pub kernel: KernelId,
     /// Forward or backward pass.
     pub phase: Phase,
+    inputs: (u32, u32),
 }
 
-/// A topologically ordered dataflow graph of kernel nodes.
+impl Node {
+    /// Human-readable name, e.g. `"layer3.attn.qkv"`.
+    #[must_use]
+    pub fn name(&self) -> String {
+        self.name.to_string()
+    }
+}
+
+/// A topologically ordered dataflow graph of kernel nodes, with a kernel
+/// table holding each distinct [`OpDesc`] once.
 ///
 /// ```
-/// use neusight_graph::{Graph, Phase};
+/// use neusight_graph::{Graph, KernelId, Phase};
 /// use neusight_gpu::{EwKind, OpDesc};
 ///
 /// let mut g = Graph::new("tiny");
 /// let a = g.add("fc1", OpDesc::fc(32, 128, 128), &[]);
 /// let b = g.add("act", OpDesc::elementwise(EwKind::Relu, 32 * 128), &[a]);
-/// assert_eq!(g.len(), 2);
-/// assert!(g.node(b).inputs.contains(&a));
+/// let c = g.add("fc2", OpDesc::fc(32, 128, 128), &[b]);
+/// assert_eq!(g.len(), 3);
+/// assert!(g.inputs(b).contains(&a));
+/// assert_eq!(g.kernels().len(), 2);
+/// assert_eq!(g.node(c).kernel, KernelId(0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Graph {
     name: String,
+    kernels: Vec<OpDesc>,
+    /// `kernels` ids in op order, for interning by binary search.
+    sorted: Vec<KernelId>,
     nodes: Vec<Node>,
+    inputs: Vec<NodeId>,
 }
 
 impl Graph {
@@ -75,7 +208,7 @@ impl Graph {
     pub fn new(name: impl Into<String>) -> Graph {
         Graph {
             name: name.into(),
-            nodes: Vec::new(),
+            ..Graph::default()
         }
     }
 
@@ -90,7 +223,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if any input id does not refer to an existing node.
-    pub fn add(&mut self, name: impl Into<String>, op: OpDesc, inputs: &[NodeId]) -> NodeId {
+    pub fn add(&mut self, name: impl Into<NodeName>, op: OpDesc, inputs: &[NodeId]) -> NodeId {
         self.add_in_phase(name, op, inputs, Phase::Forward)
     }
 
@@ -101,8 +234,34 @@ impl Graph {
     /// Panics if any input id does not refer to an existing node.
     pub fn add_in_phase(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<NodeName>,
         op: OpDesc,
+        inputs: &[NodeId],
+        phase: Phase,
+    ) -> NodeId {
+        let kernel = self.intern(&op);
+        self.push(name.into(), op, kernel, inputs, phase)
+    }
+
+    /// The kernel-table entry equal to `op`, appended if it is new.
+    pub(crate) fn intern(&mut self, op: &OpDesc) -> KernelId {
+        match self.sorted.binary_search_by(|k| self.kernels[k.0].cmp(op)) {
+            Ok(i) => self.sorted[i],
+            Err(i) => {
+                let kernel = KernelId(self.kernels.len());
+                self.kernels.push(op.clone());
+                self.sorted.insert(i, kernel);
+                kernel
+            }
+        }
+    }
+
+    /// Appends a node whose op is already interned as `kernel`.
+    pub(crate) fn push(
+        &mut self,
+        name: NodeName,
+        op: OpDesc,
+        kernel: KernelId,
         inputs: &[NodeId],
         phase: Phase,
     ) -> NodeId {
@@ -112,13 +271,18 @@ impl Graph {
                 "input {input} does not exist yet (graph is append-only)"
             );
         }
+        let offset = |len: usize| u32::try_from(len).expect("graph inputs fit in u32");
         let id = NodeId(self.nodes.len());
+        let start = offset(self.inputs.len());
+        self.inputs.extend_from_slice(inputs);
+        let inputs = (start, offset(self.inputs.len()));
         self.nodes.push(Node {
             id,
-            name: name.into(),
+            name,
             op,
-            inputs: inputs.to_vec(),
+            kernel,
             phase,
+            inputs,
         });
         id
     }
@@ -145,6 +309,33 @@ impl Graph {
         &self.nodes[id.0]
     }
 
+    /// Dataflow predecessors of a node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[must_use]
+    pub fn inputs(&self, id: NodeId) -> &[NodeId] {
+        let (start, end) = self.nodes[id.0].inputs;
+        &self.inputs[start as usize..end as usize]
+    }
+
+    /// The distinct kernels, in the order nodes first use them.
+    #[must_use]
+    pub fn kernels(&self) -> &[OpDesc] {
+        &self.kernels
+    }
+
+    /// Borrow of a kernel-table entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[must_use]
+    pub fn kernel(&self, id: KernelId) -> &OpDesc {
+        &self.kernels[id.0]
+    }
+
     /// Iterates nodes in execution order.
     pub fn iter(&self) -> std::slice::Iter<'_, Node> {
         self.nodes.iter()
@@ -159,16 +350,11 @@ impl Graph {
     /// Ids of nodes that no other node consumes (graph outputs).
     #[must_use]
     pub fn sinks(&self) -> Vec<NodeId> {
-        let mut consumed = vec![false; self.nodes.len()];
-        for node in &self.nodes {
-            for input in &node.inputs {
-                consumed[input.0] = true;
-            }
-        }
-        self.nodes
+        self.consumer_counts()
             .iter()
-            .filter(|n| !consumed[n.id.0])
-            .map(|n| n.id)
+            .enumerate()
+            .filter(|&(_, &count)| count == 0)
+            .map(|(i, _)| NodeId(i))
             .collect()
     }
 
@@ -176,10 +362,8 @@ impl Graph {
     #[must_use]
     pub fn consumer_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.nodes.len()];
-        for node in &self.nodes {
-            for input in &node.inputs {
-                counts[input.0] += 1;
-            }
+        for input in &self.inputs {
+            counts[input.0] += 1;
         }
         counts
     }
@@ -192,7 +376,7 @@ impl Graph {
     /// violation. Graphs built through [`Graph::add`] always validate.
     pub fn validate(&self) -> Result<(), GpuError> {
         for node in &self.nodes {
-            for input in &node.inputs {
+            for input in self.inputs(node.id) {
                 if input.0 >= node.id.0 {
                     return Err(GpuError::InvalidDimension {
                         context: "graph topology",
@@ -216,18 +400,6 @@ impl Graph {
         self.nodes.iter().map(|n| n.op.memory_bytes(dtype)).sum()
     }
 
-    /// Node counts per predictor family.
-    #[must_use]
-    pub fn class_histogram(&self) -> BTreeMap<String, usize> {
-        let mut hist = BTreeMap::new();
-        for node in &self.nodes {
-            *hist
-                .entry(node.op.op_class().name().to_owned())
-                .or_insert(0) += 1;
-        }
-        hist
-    }
-
     /// Nodes belonging to the given phase.
     pub fn phase_nodes(&self, phase: Phase) -> impl Iterator<Item = &Node> {
         self.nodes.iter().filter(move |n| n.phase == phase)
@@ -248,14 +420,8 @@ impl fmt::Display for Graph {
         writeln!(f, "graph `{}` ({} nodes):", self.name, self.nodes.len())?;
         for node in &self.nodes {
             write!(f, "  {} = {} [{}]", node.id, node.op, node.name)?;
-            if !node.inputs.is_empty() {
-                write!(f, " <- ")?;
-                for (i, input) in node.inputs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{input}")?;
-                }
+            for (i, input) in self.inputs(node.id).iter().enumerate() {
+                write!(f, "{}{input}", if i == 0 { " <- " } else { ", " })?;
             }
             writeln!(f)?;
         }
@@ -313,14 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_by_class() {
-        let g = diamond();
-        let hist = g.class_histogram();
-        assert_eq!(hist.get("fc"), Some(&1));
-        assert_eq!(hist.get("elementwise"), Some(&3));
-    }
-
-    #[test]
     fn phases_filter() {
         let mut g = Graph::new("phased");
         let a = g.add("f", OpDesc::fc(2, 2, 2), &[]);
@@ -341,8 +499,11 @@ mod tests {
     fn serde_round_trip() {
         let g = diamond();
         let json = serde_json::to_string(&g).unwrap();
-        let back: Graph = serde_json::from_str(&json).unwrap();
+        let mut back: Graph = serde_json::from_str(&json).unwrap();
         assert_eq!(g, back);
+        // The kernel index survives the round trip: a known op reuses its entry.
+        let _ = back.add("again", OpDesc::fc(4, 8, 8), &[]);
+        assert_eq!(back.kernels().len(), g.kernels().len());
     }
 
     #[test]

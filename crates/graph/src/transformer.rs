@@ -10,7 +10,7 @@
 
 use crate::backward::append_backward;
 use crate::config::{ModelConfig, TaskKind};
-use crate::ir::{Graph, NodeId};
+use crate::ir::{Graph, NodeId, NodeName, Scope};
 use neusight_gpu::{EwKind, OpDesc};
 
 /// Builds the inference graph for `cfg` at the given batch size.
@@ -76,42 +76,42 @@ pub fn decode_graph(cfg: &ModelConfig, batch_size: u64, context_len: u64) -> Gra
         &[embed],
     );
     for layer in 0..cfg.num_layers {
-        let p = |suffix: &str| format!("layer{layer}.decode.{suffix}");
-        let ln1 = g.add(p("attn.norm"), OpDesc::layer_norm(b, h), &[x]);
-        let qkv = g.add(p("attn.qkv"), OpDesc::fc(b, h, 3 * h), &[ln1]);
+        let p = |suffix| NodeName::scoped(Scope::Layer, layer, 0, suffix);
+        let ln1 = g.add(p("decode.attn.norm"), OpDesc::layer_norm(b, h), &[x]);
+        let qkv = g.add(p("decode.attn.qkv"), OpDesc::fc(b, h, 3 * h), &[ln1]);
         // One query row attends over the whole cached context: the BMM
         // operand reads are exactly the KV-cache traffic.
         let scores = g.add(
-            p("attn.scores"),
+            p("decode.attn.scores"),
             OpDesc::bmm(b * heads, 1, context_len, head_dim),
             &[qkv],
         );
         let probs = g.add(
-            p("attn.softmax"),
+            p("decode.attn.softmax"),
             OpDesc::softmax(b * heads, context_len),
             &[scores],
         );
         let context = g.add(
-            p("attn.context"),
+            p("decode.attn.context"),
             OpDesc::bmm(b * heads, 1, head_dim, context_len),
             &[probs, qkv],
         );
-        let attn_out = g.add(p("attn.out_proj"), OpDesc::fc(b, h, h), &[context]);
+        let attn_out = g.add(p("decode.attn.out_proj"), OpDesc::fc(b, h, h), &[context]);
         let res1 = g.add(
-            p("attn.residual"),
+            p("decode.attn.residual"),
             OpDesc::elementwise(EwKind::Add, b * h),
             &[attn_out, x],
         );
-        let ln2 = g.add(p("ffn.norm"), OpDesc::layer_norm(b, h), &[res1]);
-        let up = g.add(p("ffn.up"), OpDesc::fc(b, h, cfg.ffn_dim), &[ln2]);
+        let ln2 = g.add(p("decode.ffn.norm"), OpDesc::layer_norm(b, h), &[res1]);
+        let up = g.add(p("decode.ffn.up"), OpDesc::fc(b, h, cfg.ffn_dim), &[ln2]);
         let act = g.add(
-            p("ffn.gelu"),
+            p("decode.ffn.gelu"),
             OpDesc::elementwise(EwKind::Gelu, b * cfg.ffn_dim),
             &[up],
         );
-        let down = g.add(p("ffn.down"), OpDesc::fc(b, cfg.ffn_dim, h), &[act]);
+        let down = g.add(p("decode.ffn.down"), OpDesc::fc(b, cfg.ffn_dim, h), &[act]);
         x = g.add(
-            p("ffn.residual"),
+            p("decode.ffn.residual"),
             OpDesc::elementwise(EwKind::Add, b * h),
             &[down, res1],
         );
@@ -244,7 +244,7 @@ pub fn append_block(
     let seq = cfg.seq_len;
     let heads = cfg.num_heads;
     let head_dim = cfg.head_dim();
-    let p = |suffix: &str| format!("layer{layer}.{suffix}");
+    let p = |suffix| NodeName::scoped(Scope::Layer, layer, 0, suffix);
 
     // ---- Attention ----
     let ln1 = g.add(p("attn.norm"), OpDesc::layer_norm(tokens, h), &[input]);
@@ -296,7 +296,7 @@ pub fn append_block(
             // All tokens flow through `active_experts` expert(s).
             let mut expert_out = ln2;
             for e in 0..moe.active_experts {
-                let pe = |suffix: &str| format!("layer{layer}.moe.expert{e}.{suffix}");
+                let pe = |suffix| NodeName::scoped(Scope::Expert, layer, e, suffix);
                 let up = g.add(pe("up"), OpDesc::fc(tokens, h, cfg.ffn_dim), &[expert_out]);
                 let act = g.add(
                     pe("gelu"),
@@ -323,7 +323,7 @@ fn dense_ffn(
     g: &mut Graph,
     cfg: &ModelConfig,
     tokens: u64,
-    p: &dyn Fn(&str) -> String,
+    p: &dyn Fn(&'static str) -> NodeName,
     input: NodeId,
 ) -> NodeId {
     let up = g.add(
@@ -363,10 +363,10 @@ mod tests {
     #[test]
     fn classification_vs_generation_heads() {
         let bert = inference_graph(&config::bert_large(), 8);
-        assert!(bert.iter().any(|n| n.name == "classifier"));
-        assert!(!bert.iter().any(|n| n.name == "lm_head.last"));
+        assert!(bert.iter().any(|n| n.name() == "classifier"));
+        assert!(!bert.iter().any(|n| n.name() == "lm_head.last"));
         let gpt = inference_graph(&config::gpt3_xl(), 4);
-        assert!(gpt.iter().any(|n| n.name == "lm_head.last"));
+        assert!(gpt.iter().any(|n| n.name() == "lm_head.last"));
     }
 
     #[test]
@@ -407,9 +407,9 @@ mod tests {
     #[test]
     fn moe_router_present_only_for_switch() {
         let switch = inference_graph(&config::switch_transformer(), 4);
-        assert!(switch.iter().any(|n| n.name.contains("moe.router")));
+        assert!(switch.iter().any(|n| n.name().contains("moe.router")));
         let gpt = inference_graph(&config::gpt2_large(), 4);
-        assert!(!gpt.iter().any(|n| n.name.contains("moe")));
+        assert!(!gpt.iter().any(|n| n.name().contains("moe")));
     }
 
     #[test]
@@ -418,7 +418,7 @@ mod tests {
         let g = inference_graph(&cfg, 1);
         let scores = g
             .iter()
-            .find(|n| n.name == "layer0.attn.scores")
+            .find(|n| n.name() == "layer0.attn.scores")
             .expect("scores node");
         match scores.op {
             OpDesc::Bmm { batch, m, n, k } => {
@@ -493,7 +493,7 @@ mod tests {
         let long = decode_graph(&cfg, 1, 2048);
         assert!(long.total_memory_bytes(DType::F32) > short.total_memory_bytes(DType::F32));
         // GEMM rows stay at batch=1 regardless of context.
-        let qkv = long.iter().find(|n| n.name.contains("attn.qkv")).unwrap();
+        let qkv = long.iter().find(|n| n.name().contains("attn.qkv")).unwrap();
         assert!(matches!(qkv.op, OpDesc::Fc { batch: 1, .. }));
     }
 

@@ -8,7 +8,7 @@ use crate::model::{ModelEpoch, ModelHandle};
 use neusight_baselines::OpLatencyPredictor;
 use neusight_core::NeuSight;
 use neusight_fault::{BreakerConfig, BreakerState, CircuitBreaker};
-use neusight_gpu::{catalog, GpuSpec};
+use neusight_gpu::{catalog, GpuSpec, OpClass, OpDesc};
 use neusight_graph::{config, workload_graph, Graph};
 use neusight_obs as obs;
 use serde::{Deserialize, Serialize};
@@ -558,12 +558,8 @@ impl PredictService {
                 let (model, spec, graph) = slot?;
                 let (total_s, forward_s, backward_s, per_node_s) = if degraded {
                     obs::metrics::counter("serve.degraded.responses").inc();
-                    let baseline = current.baseline();
-                    let lat = baseline.predict_graph(&graph, &spec);
-                    let per_node_s: Vec<f64> = graph
-                        .iter()
-                        .map(|node| baseline.predict_op(&node.op, &spec))
-                        .collect();
+                    let (lat, kernel_s) = current.baseline().predict_graph_by_kernel(&graph, &spec);
+                    let per_node_s = graph.iter().map(|node| kernel_s[node.kernel.0]).collect();
                     (lat.total_s, lat.forward_s, lat.backward_s, per_node_s)
                 } else {
                     let pred = predictions.next().ok_or_else(|| {
@@ -576,12 +572,18 @@ impl PredictService {
                         pred.per_node_s,
                     )
                 };
-                let mut per_family_ms: BTreeMap<String, f64> = BTreeMap::new();
+                // Per-family sums in node order, keyed by class until the
+                // (at most six) map keys are built.
+                let class_of: Vec<OpClass> = graph.kernels().iter().map(OpDesc::op_class).collect();
+                let mut family_ms: [Option<f64>; OpClass::ALL.len()] = Default::default();
                 for (node, lat) in graph.iter().zip(&per_node_s) {
-                    *per_family_ms
-                        .entry(node.op.op_class().name().to_owned())
-                        .or_insert(0.0) += lat * 1e3;
+                    *family_ms[class_of[node.kernel.0] as usize].get_or_insert(0.0) += lat * 1e3;
                 }
+                let per_family_ms = OpClass::ALL
+                    .iter()
+                    .zip(family_ms)
+                    .filter_map(|(class, ms)| Some((class.name().to_owned(), ms?)))
+                    .collect();
                 Ok(PredictResponse {
                     model,
                     gpu: spec.name().to_owned(),

@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nhottest kernels:");
     for (idx, lat) in indexed.into_iter().take(5) {
         let node = g.node(neusight::graph::NodeId(idx));
-        println!("  {:<28} {:>8.3} ms  ({})", node.name, lat * 1e3, node.op);
+        println!("  {:<28} {:>8.3} ms  ({})", node.name(), lat * 1e3, node.op);
     }
     Ok(())
 }
