@@ -650,25 +650,6 @@ impl NeuSight {
         self.cache.shard_stats()
     }
 
-    /// Publishes per-shard cache gauges through obs (no-op while
-    /// observability is disabled): `core.predict_cache.entries.shard<i>`,
-    /// `.hits.shard<i>`, `.evictions.shard<i>` plus `.total` aggregates,
-    /// and the legacy `core.predict_cache.size` gauge.
-    #[allow(clippy::cast_precision_loss)]
-    pub fn publish_cache_metrics(&self) {
-        if !obs::enabled() {
-            return;
-        }
-        let stats = self.cache.shard_stats();
-        let entries: Vec<f64> = stats.iter().map(|s| s.entries as f64).collect();
-        let hits: Vec<f64> = stats.iter().map(|s| s.hits as f64).collect();
-        let evictions: Vec<f64> = stats.iter().map(|s| s.evictions as f64).collect();
-        obs::metrics::set_sharded_gauges("core.predict_cache.entries", &entries);
-        obs::metrics::set_sharded_gauges("core.predict_cache.hits", &hits);
-        obs::metrics::set_sharded_gauges("core.predict_cache.evictions", &evictions);
-        self.cache.publish_size();
-    }
-
     /// Predicts per-device latency of a whole dataflow graph by summing
     /// kernel predictions in execution order (§5: kernels run
     /// sequentially per device).

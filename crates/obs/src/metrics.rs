@@ -326,22 +326,6 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     get_or_insert(&registry().histograms, name)
 }
 
-/// Publishes one value per shard plus the aggregate for a sharded data
-/// structure: gauges `{prefix}.shard{i}` for each shard and
-/// `{prefix}.total` for the sum. No-op while observability is disabled
-/// (the early return also skips registering the per-shard names).
-pub fn set_sharded_gauges(prefix: &str, values: &[f64]) {
-    if !enabled() {
-        return;
-    }
-    let mut total = 0.0;
-    for (i, v) in values.iter().enumerate() {
-        gauge(&format!("{prefix}.shard{i}")).set(*v);
-        total += v;
-    }
-    gauge(&format!("{prefix}.total")).set(total);
-}
-
 /// Zeroes every registered metric **in place**: cached handles stay valid
 /// and keep writing into the same cells.
 pub fn reset() {
@@ -504,18 +488,6 @@ mod tests {
         assert_eq!(a.get(), 0);
         assert_eq!(g.get(), 0.0);
         assert_eq!(snapshot().counters.get("obs.test.shared"), Some(&0));
-    }
-
-    #[test]
-    fn sharded_gauges_publish_per_shard_and_total() {
-        let _guard = test_lock::hold();
-        crate::set_enabled(true);
-        set_sharded_gauges("obs.test.sharded", &[1.0, 2.0, 4.0]);
-        crate::set_enabled(false);
-        let snap = snapshot();
-        assert_eq!(snap.gauges.get("obs.test.sharded.shard0"), Some(&1.0));
-        assert_eq!(snap.gauges.get("obs.test.sharded.shard2"), Some(&4.0));
-        assert_eq!(snap.gauges.get("obs.test.sharded.total"), Some(&7.0));
     }
 
     #[test]

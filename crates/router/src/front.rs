@@ -426,7 +426,7 @@ impl Service for Front {
         io: &mut Io<Response>,
         ticket: u64,
         request: &Request<'_>,
-        trace: &obs::TraceContext,
+        trace: &mut obs::TraceContext,
     ) -> Step<Option<Forward>> {
         const ROUTES: [&str; 7] = [
             "/healthz",

@@ -12,15 +12,6 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// Outcome of [`Client::post_json_with_retry`].
-#[derive(Debug, Clone)]
-pub struct RetriedResponse {
-    /// The final response (any status — 429 only if the budget ran out).
-    pub response: ClientResponse,
-    /// 429-triggered retries performed before this response.
-    pub retries: u32,
-}
-
 /// A keep-alive connection to one server.
 pub struct Client {
     stream: TcpStream,
@@ -252,40 +243,6 @@ impl Client {
     /// Propagates I/O failures and malformed responses.
     pub fn post_octets(&mut self, path: &str, body: &[u8]) -> io::Result<ClientResponse> {
         self.request("POST", path, Some(("application/octet-stream", body)), &[])
-    }
-
-    /// Issues a POST, honoring `429 Too Many Requests`: on a 429, sleeps
-    /// for the server's `Retry-After` hint (clamped to `max_wait`) and
-    /// retries, up to `max_retries` times. Any other status returns
-    /// immediately; a final 429 is returned once the budget is spent, so
-    /// callers still see the overload instead of an error.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures and malformed responses.
-    pub fn post_json_with_retry(
-        &mut self,
-        path: &str,
-        body: &str,
-        max_retries: u32,
-        max_wait: Duration,
-    ) -> io::Result<RetriedResponse> {
-        let mut retries = 0u32;
-        loop {
-            let response = self.post_json(path, body)?;
-            if response.status != 429 || retries >= max_retries {
-                return Ok(RetriedResponse { response, retries });
-            }
-            let hint_s: u64 = response
-                .header("retry-after")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1);
-            let wait = Duration::from_secs(hint_s).min(max_wait);
-            if !wait.is_zero() {
-                std::thread::sleep(wait);
-            }
-            retries += 1;
-        }
     }
 
     fn request(

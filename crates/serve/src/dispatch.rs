@@ -2,13 +2,16 @@
 //! the admission queue, enforces per-request deadlines, and serves each
 //! drained batch with one [`PredictService::predict_batch`] call — so
 //! concurrent predict requests collapse into one MLP dispatch per
-//! `(GPU, op family)` instead of one per request.
+//! `(GPU, op family)` instead of one per request. (A response-memo hit
+//! gets here only when the event loop may not answer it itself; see
+//! `server.rs`.)
 
+use crate::model::ModelEpoch;
 use crate::queue::BoundedQueue;
 use crate::service::{PredictRequest, PredictService, ServeError};
 use neusight_guard as guard;
 use neusight_obs as obs;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -16,9 +19,17 @@ use std::time::{Duration, Instant};
 /// render.
 pub type ReplyResult = Result<Arc<str>, ServeError>;
 
-/// What the dispatcher posts for one finished job: the reply and the
-/// stage-stamped trace.
-pub type Completed = (ReplyResult, obs::TraceContext);
+/// What the dispatcher posts for one finished job.
+pub struct Completed {
+    /// The reply.
+    pub result: ReplyResult,
+    /// The model generation the batch was served under. Its version
+    /// labels the answer, even if a swap lands before the event loop
+    /// delivers it.
+    pub model: Arc<ModelEpoch>,
+    /// The stage-stamped trace.
+    pub trace: obs::TraceContext,
+}
 
 /// A mailbox for background completions destined for an event loop: a
 /// worker pushes `(ticket, value)` pairs and fires the wake callback (the
@@ -63,11 +74,20 @@ pub struct Reply {
 }
 
 impl Reply {
-    /// Delivers the result along with the stage-stamped trace. A ticket
-    /// the event loop no longer waits for (connection closed, deadline
-    /// fired) is dropped there: the prediction is memoized either way.
-    pub fn send(self, result: ReplyResult, trace: obs::TraceContext) {
-        self.completions.push(self.token, (result, trace));
+    /// Delivers the result along with its model generation and the
+    /// stage-stamped trace. A ticket the event loop no longer waits for
+    /// (connection closed, deadline fired) is dropped there: the
+    /// prediction is memoized either way.
+    pub fn send(self, result: ReplyResult, model: &Arc<ModelEpoch>, trace: obs::TraceContext) {
+        let model = Arc::clone(model);
+        self.completions.push(
+            self.token,
+            Completed {
+                result,
+                model,
+                trace,
+            },
+        );
     }
 }
 
@@ -122,37 +142,34 @@ impl DispatchMetrics {
     }
 }
 
-/// Runs the dispatch loop until `stop` is set **and** the queue is empty
-/// — so a graceful drain serves every admitted request before the thread
-/// exits.
+/// Runs the dispatch loop until the queue is closed **and** empty — so a
+/// graceful drain serves every admitted request before the thread exits.
+/// Between batches the thread sleeps on the queue's condvar: an idle
+/// dispatcher does not wake until a push or the close.
 pub fn run(
     service: &PredictService,
     queue: &BoundedQueue<Job>,
     config: &DispatchConfig,
-    stop: &AtomicBool,
     sojourn_ms: &AtomicU64,
 ) {
     let metrics = DispatchMetrics::new();
-    loop {
-        let Some(first) = queue.pop_timeout(Duration::from_millis(20)) else {
-            // An empty queue means no standing backlog: clear the
-            // congestion signal so Retry-After and the router's shed
-            // controller see an honest zero.
-            sojourn_ms.store(0, Ordering::Relaxed);
-            metrics.sojourn_ms.set(0.0);
-            if stop.load(Ordering::SeqCst) && queue.is_empty() {
-                return;
-            }
-            continue;
-        };
+    while let Some(first) = queue.pop_wait() {
         if !config.batch_window.is_zero() {
             std::thread::sleep(config.batch_window);
         }
         let mut jobs = vec![first];
         jobs.extend(queue.drain_up_to(config.max_batch.saturating_sub(1)));
         serve_batch(service, config, &metrics, jobs, sojourn_ms);
+        let depth = queue.len();
         #[allow(clippy::cast_precision_loss)]
-        metrics.queue_depth.set(queue.len() as f64);
+        metrics.queue_depth.set(depth as f64);
+        if depth == 0 {
+            // An empty queue means no standing backlog: clear the
+            // congestion signal so Retry-After and the router's shed
+            // controller see an honest zero.
+            sojourn_ms.store(0, Ordering::Relaxed);
+            metrics.sojourn_ms.set(0.0);
+        }
     }
 }
 
@@ -171,6 +188,9 @@ fn serve_batch(
     if !config.service_delay.is_zero() {
         std::thread::sleep(config.service_delay);
     }
+    // One model generation for the whole batch: it computes every body
+    // and labels every answer.
+    let model = service.neusight();
     let now = Instant::now();
     // CoDel discipline: the congestion signal is the *minimum* sojourn
     // across the batch — nonzero only when even the youngest job had to
@@ -192,6 +212,7 @@ fn serve_batch(
                     status: 504,
                     message: "deadline exceeded while queued".to_owned(),
                 }),
+                &model,
                 trace,
             );
         } else {
@@ -219,7 +240,7 @@ fn serve_batch(
     obs::trace::begin_predict_marks();
     let attempt = guard::catch("serve.dispatch.batch", || {
         guard::inject_panic();
-        service.predict_batch_serialized(&requests)
+        service.predict_batch_serialized_with(&model, &requests)
     });
     obs::trace::finish_predict_marks();
     match attempt {
@@ -230,7 +251,7 @@ fn serve_batch(
                 // memoized, so the work is not wasted.
                 job.trace.stamp(obs::Stage::Predict);
                 let Job { reply, trace, .. } = job;
-                reply.send(result, trace);
+                reply.send(result, &model, trace);
             }
         }
         Err(_) => {
@@ -242,7 +263,7 @@ fn serve_batch(
                 let result = guard::catch("serve.dispatch.retry", || {
                     guard::inject_panic();
                     service
-                        .predict_batch_serialized(std::slice::from_ref(&job.request))
+                        .predict_batch_serialized_with(&model, std::slice::from_ref(&job.request))
                         .pop()
                         .unwrap_or_else(|| {
                             Err(ServeError::internal("predict_batch returned no result"))
@@ -255,8 +276,81 @@ fn serve_batch(
                 });
                 job.trace.stamp(obs::Stage::Predict);
                 let Job { reply, trace, .. } = job;
-                reply.send(result, trace);
+                reply.send(result, &model, trace);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lifecycle::LifecycleConfig;
+    use neusight_core::{NeuSight, NeuSightConfig};
+    use neusight_data::{collect_training_set, training_gpus, SweepScale};
+    use neusight_fault::BreakerConfig;
+    use neusight_gpu::DType;
+    use std::sync::OnceLock;
+
+    fn trained() -> NeuSight {
+        static CELL: OnceLock<NeuSight> = OnceLock::new();
+        CELL.get_or_init(|| {
+            let data = collect_training_set(&training_gpus(), SweepScale::Tiny, DType::F32);
+            NeuSight::train(&data, &NeuSightConfig::tiny()).expect("tiny training")
+        })
+        .clone()
+    }
+
+    /// A swap that lands between the predict and the delivery must not
+    /// relabel the answer: the completion names the generation that
+    /// computed the body, and so does the rendered `X-Model-Version`.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn completions_carry_the_generation_that_computed_them() {
+        let service = PredictService::with_version(
+            "v1",
+            trained(),
+            BreakerConfig::default(),
+            LifecycleConfig::default(),
+        );
+        let completions = Completions::new(|| {});
+        let job = Job {
+            request: PredictRequest {
+                model: "bert".to_owned(),
+                gpu: "T4".to_owned(),
+                batch: 1,
+                train: false,
+                fused: false,
+                detail: false,
+            },
+            enqueued: Instant::now(),
+            deadline: Instant::now() + Duration::from_secs(10),
+            reply: Reply {
+                token: 7,
+                completions: Arc::clone(&completions),
+            },
+            trace: obs::TraceContext::start(None),
+        };
+        let config = DispatchConfig {
+            max_batch: 1,
+            batch_window: Duration::ZERO,
+            service_delay: Duration::ZERO,
+        };
+        let metrics = DispatchMetrics::new();
+        serve_batch(&service, &config, &metrics, vec![job], &AtomicU64::new(0));
+        service.install_model("v2", trained());
+
+        let (ticket, completed) = completions.drain().pop().expect("one completion");
+        assert_eq!(ticket, 7);
+        assert_eq!(completed.model.version(), "v1");
+        assert_eq!(service.model_version(), "v2");
+        let response = crate::server::predict_response(completed.result, &completed.model);
+        assert_eq!(response.status, 200);
+        let version = response
+            .headers
+            .iter()
+            .find(|(name, _)| name == "X-Model-Version")
+            .map(|(_, value)| value.as_str());
+        assert_eq!(version, Some("v1"));
     }
 }

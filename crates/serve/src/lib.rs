@@ -57,7 +57,7 @@ pub mod signal;
 mod sys;
 mod timer;
 
-pub use client::{Client, ClientResponse, RetriedResponse};
+pub use client::{Client, ClientResponse};
 pub use lifecycle::{
     golden_mape, golden_ops, golden_sanity, LifecycleConfig, ReloadOutcome, ReloadRequest,
 };

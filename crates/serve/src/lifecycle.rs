@@ -203,6 +203,11 @@ impl Lifecycle {
         }
     }
 
+    /// Whether a reload is shadowing or observing (one atomic load).
+    pub(crate) fn is_active(&self) -> bool {
+        self.active.load(Ordering::SeqCst)
+    }
+
     fn set_state(&self, state: State) {
         let active = !matches!(state, State::Idle);
         *neusight_guard::recover_poison(self.state.lock()) = state;
@@ -484,7 +489,7 @@ impl PredictService {
         for _ in requests {
             self.lifecycle.bucket.on_request();
         }
-        if !self.lifecycle.active.load(Ordering::SeqCst) {
+        if !self.lifecycle.is_active() {
             return;
         }
         let mut state = neusight_guard::recover_poison(self.lifecycle.state.lock());

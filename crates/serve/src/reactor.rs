@@ -116,13 +116,14 @@ pub trait Service {
     fn on_turn(&mut self) {}
     /// Called once, when the drain starts.
     fn on_drain(&mut self) {}
-    /// Routes one complete request; `ticket` names it if it waits.
+    /// Routes one complete request; `ticket` names it if it waits. An
+    /// answer given at once may stamp stages on `trace`.
     fn request(
         &mut self,
         io: &mut Io<Self::Completion>,
         ticket: u64,
         request: &Request<'_>,
-        trace: &obs::TraceContext,
+        trace: &mut obs::TraceContext,
     ) -> Step<Self::Pending>;
     /// Advances a waiting request. `Some` answers it (with `trace` as the
     /// request's trace from then on); `None` keeps it waiting.
@@ -806,7 +807,7 @@ impl<S: Service> Reactor<'_, S> {
                 return;
             }
             let started = Instant::now();
-            let trace = obs::TraceContext::start(head.request_id);
+            let mut trace = obs::TraceContext::start(head.request_id);
             let method = head.method.to_ascii_uppercase();
             let request = Request {
                 method: &method,
@@ -817,7 +818,9 @@ impl<S: Service> Reactor<'_, S> {
             let wants_close = head.wants_close;
             let ticket = self.next_ticket;
             self.next_ticket += 1;
-            let step = self.service.request(&mut self.io, ticket, &request, &trace);
+            let step = self
+                .service
+                .request(&mut self.io, ticket, &request, &mut trace);
             conn.sock.read_buf.drain(..total);
             match step {
                 // If the write drains synchronously the state is Reading

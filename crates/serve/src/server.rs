@@ -8,13 +8,21 @@
 //!    503 and close) and reads HTTP/1.1 requests in a keep-alive loop.
 //!    Connections that stay silent past `idle_timeout` are reaped. Serve
 //!    plugs into the loop as a [`reactor::Service`].
-//! 2. `POST /v1/predict` bodies are parsed and **admitted** to a bounded
-//!    queue — a full queue answers `429 Too Many Requests` with
-//!    `Retry-After` instead of stalling the socket.
-//! 3. The single dispatcher thread drains the queue in micro-batches and
+//! 2. `POST /v1/predict` bodies are parsed. A draining server answers
+//!    `503`, and a request whose `X-Deadline-Ms` budget is already spent
+//!    answers `504`.
+//! 3. A response-memo hit is answered right there, on the loop thread:
+//!    no queue, no dispatcher, no completion mailbox. The loop does this
+//!    only while the predictor breaker is closed, brownout is off, no
+//!    reload is shadowing or observing, and no `service_delay` is set;
+//!    a caught panic hands the request on to step 4.
+//! 4. Everything else is **admitted** to a bounded queue — a full queue
+//!    answers `429 Too Many Requests` with `Retry-After` instead of
+//!    stalling the socket.
+//! 5. The single dispatcher thread drains the queue in micro-batches and
 //!    serves each batch with one [`PredictService::predict_batch`] call;
 //!    jobs that outlived their deadline in the queue get `504`.
-//! 4. On SIGTERM/SIGINT (or [`ServerHandle::shutdown`]) the server stops
+//! 6. On SIGTERM/SIGINT (or [`ServerHandle::shutdown`]) the server stops
 //!    accepting, lets in-flight requests finish, drains the queue, and
 //!    only then joins its threads and returns.
 
@@ -94,14 +102,18 @@ impl Default for ServeConfig {
     }
 }
 
-/// Hot-path HTTP metric handles. (The reactor owns the connection gauge
-/// and the request-latency histogram.)
+/// Hot-path HTTP metric handles, resolved once at bind. (The reactor
+/// owns the connection gauge and the request-latency histogram.)
 pub(crate) struct HttpMetrics {
     pub(crate) requests: Arc<obs::Counter>,
     pub(crate) rejected_429: Arc<obs::Counter>,
     pub(crate) timeouts: Arc<obs::Counter>,
+    pub(crate) expired_on_arrival: Arc<obs::Counter>,
     pub(crate) queue_depth: Arc<obs::Gauge>,
     pub(crate) inflight: Arc<obs::Gauge>,
+    /// `serve.batch.size`, shared with the dispatcher: a memo hit answered
+    /// on the loop thread records a batch of one.
+    pub(crate) batch_size: Arc<obs::Histogram>,
 }
 
 impl HttpMetrics {
@@ -110,8 +122,10 @@ impl HttpMetrics {
             requests: obs::metrics::counter("serve.http.requests"),
             rejected_429: obs::metrics::counter("serve.http.429"),
             timeouts: obs::metrics::counter("serve.http.timeout"),
+            expired_on_arrival: obs::metrics::counter("serve.deadline.expired_on_arrival"),
             queue_depth: obs::metrics::gauge("serve.queue.depth"),
             inflight: obs::metrics::gauge("serve.requests.inflight"),
+            batch_size: obs::metrics::histogram("serve.batch.size"),
         }
     }
 }
@@ -123,8 +137,6 @@ pub(crate) struct Shared {
     pub(crate) queue: BoundedQueue<Job>,
     /// Stop admitting new work; in-flight requests still complete.
     pub(crate) draining: AtomicBool,
-    /// Terminates the dispatcher once the event loop has exited.
-    pub(crate) dispatcher_stop: AtomicBool,
     /// Predict jobs admitted to the queue and not yet answered.
     pub(crate) inflight: AtomicUsize,
     /// CoDel-style congestion signal from the dispatcher: the *minimum*
@@ -211,7 +223,6 @@ impl Server {
                 ),
                 queue,
                 draining: AtomicBool::new(false),
-                dispatcher_stop: AtomicBool::new(false),
                 inflight: AtomicUsize::new(0),
                 sojourn_ms: AtomicU64::new(0),
                 started: Instant::now(),
@@ -271,13 +282,7 @@ impl Server {
                 // injected chaos) gets a bounded number of restarts.
                 let supervisor = guard::Supervisor::new("serve.dispatcher", 16);
                 supervisor.supervise(|| {
-                    dispatch::run(
-                        &shared.service,
-                        &shared.queue,
-                        &config,
-                        &shared.dispatcher_stop,
-                        &shared.sojourn_ms,
-                    );
+                    dispatch::run(&shared.service, &shared.queue, &config, &shared.sojourn_ms);
                 });
             })
         };
@@ -297,10 +302,11 @@ impl Server {
             "neusight-serve requires Linux epoll",
         ));
 
-        // The event loop returns with its connections finished; the
-        // dispatcher then drains whatever is still queued and stops.
+        // The event loop returns with its connections finished; closing
+        // the queue wakes the dispatcher, which drains whatever is still
+        // queued and stops.
         shared.draining.store(true, Ordering::SeqCst);
-        shared.dispatcher_stop.store(true, Ordering::SeqCst);
+        shared.queue.close();
         let _ = dispatcher.join();
         result
     }
@@ -359,8 +365,8 @@ impl RunningServer {
     }
 }
 
-/// Serve's side of the reactor: routing, admission, and dispatcher
-/// completions.
+/// Serve's side of the reactor: routing, memo hits, admission, and
+/// dispatcher completions.
 #[cfg(target_os = "linux")]
 struct Front<'a> {
     shared: &'a Shared,
@@ -386,7 +392,7 @@ impl reactor::Service for Front<'_> {
         io: &mut reactor::Io<dispatch::Completed>,
         ticket: u64,
         request: &reactor::Request<'_>,
-        trace: &obs::TraceContext,
+        trace: &mut obs::TraceContext,
     ) -> reactor::Step<()> {
         use reactor::Step::{Respond, Wait};
         let shared = self.shared;
@@ -408,8 +414,11 @@ impl reactor::Service for Front<'_> {
             crate::deadline::effective_budget_ms(shared.config.deadline, request.deadline_ms);
         if budget_ms == 0 {
             shared.metrics.timeouts.inc();
-            obs::metrics::counter("serve.deadline.expired_on_arrival").inc();
+            shared.metrics.expired_on_arrival.inc();
             return Respond(Response::error(504, "deadline exceeded"));
+        }
+        if let Some(response) = answer_memo_hit(shared, &parsed, trace) {
+            return Respond(response);
         }
         let deadline = Instant::now() + Duration::from_millis(budget_ms);
         let reply = dispatch::Reply {
@@ -438,15 +447,11 @@ impl reactor::Service for Front<'_> {
         // Answered or timed out, the admitted request has left flight.
         self.shared.inflight_sub();
         Some(match event {
-            reactor::Event::Completion((result, completed)) => {
+            reactor::Event::Completion(completed) => {
                 // The dispatcher's copy carries the queue, batch, and
                 // predict stamps.
-                *trace = completed;
-                match result {
-                    Ok(body) => Response::json(200, body.to_string())
-                        .with_header("X-Model-Version", self.shared.service.model_version()),
-                    Err(e) => Response::error(e.status, &e.message),
-                }
+                *trace = completed.trace;
+                predict_response(completed.result, &completed.model)
             }
             // Serve starts no upstream exchanges: any other event is the
             // deadline timer beating the dispatcher. Its trace copy (the
@@ -466,6 +471,50 @@ impl reactor::Service for Front<'_> {
 
     fn finish_trace(&self, trace: obs::TraceContext) {
         trace.finish();
+    }
+}
+
+/// Answers a response-memo hit on the loop thread, or returns `None` to
+/// send the request through the dispatcher.
+///
+/// `service_delay` is a test/bench hook that slows every predict, warm
+/// ones included, so a slowed server keeps every request on the
+/// dispatcher. The lookup runs under panic supervision with the
+/// `guard.panic` failpoint inside, like the dispatcher's batches: a
+/// caught panic hands the request to the dispatcher, whose own
+/// catch-and-retry then serves it.
+#[cfg(target_os = "linux")]
+fn answer_memo_hit(
+    shared: &Shared,
+    request: &PredictRequest,
+    trace: &mut obs::TraceContext,
+) -> Option<Response> {
+    if !shared.config.service_delay.is_zero() {
+        return None;
+    }
+    let (body, model) = guard::catch("serve.memo_hit", || {
+        guard::inject_panic();
+        shared.service.memo_answer(request)
+    })
+    .ok()??;
+    // Queue and batch-wait stay unstamped: they take zero time here.
+    trace.stamp(obs::Stage::Predict);
+    shared.metrics.batch_size.record(1);
+    Some(predict_response(Ok(body), &model))
+}
+
+/// Renders a predict answer. A body is labelled with the version of the
+/// generation that computed it, not whichever one serves by the time the
+/// answer is rendered.
+#[cfg(target_os = "linux")]
+pub(crate) fn predict_response(
+    result: dispatch::ReplyResult,
+    model: &crate::model::ModelEpoch,
+) -> Response {
+    match result {
+        Ok(body) => Response::json(200, body.to_string())
+            .with_header("X-Model-Version", model.version().to_owned()),
+        Err(e) => Response::error(e.status, &e.message),
     }
 }
 

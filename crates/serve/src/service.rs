@@ -1,7 +1,8 @@
 //! The prediction service behind the HTTP routes: wire types for
 //! `/v1/predict`, name resolution shared with the CLI, a graph cache so
-//! repeated requests skip IR construction, and the batched entry point the
-//! micro-batching dispatcher calls.
+//! repeated requests skip IR construction, the batched entry point the
+//! micro-batching dispatcher calls, and the response-memo answer the
+//! event loop gives on its own thread.
 
 use crate::lifecycle::{Lifecycle, LifecycleConfig};
 use crate::model::{ModelEpoch, ModelHandle};
@@ -282,6 +283,8 @@ pub struct PredictService {
     /// Reload gate + shadow-scoring + post-promotion observation state
     /// (see [`crate::lifecycle`]).
     pub(crate) lifecycle: Lifecycle,
+    /// `serve.response_cache.hits`, resolved once.
+    memo_hits: Arc<obs::Counter>,
 }
 
 /// Version tag used when a service is constructed from bare weights
@@ -318,6 +321,7 @@ impl PredictService {
             responses: Mutex::new(ResponseCache::new()),
             forced_degraded: AtomicBool::new(false),
             lifecycle: Lifecycle::new(lifecycle),
+            memo_hits: obs::metrics::counter("serve.response_cache.hits"),
         }
     }
 
@@ -604,61 +608,108 @@ impl PredictService {
             .collect()
     }
 
-    /// Serves a micro-batch as fully serialized JSON bodies — the
-    /// dispatcher's entry point.
+    /// Answers `requests` from the response memo under the pinned
+    /// generation `current`, or returns `None` for the caller to serve
+    /// them another way.
     ///
-    /// The fast path answers entirely from the response memo: it is taken
-    /// only when the breaker is closed **and** every request in the batch
-    /// has a cached non-degraded body. Even then the predictor is probed
-    /// once (an empty `predict_graph_batch`, which runs the
-    /// `core.predict.mlp` failpoint before touching any job), so injected
-    /// MLP faults and breaker accounting see every batch exactly as they
-    /// would without the memo — a probe failure abandons the fast path
-    /// and serves the batch through the full degraded machinery.
+    /// The memo answers only while the breaker is closed and brownout is
+    /// off, and only when **every** request has a cached non-degraded
+    /// body. Even then the predictor is probed once (an empty
+    /// `predict_graph_batch`, which runs the `core.predict.mlp` failpoint
+    /// before touching any job), so injected MLP faults and breaker
+    /// accounting see every answer exactly as they would without the
+    /// memo. A failed probe counts as an MLP failure and returns `None`,
+    /// so the full machinery serves the requests degraded. A hit counts
+    /// `serve.response_cache.hits` and runs the lifecycle hook like any
+    /// other answered batch.
     ///
-    /// Anything else — cold requests, invalid requests, open/half-open
-    /// breaker — takes [`PredictService::predict_batch`] and memoizes the
-    /// serialized successes on the way out. Serialization uses the same
-    /// `serde_json::to_string` in both paths, so a cached body is
-    /// byte-identical to a freshly computed one.
+    /// The dispatcher calls this for a whole batch; the event loop calls
+    /// it for one request (see [`PredictService::memo_answer`]).
+    fn answer_from_memo(
+        &self,
+        current: &ModelEpoch,
+        requests: &[PredictRequest],
+    ) -> Option<Vec<Result<Arc<str>, ServeError>>> {
+        if requests.is_empty()
+            || self.breaker_state() != BreakerState::Closed
+            || self.forced_degraded()
+        {
+            return None;
+        }
+        let bodies: Vec<Result<Arc<str>, ServeError>> = {
+            let memo = neusight_guard::recover_poison(self.responses.lock());
+            requests
+                .iter()
+                .map(|req| memo.get(&(current.epoch(), req.clone(), false)).map(Ok))
+                .collect::<Option<_>>()?
+        };
+        if let Err(e) = current.predict_graph_batch(&[]) {
+            self.breaker.record_failure();
+            obs::metrics::counter("serve.predict.mlp_failures").inc();
+            obs::event!("predict_degraded", reason = e);
+            return None;
+        }
+        self.breaker.record_success();
+        self.memo_hits.add(bodies.len() as u64);
+        self.lifecycle_after_batch(current, requests, &bodies);
+        Some(bodies)
+    }
+
+    /// The event loop's memo lookup: `request`'s cached body and the
+    /// generation that computed it, or `None` to hand the request to the
+    /// dispatcher (a miss, a failed probe, an open breaker, brownout, or
+    /// a reload in progress — see [`PredictService::answer_from_memo`]).
+    ///
+    /// While the lifecycle is shadowing or observing, every request goes
+    /// to the dispatcher: shadow scoring must not run on the loop thread,
+    /// and the observation window counts the dispatcher's answers. Only
+    /// a reload turns the lifecycle on, and reloads are staged on the
+    /// loop thread itself, so the check cannot race one.
+    pub(crate) fn memo_answer(
+        &self,
+        request: &PredictRequest,
+    ) -> Option<(Arc<str>, Arc<ModelEpoch>)> {
+        if self.lifecycle.is_active() {
+            return None;
+        }
+        let current = self.model.current();
+        let body = self
+            .answer_from_memo(&current, std::slice::from_ref(request))?
+            .pop()?
+            .ok()?;
+        Some((body, current))
+    }
+
+    /// Serves a micro-batch as fully serialized JSON bodies.
+    ///
+    /// A batch whose every request is a memo hit is answered from the
+    /// memo (see [`PredictService::answer_from_memo`]). Anything else —
+    /// cold requests, invalid requests, open/half-open breaker, brownout,
+    /// a failed probe — takes [`PredictService::predict_batch`] and
+    /// memoizes the serialized successes on the way out. Serialization
+    /// uses the same `serde_json::to_string` in both paths, so a cached
+    /// body is byte-identical to a freshly computed one.
     pub fn predict_batch_serialized(
         &self,
         requests: &[PredictRequest],
     ) -> Vec<Result<Arc<str>, ServeError>> {
-        // Pin one model generation for the whole batch: the prediction,
-        // the memo keys, and the shadow comparison all see the same
-        // epoch even if a swap lands concurrently.
-        let current = self.model.current();
-        if self.breaker_state() == BreakerState::Closed && !self.forced_degraded() {
-            let cached: Vec<Option<Arc<str>>> = {
-                let memo = neusight_guard::recover_poison(self.responses.lock());
-                requests
-                    .iter()
-                    .map(|req| memo.get(&(current.epoch(), req.clone(), false)))
-                    .collect()
-            };
-            if !cached.is_empty() && cached.iter().all(Option::is_some) {
-                match current.predict_graph_batch(&[]) {
-                    Ok(_) => {
-                        self.breaker.record_success();
-                        obs::metrics::counter("serve.response_cache.hits").add(cached.len() as u64);
-                        let bodies: Vec<Result<Arc<str>, ServeError>> =
-                            cached.into_iter().map(|body| Ok(body.unwrap())).collect();
-                        self.lifecycle_after_batch(&current, requests, &bodies);
-                        return bodies;
-                    }
-                    Err(e) => {
-                        // The probe tripped a fault: account for it like a
-                        // real MLP failure and fall through to the slow
-                        // path, which serves this batch degraded.
-                        self.breaker.record_failure();
-                        obs::metrics::counter("serve.predict.mlp_failures").inc();
-                        obs::event!("predict_degraded", reason = e);
-                    }
-                }
-            }
+        self.predict_batch_serialized_with(&self.model.current(), requests)
+    }
+
+    /// [`PredictService::predict_batch_serialized`] pinned to one model
+    /// generation — the dispatcher's entry point. The prediction, the
+    /// memo keys, and the shadow comparison all see the same epoch even
+    /// if a swap lands concurrently, and the caller labels the answers
+    /// with that generation's version.
+    pub(crate) fn predict_batch_serialized_with(
+        &self,
+        current: &ModelEpoch,
+        requests: &[PredictRequest],
+    ) -> Vec<Result<Arc<str>, ServeError>> {
+        if let Some(bodies) = self.answer_from_memo(current, requests) {
+            return bodies;
         }
-        let results = self.predict_batch_with(&current, requests);
+        let results = self.predict_batch_with(current, requests);
         let bodies: Vec<Result<Arc<str>, ServeError>> = {
             let mut memo = neusight_guard::recover_poison(self.responses.lock());
             requests
@@ -680,7 +731,7 @@ impl PredictService {
                 .collect()
         };
         obs::trace::predict_mark("serialize");
-        self.lifecycle_after_batch(&current, requests, &bodies);
+        self.lifecycle_after_batch(current, requests, &bodies);
         bodies
     }
 

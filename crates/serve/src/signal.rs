@@ -33,20 +33,10 @@ pub fn take_usr1() -> bool {
     USR1.swap(false, Ordering::SeqCst)
 }
 
-/// Test hook: pretend SIGUSR1 arrived (same observable effect).
-pub fn raise_usr1() {
-    USR1.store(true, Ordering::SeqCst);
-}
-
 /// Consumes a pending SIGHUP, returning whether one had arrived.
 #[must_use]
 pub fn take_hup() -> bool {
     HUP.swap(false, Ordering::SeqCst)
-}
-
-/// Test hook: pretend SIGHUP arrived (same observable effect).
-pub fn raise_hup() {
-    HUP.store(true, Ordering::SeqCst);
 }
 
 #[cfg(unix)]

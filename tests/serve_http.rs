@@ -11,20 +11,26 @@
 //! (`PredictService::predict_batch_serialized` and the catalog JSON), so
 //! the HTTP layer cannot drift from what the service computes.
 //!
+//! Response-memo hits are answered on the event loop without the
+//! dispatcher; the tests at the end pin which requests may take that
+//! path and that it serves the dispatcher's exact bytes. They count
+//! dispatcher batches in the process-global metric registry, so every
+//! test here that runs a server holds [`serial`].
+//!
 //! Shutdown here uses `ServerHandle::shutdown` rather than
 //! `signal::raise()`: these tests share one process, and the signal flag
 //! is global — raising it in one test would drain every other server. The
 //! real SIGTERM path is exercised by the CI smoke step against a separate
 //! `neusight serve` process.
 
-use neusight::core::{NeuSight, NeuSightConfig};
+use neusight::core::{NeuSight, NeuSightConfig, Registry};
 use neusight::gpu::{catalog, DType};
 use neusight::graph::{config, inference_graph, training_graph};
 use neusight::serve::http::Response;
 use neusight::serve::{
-    Client, PredictRequest, PredictResponse, PredictService, ServeConfig, Server,
+    Client, ClientResponse, PredictRequest, PredictResponse, PredictService, ServeConfig, Server,
 };
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One tiny training sweep shared by every test; `NeuSight::train` is
@@ -44,8 +50,17 @@ fn tiny_neusight() -> NeuSight {
     NeuSight::train(training_data(), &NeuSightConfig::tiny()).expect("tiny training")
 }
 
+/// Runs this file's server tests one at a time, so that a test counting
+/// `serve.dispatch.batches` (or arming a failpoint) sees only its own
+/// server.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn concurrent_predicts_are_bitwise_identical_to_direct_predict_graph() {
+    let _serial = serial();
     let ns = tiny_neusight();
 
     // Expected numbers straight from the framework, before the server
@@ -123,6 +138,7 @@ fn concurrent_predicts_are_bitwise_identical_to_direct_predict_graph() {
 
 #[test]
 fn queue_overflow_returns_429_with_retry_after_not_a_stall() {
+    let _serial = serial();
     let config = ServeConfig {
         queue_depth: 2,
         // Each batch takes 100 ms, so concurrent requests pile into the
@@ -187,6 +203,7 @@ fn queue_overflow_returns_429_with_retry_after_not_a_stall() {
 
 #[test]
 fn graceful_drain_finishes_in_flight_requests() {
+    let _serial = serial();
     let config = ServeConfig {
         // Slow batches so the drain demonstrably overlaps a live request.
         service_delay: Duration::from_millis(300),
@@ -259,6 +276,7 @@ fn raw_exchange(addr: std::net::SocketAddr, payload: &[u8]) -> String {
 
 #[test]
 fn malformed_http_corpus_yields_clean_errors_never_hangs() {
+    let _serial = serial();
     let config = ServeConfig {
         // Short idle window so the truncated-body case times out fast.
         idle_timeout: Duration::from_millis(300),
@@ -355,6 +373,7 @@ fn malformed_http_corpus_yields_clean_errors_never_hangs() {
 
 #[test]
 fn field_level_violations_answer_422_not_400() {
+    let _serial = serial();
     let server = Server::spawn(ServeConfig::default(), tiny_neusight()).expect("spawn server");
     let mut client = Client::connect(server.addr()).expect("connect");
 
@@ -387,6 +406,7 @@ fn field_level_violations_answer_422_not_400() {
 /// rendering, and the catalog routes match `models_json`/`gpus_json`.
 #[test]
 fn served_bytes_match_the_in_process_reference() {
+    let _serial = serial();
     let bodies = [
         r#"{"model":"bert","gpu":"H100","batch":2}"#,
         r#"{"model":"gpt2","gpu":"V100","batch":1,"train":true}"#,
@@ -445,6 +465,7 @@ fn served_bytes_match_the_in_process_reference() {
 /// exposes the pinned stage taxonomy in the dump.
 #[test]
 fn trace_propagation_pins_the_stage_taxonomy() {
+    let _serial = serial();
     neusight::obs::set_enabled(true);
     let server = Server::spawn(ServeConfig::default(), tiny_neusight()).expect("spawn server");
     let addr = server.addr();
@@ -506,5 +527,200 @@ fn trace_propagation_pins_the_stage_taxonomy() {
         taxonomy, r#""queue","batch_wait","predict","render","write""#,
         "the trace stage taxonomy is pinned"
     );
+    server.shutdown_and_join().expect("clean drain");
+}
+
+// ---------------------------------------------------------------------------
+// Response-memo hits: answered on the event loop, not by the dispatcher.
+// ---------------------------------------------------------------------------
+
+const WARM: &str = r#"{"model":"bert","gpu":"T4","batch":1}"#;
+
+fn counter(name: &str) -> u64 {
+    neusight::obs::metrics::counter(name).get()
+}
+
+/// Posts `body` and reports the answer with the number of dispatcher
+/// batches it took.
+fn post_counting_batches(client: &mut Client, body: &str) -> (ClientResponse, u64) {
+    let before = counter("serve.dispatch.batches");
+    let response = client.post_json("/v1/predict", body).expect("predict");
+    (response, counter("serve.dispatch.batches") - before)
+}
+
+/// A warmed key is answered again with the bytes and `X-Model-Version`
+/// the dispatcher gave it the first time, without another dispatcher
+/// batch.
+#[test]
+fn memo_hits_skip_the_dispatcher_and_serve_its_exact_bytes() {
+    let _serial = serial();
+    neusight::obs::set_enabled(true);
+    let config = ServeConfig {
+        model_version: Some("v-memo".to_owned()),
+        ..ServeConfig::default()
+    };
+    let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let (first, batches) = post_counting_batches(&mut client, WARM);
+    assert_eq!(first.status, 200, "{}", first.text());
+    assert_eq!(batches, 1, "a cold key is computed by the dispatcher");
+    assert_eq!(first.header("x-model-version"), Some("v-memo"));
+
+    let hits = counter("serve.response_cache.hits");
+    for _ in 0..2 {
+        let (again, batches) = post_counting_batches(&mut client, WARM);
+        assert_eq!(again.status, 200, "{}", again.text());
+        assert_eq!(again.body, first.body, "a memo hit serves the same bytes");
+        assert_eq!(
+            again.header("x-model-version"),
+            first.header("x-model-version")
+        );
+        assert_eq!(batches, 0, "a memo hit must not reach the dispatcher");
+    }
+    assert_eq!(counter("serve.response_cache.hits") - hits, 2);
+    server.shutdown_and_join().expect("clean drain");
+}
+
+/// Brownout, a breaker that is not closed, a reload in its shadow stage
+/// and a nonzero `service_delay` each keep warm keys on the dispatcher.
+#[test]
+fn warm_keys_still_go_through_the_dispatcher_when_the_loop_must_not_answer() {
+    let _serial = serial();
+    neusight::obs::set_enabled(true);
+
+    // Brownout: the dispatcher serves the roofline tier.
+    let server = Server::spawn(ServeConfig::default(), tiny_neusight()).expect("spawn server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.post_json("/v1/predict", WARM).expect("warm");
+    let on = client
+        .post_json("/v1/control/brownout", r#"{"on":true}"#)
+        .expect("brownout");
+    assert_eq!(on.status, 200, "{}", on.text());
+    let (browned, batches) = post_counting_batches(&mut client, WARM);
+    assert_eq!(batches, 1, "brownout: {}", browned.text());
+    assert!(
+        browned.text().contains("\"degraded\":true"),
+        "{}",
+        browned.text()
+    );
+    server.shutdown_and_join().expect("clean drain");
+
+    // An open breaker: one failed probe trips it, and it stays open
+    // after the fault is gone.
+    let config = ServeConfig {
+        breaker: neusight::fault::BreakerConfig {
+            failure_threshold: 1,
+            cooldown: Duration::from_secs(3600),
+            half_open_probes: 1,
+        },
+        ..ServeConfig::default()
+    };
+    let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.post_json("/v1/predict", WARM).expect("warm");
+    neusight::fault::configure(&"core.predict.mlp=1.0".parse().expect("spec"), 3);
+    let (tripped, batches) = post_counting_batches(&mut client, WARM);
+    neusight::fault::reset();
+    assert_eq!(batches, 1, "a failed probe: {}", tripped.text());
+    assert!(
+        tripped.text().contains("\"degraded\":true"),
+        "{}",
+        tripped.text()
+    );
+    let health = client.get("/healthz").expect("healthz").text();
+    assert!(health.contains("\"breaker\":\"open\""), "{health}");
+    let (open, batches) = post_counting_batches(&mut client, WARM);
+    assert_eq!(batches, 1, "open breaker: {}", open.text());
+    assert!(open.text().contains("\"degraded\":true"), "{}", open.text());
+    server.shutdown_and_join().expect("clean drain");
+
+    // A reload in its shadow stage: the serving model still answers,
+    // through the dispatcher, so shadow scoring stays off the loop.
+    let dir = std::env::temp_dir().join(format!("neusight-serve-http-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = Registry::open(&dir);
+    let model = tiny_neusight();
+    let mape = neusight::serve::golden_mape(&model).expect("golden mape");
+    for version in ["v0001", "v0002"] {
+        registry
+            .publish(version, None, Some(mape), &model)
+            .expect("publish");
+    }
+    let config = ServeConfig {
+        model_version: Some("v0001".to_owned()),
+        models_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let server = Server::spawn(config, model).expect("spawn server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let warm = client.post_json("/v1/predict", WARM).expect("warm");
+    let reload = client
+        .post_json(
+            "/v1/admin/reload",
+            r#"{"version":"v0002","shadow_samples":1000}"#,
+        )
+        .expect("reload");
+    assert_eq!(reload.status, 202, "{}", reload.text());
+    let (shadowed, batches) = post_counting_batches(&mut client, WARM);
+    assert_eq!(batches, 1, "shadowing: {}", shadowed.text());
+    assert_eq!(shadowed.body, warm.body);
+    assert_eq!(shadowed.header("x-model-version"), Some("v0001"));
+    server.shutdown_and_join().expect("clean drain");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A slowed server stays slow for warm keys too.
+    let config = ServeConfig {
+        service_delay: Duration::from_millis(1),
+        ..ServeConfig::default()
+    };
+    let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let warm = client.post_json("/v1/predict", WARM).expect("warm");
+    let (slowed, batches) = post_counting_batches(&mut client, WARM);
+    assert_eq!(batches, 1, "service_delay: {}", slowed.text());
+    assert_eq!(slowed.body, warm.body);
+    server.shutdown_and_join().expect("clean drain");
+}
+
+/// An expired `X-Deadline-Ms` budget and a drain are checked before the
+/// memo lookup: a warm key still gets the 504 and the 503.
+#[test]
+fn expired_deadlines_and_draining_win_over_memo_hits() {
+    let _serial = serial();
+    let config = ServeConfig {
+        deadline: Duration::from_secs(5),
+        ..ServeConfig::default()
+    };
+    let server = Server::spawn(config, tiny_neusight()).expect("spawn server");
+    let addr = server.addr();
+    let mut client = Client::connect(addr).expect("connect");
+    let warm = client.post_json("/v1/predict", WARM).expect("warm");
+    assert_eq!(warm.status, 200);
+    let expired = client
+        .post_json_with_id_and_deadline("/v1/predict", WARM, "expired", 0)
+        .expect("expired predict");
+    assert_eq!(expired.status, 504, "{}", expired.text());
+
+    // A delay-only failpoint holds the loop in the read of the next
+    // request; the drain begins once the point has fired, so the warm
+    // key is parsed with the server already draining.
+    neusight::fault::configure(
+        &"serve.reactor.read=1.0:count=1:delay_ms=500:kind=delay"
+            .parse()
+            .expect("spec"),
+        5,
+    );
+    let pending = std::thread::spawn(move || client.post_json("/v1/predict", WARM));
+    let fired = Instant::now() + Duration::from_secs(5);
+    while neusight::fault::point_status("serve.reactor.read").map_or(0, |p| p.fires) == 0 {
+        assert!(Instant::now() < fired, "the read delay never fired");
+        std::thread::yield_now();
+    }
+    server.handle().shutdown();
+    let draining = pending.join().expect("client thread").expect("predict");
+    neusight::fault::reset();
+    assert_eq!(draining.status, 503, "{}", draining.text());
+    assert!(draining.text().contains("server is draining"));
     server.shutdown_and_join().expect("clean drain");
 }
