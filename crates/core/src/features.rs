@@ -60,9 +60,26 @@ pub fn tile_quantities(op: &OpDesc, launch: &KernelLaunch, dtype: DType) -> Tile
 
 /// Extracts the Table 2 feature vector for one kernel on one GPU.
 #[must_use]
-#[allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
 pub fn extract(op: &OpDesc, launch: &KernelLaunch, dtype: DType, spec: &GpuSpec) -> Vec<f32> {
-    let q = tile_quantities(op, launch, dtype);
+    let mut features = vec![0.0; NUM_FEATURES];
+    write(
+        &tile_quantities(op, launch, dtype),
+        launch,
+        spec,
+        &mut features,
+    );
+    features
+}
+
+/// Writes the [`extract`] features of a kernel with tile quantities `q`
+/// into `out`, without allocating.
+///
+/// # Panics
+///
+/// Panics unless `out` holds [`NUM_FEATURES`] floats.
+#[allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
+pub fn write(q: &TileQuantities, launch: &KernelLaunch, spec: &GpuSpec, out: &mut [f32]) {
+    assert_eq!(out.len(), NUM_FEATURES, "feature width mismatch");
     let ratios = [
         q.flops_per_tile / spec.peak_flops_per_sm(),
         q.mem_per_tile / spec.memory_bw_per_sm(),
@@ -73,7 +90,9 @@ pub fn extract(op: &OpDesc, launch: &KernelLaunch, dtype: DType, spec: &GpuSpec)
         launch.tile.numel() as f64,
         q.num_tiles,
     ];
-    ratios.iter().map(|&r| log_compress(r as f32)).collect()
+    for (f, r) in out.iter_mut().zip(ratios) {
+        *f = log_compress(r as f32);
+    }
 }
 
 #[cfg(test)]

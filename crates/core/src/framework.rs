@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -167,14 +167,100 @@ struct Shard {
     inserts: AtomicU64,
 }
 
-/// Mutable state of one shard. Values carry a global insertion sequence
-/// number so a reshard can rebuild the exact FIFO order across shards.
+/// One cached prediction. The insertion sequence number is global, so a
+/// reshard can rebuild the exact FIFO order across shards.
+#[derive(Debug)]
+struct CacheEntry {
+    fp: u64,
+    op: OpDesc,
+    latency_s: f64,
+    seq: u64,
+}
+
+impl CacheEntry {
+    fn is(&self, fp: u64, op: &OpDesc) -> bool {
+        self.fp == fp && self.op == *op
+    }
+}
+
+/// Passes a key hash ([`cache_key_hash`]) through as the shard map's
+/// hash, so a key is hashed once per lookup or insert.
+#[derive(Debug, Default)]
+struct KeyHashHasher(u64);
+
+impl Hasher for KeyHashHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the shard maps are keyed by a u64 key hash");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Mutable state of one shard: its entries by key hash.
 #[derive(Debug, Default)]
 struct ShardInner {
-    map: HashMap<(u64, OpDesc), (f64, u64)>,
-    /// Insertion order of this shard's live entries, oldest first.
-    order: VecDeque<(u64, OpDesc)>,
+    /// The first entry inserted under each key hash that is still live.
+    map: HashMap<u64, CacheEntry, BuildHasherDefault<KeyHashHasher>>,
+    /// Entries whose key hash was taken when they were inserted, with
+    /// that hash. Nearly always empty: it takes a 64-bit collision.
+    collided: Vec<(u64, CacheEntry)>,
+    /// `(key hash, sequence number)` of this shard's live entries, oldest
+    /// first.
+    order: VecDeque<(u64, u64)>,
     capacity: usize,
+}
+
+impl ShardInner {
+    fn len(&self) -> usize {
+        self.map.len() + self.collided.len()
+    }
+
+    fn find(&self, hash: u64, fp: u64, op: &OpDesc) -> Option<&CacheEntry> {
+        match self.map.get(&hash) {
+            Some(entry) if entry.is(fp, op) => Some(entry),
+            _ => self
+                .collided
+                .iter()
+                .find(|(h, entry)| *h == hash && entry.is(fp, op))
+                .map(|(_, entry)| entry),
+        }
+    }
+
+    /// Adds an entry whose key is not in the shard, as the newest.
+    fn push(&mut self, hash: u64, entry: CacheEntry) {
+        self.order.push_back((hash, entry.seq));
+        if let std::collections::hash_map::Entry::Vacant(slot) = self.map.entry(hash) {
+            slot.insert(entry);
+        } else {
+            self.collided.push((hash, entry));
+        }
+    }
+
+    /// Removes the oldest entry; `None` once the shard is empty.
+    fn pop_oldest(&mut self) -> Option<CacheEntry> {
+        let (hash, seq) = self.order.pop_front()?;
+        if self.map.get(&hash).is_some_and(|entry| entry.seq == seq) {
+            return self.map.remove(&hash);
+        }
+        let at = self
+            .collided
+            .iter()
+            .position(|(h, entry)| *h == hash && entry.seq == seq)
+            .expect("every ordered entry is live");
+        Some(self.collided.swap_remove(at).1)
+    }
+
+    /// Removes every entry, returning them with their key hashes.
+    fn drain(&mut self) -> impl Iterator<Item = (u64, CacheEntry)> + '_ {
+        self.order.clear();
+        self.map.drain().chain(self.collided.drain(..))
+    }
 }
 
 /// The shard layout: rebuilt (rarely) when capacity or shard count
@@ -250,7 +336,7 @@ impl CacheState {
     }
 
     fn shard_for(&self, hash: u64) -> &Shard {
-        &self.shards[(hash & self.mask) as usize]
+        &self.shards[((hash >> 32) & self.mask) as usize]
     }
 }
 
@@ -267,9 +353,9 @@ impl Default for PredictionCache {
     }
 }
 
-/// Shard-selection hash for a cache key. Independent of the per-shard
-/// `HashMap`'s own hashing (different `DefaultHasher` seed positions), so
-/// shard skew does not correlate with in-shard collisions.
+/// The hash of a cache key, computed once per lookup or insert. Bits 32
+/// and up pick the shard; the shard's map takes the low bits and the top
+/// seven, so the keys of one shard still spread over its map.
 fn cache_key_hash(fp: u64, op: &OpDesc) -> u64 {
     let mut h = DefaultHasher::new();
     fp.hash(&mut h);
@@ -281,9 +367,10 @@ impl PredictionCache {
     /// Looks up one `(GPU, op)` key, counting the hit/miss on the owning
     /// shard (always) and the global obs counters (when enabled).
     fn get(&self, fp: u64, op: &OpDesc) -> Option<f64> {
+        let hash = cache_key_hash(fp, op);
         let state = self.0.state.read();
-        let shard = state.shard_for(cache_key_hash(fp, op));
-        let found = shard.inner.lock().map.get(&(fp, op.clone())).map(|e| e.0);
+        let shard = state.shard_for(hash);
+        let found = shard.inner.lock().find(hash, fp, op).map(|e| e.latency_s);
         if found.is_some() {
             shard.hits.fetch_add(1, Ordering::Relaxed);
             core_metrics().cache_hit.inc();
@@ -298,34 +385,31 @@ impl PredictionCache {
     /// its budget. All occupancy accounting happens under the shard lock,
     /// so `inserts - evictions == entries` is exact per shard.
     fn insert(&self, fp: u64, op: &OpDesc, latency_s: f64) {
+        let hash = cache_key_hash(fp, op);
         let state = self.0.state.read();
-        let shard = state.shard_for(cache_key_hash(fp, op));
+        let shard = state.shard_for(hash);
         let mut inner = shard.inner.lock();
-        if inner.capacity == 0 {
-            return;
-        }
-        let key = (fp, op.clone());
-        if inner.map.contains_key(&key) {
+        if inner.capacity == 0 || inner.find(hash, fp, op).is_some() {
             return;
         }
         let seq = self.0.seq.fetch_add(1, Ordering::Relaxed);
-        inner.order.push_back(key.clone());
-        inner.map.insert(key, (latency_s, seq));
+        let entry = CacheEntry {
+            fp,
+            op: op.clone(),
+            latency_s,
+            seq,
+        };
+        inner.push(hash, entry);
         shard.inserts.fetch_add(1, Ordering::Relaxed);
         self.0.len.fetch_add(1, Ordering::Relaxed);
         self.evict_shard_over_capacity(shard, &mut inner);
     }
 
     fn evict_shard_over_capacity(&self, shard: &Shard, inner: &mut ShardInner) {
-        while inner.map.len() > inner.capacity {
-            let Some(key) = inner.order.pop_front() else {
-                break;
-            };
-            if inner.map.remove(&key).is_some() {
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-                self.0.len.fetch_sub(1, Ordering::Relaxed);
-                core_metrics().cache_eviction.inc();
-            }
+        while inner.len() > inner.capacity && inner.pop_oldest().is_some() {
+            shard.evictions.fetch_add(1, Ordering::Relaxed);
+            self.0.len.fetch_sub(1, Ordering::Relaxed);
+            core_metrics().cache_eviction.inc();
         }
     }
 
@@ -345,9 +429,7 @@ impl PredictionCache {
         let state = self.0.state.read();
         for shard in &state.shards {
             let mut inner = shard.inner.lock();
-            let removed = inner.map.len();
-            inner.map.clear();
-            inner.order.clear();
+            let removed = inner.drain().count();
             self.0.len.fetch_sub(removed, Ordering::Relaxed);
         }
     }
@@ -359,26 +441,23 @@ impl PredictionCache {
     /// (startup / tests), lookups are the hot path.
     fn reshard(&self, total_capacity: usize, configured_shards: usize) {
         let mut state = self.0.state.write();
-        // Drain every live entry with its insertion sequence number.
-        let mut entries: Vec<((u64, OpDesc), (f64, u64))> = Vec::with_capacity(self.len());
+        // Drain every live entry with its key hash.
+        let mut entries: Vec<(u64, CacheEntry)> = Vec::with_capacity(self.len());
         for shard in &state.shards {
-            let mut inner = shard.inner.lock();
-            entries.extend(inner.map.drain());
-            inner.order.clear();
+            entries.extend(shard.inner.lock().drain());
         }
         self.0.len.store(0, Ordering::Relaxed);
         // Oldest first, so re-inserting replays the exact FIFO history.
-        entries.sort_unstable_by_key(|(_, (_, seq))| *seq);
+        entries.sort_unstable_by_key(|(_, entry)| entry.seq);
         *state = CacheState::new(total_capacity, configured_shards);
-        for ((fp, op), (lat, seq)) in entries {
-            let shard = state.shard_for(cache_key_hash(fp, &op));
+        for (hash, entry) in entries {
+            let shard = state.shard_for(hash);
             let mut inner = shard.inner.lock();
             if inner.capacity == 0 {
                 core_metrics().cache_eviction.inc();
                 continue;
             }
-            inner.order.push_back((fp, op.clone()));
-            inner.map.insert((fp, op), (lat, seq));
+            inner.push(hash, entry);
             self.0.len.fetch_add(1, Ordering::Relaxed);
             self.evict_shard_over_capacity(shard, &mut inner);
         }
@@ -395,7 +474,7 @@ impl PredictionCache {
             .map(|shard| {
                 let inner = shard.inner.lock();
                 CacheShardStats {
-                    entries: inner.map.len(),
+                    entries: inner.len(),
                     capacity: inner.capacity,
                     hits: shard.hits.load(Ordering::Relaxed),
                     misses: shard.misses.load(Ordering::Relaxed),
@@ -1177,6 +1256,37 @@ mod tests {
         assert_eq!(ns.prediction_cache_shards(), 16);
     }
 
+    /// Keys whose 64-bit hashes collide stay apart in a shard, and come
+    /// out oldest first whether they sit in the map or beside it.
+    #[test]
+    fn colliding_key_hashes_stay_apart_and_evict_oldest_first() {
+        let ops: Vec<OpDesc> = (1..=3).map(|i| OpDesc::embedding(i, 8, 100)).collect();
+        let entry = |i: usize, seq: u64| CacheEntry {
+            fp: 7,
+            op: ops[i].clone(),
+            latency_s: i as f64,
+            seq,
+        };
+        let mut shard = ShardInner::default();
+        for i in 0..3 {
+            shard.push(42, entry(i, i as u64));
+        }
+        assert_eq!((shard.len(), shard.collided.len()), (3, 2));
+        for (i, op) in ops.iter().enumerate() {
+            assert_eq!(shard.find(42, 7, op).map(|e| e.latency_s), Some(i as f64));
+            assert!(shard.find(42, 8, op).is_none() && shard.find(41, 7, op).is_none());
+        }
+        // The oldest sits in the map; once it leaves, the next key under
+        // the same hash takes the map's slot.
+        assert_eq!(shard.pop_oldest().map(|e| e.seq), Some(0));
+        assert!(shard.find(42, 7, &ops[0]).is_none());
+        shard.push(42, entry(0, 3));
+        assert_eq!(shard.map[&42].seq, 3);
+        let order: Vec<u64> = std::iter::from_fn(|| shard.pop_oldest().map(|e| e.seq)).collect();
+        assert_eq!(order, [1, 2, 3]);
+        assert_eq!(shard.len(), 0);
+    }
+
     #[test]
     fn reshard_preserves_entries_and_fifo_order() {
         let ns = tiny_framework();
@@ -1393,8 +1503,16 @@ mod tests {
         let state = ns.cache.0.state.read();
         let mut entries: Vec<(u64, (u64, OpDesc, u64))> = Vec::new();
         for shard in state.shards.iter() {
-            for ((gpu, op), (lat, seq)) in &shard.inner.lock().map {
-                entries.push((*seq, (*gpu, op.clone(), lat.to_bits())));
+            let inner = shard.inner.lock();
+            let collided = inner.collided.iter().map(|(_, entry)| entry);
+            for entry in inner.map.values().chain(collided) {
+                let CacheEntry {
+                    fp,
+                    op,
+                    latency_s,
+                    seq,
+                } = entry;
+                entries.push((*seq, (*fp, op.clone(), latency_s.to_bits())));
             }
         }
         entries.sort_by_key(|(seq, _)| *seq);

@@ -23,7 +23,7 @@ use neusight_gpu::{
     catalog, roofline, DType, GpuSpec, KernelDataset, KernelLaunch, OpClass, OpDesc,
 };
 use neusight_nn::head::AlphaBetaHead;
-use neusight_nn::{Dataset, Head, Loss, Mlp, Sample, StandardScaler, TrainConfig, Trainer};
+use neusight_nn::{Dataset, Head, Loss, Matrix, Mlp, Sample, StandardScaler, TrainConfig, Trainer};
 use serde::{Deserialize, Serialize};
 
 /// Floor applied to predicted utilization so latencies stay finite.
@@ -251,7 +251,6 @@ impl KernelPredictor {
 
     /// Predicts the utilization of a kernel (Eq. 7–8), in `(0, 1)`.
     #[must_use]
-    #[allow(clippy::cast_possible_truncation)]
     pub fn predict_utilization(
         &self,
         op: &OpDesc,
@@ -259,13 +258,7 @@ impl KernelPredictor {
         dtype: DType,
         spec: &GpuSpec,
     ) -> f64 {
-        let feats = self
-            .scaler
-            .transform(&features::extract(op, launch, dtype, spec));
-        let q = features::tile_quantities(op, launch, dtype);
-        let sample = Sample::new(feats, vec![q.num_waves as f32], 0.0);
-        let util = neusight_nn::trainer::predict(&self.mlp, &AlphaBetaHead, &sample);
-        f64::from(util).clamp(MIN_UTILIZATION, 0.999)
+        self.utilizations(&[(op, launch)], dtype, spec)[0].1
     }
 
     /// Predicts the kernel latency in seconds (Eq. 4–8).
@@ -277,9 +270,7 @@ impl KernelPredictor {
         dtype: DType,
         spec: &GpuSpec,
     ) -> f64 {
-        let q = features::tile_quantities(op, launch, dtype);
-        let util = self.predict_utilization(op, launch, dtype, spec);
-        latency_from_utilization(&q, util, spec)
+        self.predict_latency_batch(&[(op, launch)], dtype, spec)[0]
     }
 
     /// Batched [`KernelPredictor::predict_latency`]: one MLP forward pass
@@ -289,34 +280,47 @@ impl KernelPredictor {
     /// the scalar path (the GEMM accumulates each output row independently
     /// of the batch height).
     #[must_use]
-    #[allow(clippy::cast_possible_truncation)]
     pub fn predict_latency_batch(
         &self,
         kernels: &[(&OpDesc, &KernelLaunch)],
         dtype: DType,
         spec: &GpuSpec,
     ) -> Vec<f64> {
-        let quantities: Vec<TileQuantities> = kernels
+        self.utilizations(kernels, dtype, spec)
             .iter()
-            .map(|(op, launch)| features::tile_quantities(op, launch, dtype))
-            .collect();
-        let samples: Vec<Sample> = kernels
-            .iter()
-            .zip(&quantities)
-            .map(|((op, launch), q)| {
-                let feats = self
-                    .scaler
-                    .transform(&features::extract(op, launch, dtype, spec));
-                Sample::new(feats, vec![q.num_waves as f32], 0.0)
-            })
-            .collect();
-        let utils = neusight_nn::trainer::predict_batch(&self.mlp, &AlphaBetaHead, &samples);
-        utils
+            .map(|(q, util)| latency_from_utilization(q, *util, spec))
+            .collect()
+    }
+
+    /// Each kernel's tile quantities and predicted utilization, from one
+    /// forward pass. Each kernel's scaled features are written straight
+    /// into its row of the input matrix.
+    #[allow(clippy::cast_possible_truncation)]
+    fn utilizations(
+        &self,
+        kernels: &[(&OpDesc, &KernelLaunch)],
+        dtype: DType,
+        spec: &GpuSpec,
+    ) -> Vec<(TileQuantities, f64)> {
+        if kernels.is_empty() {
+            return Vec::new();
+        }
+        let mut input = Matrix::zeros(kernels.len(), features::NUM_FEATURES);
+        let mut quantities = Vec::with_capacity(kernels.len());
+        for (r, (op, launch)) in kernels.iter().enumerate() {
+            let q = features::tile_quantities(op, launch, dtype);
+            let row = input.row_mut(r);
+            features::write(&q, launch, spec, row);
+            self.scaler.transform_inplace(row);
+            quantities.push(q);
+        }
+        let raw = self.mlp.forward(&input);
+        quantities
             .into_iter()
-            .zip(&quantities)
-            .map(|(util, q)| {
-                let util = f64::from(util).clamp(MIN_UTILIZATION, 0.999);
-                latency_from_utilization(q, util, spec)
+            .enumerate()
+            .map(|(r, q)| {
+                let util = AlphaBetaHead.forward(raw.row(r), &[q.num_waves as f32]);
+                (q, f64::from(util).clamp(MIN_UTILIZATION, 0.999))
             })
             .collect()
     }

@@ -22,13 +22,37 @@
 //!   GEMM depth, and every distinct `(dims, gemm_k)` shape once, as
 //!   positions into those value tables;
 //! - under each shape sit its rows, as `(row, GPU slot)` in row order,
-//!   where a slot is one distinct `(num_sms, l2_bytes)` pair of the group.
+//!   where a slot is one distinct `(num_sms, l2_bytes)` pair of the group;
+//! - the shapes are bucketed on the two output axes with the most
+//!   distinct values (the split axes): an outer bucket per value of the
+//!   first, a cell per value pair present.
 //!
 //! A query takes one `ln` per distinct axis value and per GPU slot, then
-//! scores each shape and each of its rows by adding table entries only.
-//! The result is the scan's, bit for bit: every distance is the same sum
-//! of the same `f64` terms in the same order, and ties go to the lowest
-//! row, as the scan's strict `<` keeps the first row it meets.
+//! scores shapes and their rows by adding table entries only. It does
+//! not score every shape. It visits the outer buckets nearest first on
+//! their axis, and within each bucket the cells nearest first on the
+//! second axis. A bucket whose term on its axis, or a cell whose two
+//! terms summed, is strictly greater than the best distance found so far
+//! is skipped, and so is a shape whose output and depth terms already
+//! are.
+//!
+//! The result is the scan's, bit for bit:
+//!
+//! - every distance that is computed is the same sum of the same `f64`
+//!   terms in the same order as the scan's;
+//! - a skip never drops a winner. Every term is a square, so it is
+//!   non-negative, and IEEE addition is monotone in each operand. So a
+//!   sum is at least any sum of a subsequence of its terms, and a row
+//!   under a skipped bound lies strictly farther than a row already
+//!   found. Skipping only on a strict `>` keeps rows that tie;
+//! - ties go to the lowest row, whatever the visit order, as the scan's
+//!   strict `<` keeps the first row it meets.
+//!
+//! The visit order only decides how soon a small best distance is found,
+//! and so how much is skipped. The search skips rather than stops at the
+//! first bound over the best distance, so it stays exact even where the
+//! computed `ln` is not monotone and the walk is not in bound order; a
+//! skipped bucket costs one comparison.
 
 use neusight_gpu::{num_tiles, num_waves, GpuError, GpuSpec, KernelDataset, KernelLaunch};
 use neusight_gpu::{OpClass, OpDesc, TileShape};
@@ -103,7 +127,8 @@ fn pos(i: usize) -> u32 {
     u32::try_from(i).expect("tile index tables hold fewer than 2^32 items")
 }
 
-/// Marks a shape without a GEMM depth.
+/// Marks an absent position: a shape without a GEMM depth, or a cell of
+/// a group with fewer than two split axes.
 const NO_K: u32 = u32::MAX;
 
 /// The rows of one `(family, rank)`, deduplicated by shape and GPU.
@@ -116,6 +141,19 @@ struct TileGroup {
     /// the depths own `values[starts[rank]..]`.
     values: Vec<u64>,
     starts: Vec<usize>,
+    /// The output axes the shapes are bucketed on: the two with the most
+    /// distinct values, most first (one for rank 1, none for rank 0).
+    split: Vec<usize>,
+    /// Outer bucket `i` (the shapes at the `i`-th value of `split[0]`)
+    /// owns cells `outer_starts[i]..outer_starts[i + 1]`. A group with no
+    /// split axis has one outer bucket.
+    outer_starts: Vec<usize>,
+    /// One cell per distinct pair of values on the split axes, in value
+    /// order: the position in `values` of the value on `split[1]` (or
+    /// [`NO_K`] with no second split axis), and the cell's first shape.
+    /// A cell's shapes run to the next cell's first shape; a last, empty
+    /// cell closes the list.
+    cells: Vec<(u32, u32)>,
     /// `rank` positions into `values` per shape, shape after shape.
     shape_dims: Vec<u32>,
     /// Position of each shape's GEMM depth in `values`, or [`NO_K`].
@@ -173,11 +211,11 @@ impl TileGroup {
             pos(starts[axis] + run.binary_search(&v).expect("value was tabled"))
         };
 
-        // Distinct shapes in order of first appearance, rows under each.
+        // Distinct shapes in order of first appearance: dims, depth, and
+        // the rows under each.
+        type Shape = (Vec<u32>, u32, Vec<(u32, u32)>);
         let mut shape_of: HashMap<(Vec<u32>, u32), usize> = HashMap::new();
-        let mut shape_dims = Vec::new();
-        let mut shape_k = Vec::new();
-        let mut shape_rows: Vec<Vec<(u32, u32)>> = Vec::new();
+        let mut shapes: Vec<Shape> = Vec::new();
         let mut gpus: Vec<(u32, f64)> = Vec::new();
         for &i in members {
             let e = &entries[i];
@@ -195,25 +233,57 @@ impl TileGroup {
                 }
             };
             let shape = *shape_of.entry((dims, k)).or_insert_with_key(|(dims, k)| {
-                shape_dims.extend_from_slice(dims);
-                shape_k.push(*k);
-                shape_rows.push(Vec::new());
-                shape_rows.len() - 1
+                shapes.push((dims.clone(), *k, Vec::new()));
+                shapes.len() - 1
             });
-            shape_rows[shape].push((pos(i), pos(slot)));
+            shapes[shape].2.push((pos(i), pos(slot)));
         }
-        let mut row_starts = Vec::with_capacity(shape_rows.len() + 1);
+
+        // Bucket the shapes on the two output axes with the most distinct
+        // values (the first such axes); a stable sort keeps first
+        // appearance within each cell.
+        let mut split: Vec<usize> = (0..rank).collect();
+        split.sort_by_key(|&a| std::cmp::Reverse(starts[a + 1] - starts[a]));
+        split.truncate(2);
+        let cell_of = |dims: &[u32]| {
+            let at = |level: usize| split.get(level).map_or(NO_K, |&a| dims[a]);
+            (at(0), at(1))
+        };
+        shapes.sort_by_key(|(dims, _, _)| cell_of(dims));
+        let outer_values = split.first().map_or(1, |&a| starts[a + 1] - starts[a]);
+        let mut outer_starts = Vec::with_capacity(outer_values + 1);
+        let mut cells: Vec<(u32, u32)> = Vec::new();
+        let mut shape_dims = Vec::with_capacity(shapes.len() * rank);
+        let mut shape_k = Vec::with_capacity(shapes.len());
+        let mut row_starts = Vec::with_capacity(shapes.len() + 1);
         let mut rows = Vec::with_capacity(members.len());
-        for shape in shape_rows {
+        let mut last_cell = None;
+        for (s, (dims, k, shape_rows)) in shapes.into_iter().enumerate() {
+            let cell = cell_of(&dims);
+            if last_cell != Some(cell) {
+                let outer = split.first().map_or(0, |&a| cell.0 as usize - starts[a]);
+                while outer_starts.len() <= outer {
+                    outer_starts.push(cells.len());
+                }
+                cells.push((cell.1, pos(s)));
+                last_cell = Some(cell);
+            }
+            shape_dims.extend(dims);
+            shape_k.push(k);
             row_starts.push(rows.len());
-            rows.extend(shape);
+            rows.extend(shape_rows);
         }
+        outer_starts.resize(outer_values + 1, cells.len());
+        cells.push((NO_K, pos(shape_k.len())));
         row_starts.push(rows.len());
         TileGroup {
             class,
             rank,
             values,
             starts,
+            split,
+            outer_starts,
+            cells,
             shape_dims,
             shape_k,
             row_starts,
@@ -251,29 +321,115 @@ impl TileGroup {
             })
             .collect();
 
-        let mut best: Option<(f64, u32)> = None;
-        for (shape, &shape_k) in self.shape_k.iter().enumerate() {
-            let mut base = 0.0;
-            for &p in &self.shape_dims[shape * self.rank..(shape + 1) * self.rank] {
-                base += dist_of[p as usize];
+        // Buckets nearest first on the split axes, walking out from the
+        // query's place among each axis's values. A cell's terms on the
+        // split axes bound every distance in it from below, so a bucket or
+        // cell whose bound exceeds the best distance so far holds no
+        // winner and is skipped (see the module documentation).
+        let level = |l: usize| {
+            self.split.get(l).map(|&a| {
+                let run = &self.values[self.starts[a]..self.starts[a + 1]];
+                (self.starts[a], run.partition_point(|&v| v < dims[a]))
+            })
+        };
+        let (outer_start, outer_split) = level(0).unwrap_or((0, 0));
+        let inner_query = level(1).map_or(0, |(start, at)| start + at);
+        let outer_bound = |i: usize| {
+            if self.split.is_empty() {
+                0.0
+            } else {
+                dist_of[outer_start + i]
             }
-            if k.is_some() && shape_k != NO_K {
-                base += dist_of[shape_k as usize];
+        };
+        let inner_bound = |c: usize| match self.cells[c].0 {
+            NO_K => 0.0,
+            p => dist_of[p as usize],
+        };
+        let mut best = None;
+        let outer_count = self.outer_starts.len() - 1;
+        nearest_first(outer_count, outer_split, outer_bound, |i| {
+            let outer = outer_bound(i);
+            if exceeds(outer, best) {
+                return;
             }
-            // The GPU terms are non-negative and rounding is monotone, so
-            // no row of this shape can reach a smaller or equal distance.
-            if best.is_some_and(|(d, _)| base > d) {
-                continue;
-            }
-            for &(entry, slot) in &self.rows[self.row_starts[shape]..self.row_starts[shape + 1]] {
-                let (sm, l2) = gpu_dist[slot as usize];
-                let dist = base + sm + l2;
-                if best.is_none_or(|(d, e)| dist < d || (dist == d && entry < e)) {
-                    best = Some((dist, entry));
-                }
+            let first = self.outer_starts[i];
+            let cells = &self.cells[first..self.outer_starts[i + 1]];
+            let inner_split = cells.partition_point(|&(p, _)| (p as usize) < inner_query);
+            nearest_first(
+                cells.len(),
+                inner_split,
+                |c| inner_bound(first + c),
+                |c| {
+                    let bound = outer + inner_bound(first + c);
+                    if exceeds(bound, best) {
+                        return;
+                    }
+                    let shapes = self.cells[first + c].1..self.cells[first + c + 1].1;
+                    for shape in shapes {
+                        self.score(shape as usize, &dist_of, k.is_some(), &gpu_dist, &mut best);
+                    }
+                },
+            );
+        });
+        best.map(|(dist, entry)| (dist, entry as usize))
+    }
+
+    /// Scores every row of `shape` against the query, keeping the nearest
+    /// (lowest entry on a tie) in `best`.
+    fn score(
+        &self,
+        shape: usize,
+        dist_of: &[f64],
+        has_k: bool,
+        gpu_dist: &[(f64, f64)],
+        best: &mut Option<(f64, u32)>,
+    ) {
+        let mut base = 0.0;
+        for &p in &self.shape_dims[shape * self.rank..(shape + 1) * self.rank] {
+            base += dist_of[p as usize];
+        }
+        let shape_k = self.shape_k[shape];
+        if has_k && shape_k != NO_K {
+            base += dist_of[shape_k as usize];
+        }
+        // The GPU terms are non-negative and rounding is monotone, so no
+        // row of this shape can reach a smaller or equal distance.
+        if exceeds(base, *best) {
+            return;
+        }
+        for &(entry, slot) in &self.rows[self.row_starts[shape]..self.row_starts[shape + 1]] {
+            let (sm, l2) = gpu_dist[slot as usize];
+            let dist = base + sm + l2;
+            if best.is_none_or(|(d, e)| dist < d || (dist == d && entry < e)) {
+                *best = Some((dist, entry));
             }
         }
-        best.map(|(dist, entry)| (dist, entry as usize))
+    }
+}
+
+/// Whether a lower bound rules out beating or tying `best`.
+fn exceeds(bound: f64, best: Option<(f64, u32)>) -> bool {
+    best.is_some_and(|(d, _)| bound > d)
+}
+
+/// Calls `visit` on each of `0..len` once, nearest first: walking out
+/// from `split` (the first index at or above the query), it takes
+/// whichever neighbour has the smaller `bound`.
+fn nearest_first(
+    len: usize,
+    split: usize,
+    bound: impl Fn(usize) -> f64,
+    mut visit: impl FnMut(usize),
+) {
+    let (mut left, mut right) = (split, split);
+    while left > 0 || right < len {
+        if right == len || (left > 0 && bound(left - 1) <= bound(right)) {
+            left -= 1;
+            visit(left);
+        } else {
+            visit(right);
+            right += 1;
+        }
     }
 }
 
@@ -472,7 +628,7 @@ pub(crate) mod tests {
         dims: &[u64],
         k: Option<u64>,
         spec: &GpuSpec,
-    ) {
+    ) -> Option<(f64, usize)> {
         let got = db.nearest(class, dims, k, spec);
         let want = brute_force(db, class, dims, k, spec);
         assert_eq!(
@@ -481,13 +637,13 @@ pub(crate) mod tests {
             "{class:?} {dims:?} k={k:?} on {}",
             spec.name()
         );
+        want
     }
 
     /// Asserts every public query agrees with the scan for `op`.
     fn assert_matches_scan(db: &TileDatabase, op: &OpDesc, spec: &GpuSpec) {
         let dims = op.output_dims();
-        assert_row_matches_scan(db, op.op_class(), &dims, gemm_k_of(op), spec);
-        let want = match brute_force(db, op.op_class(), &dims, gemm_k_of(op), spec) {
+        let want = match assert_row_matches_scan(db, op.op_class(), &dims, gemm_k_of(op), spec) {
             Some((_, i)) => {
                 let entry = &db.entries[i];
                 (entry.tile.clamped_to(&dims), entry.split_k.max(1))
@@ -680,11 +836,37 @@ pub(crate) mod tests {
         assert!(back.index.get().is_some());
     }
 
+    /// Every distinct kernel of the Table 4 zoo at batch 1–16: inference,
+    /// fused inference and training graphs.
+    fn zoo_kernels() -> Vec<OpDesc> {
+        let mut seen = HashSet::new();
+        let mut ops = Vec::new();
+        for model in neusight_graph::config::table4() {
+            for batch in 1..=16 {
+                let inference = neusight_graph::inference_graph(&model, batch);
+                let fused = neusight_graph::fuse_graph(&inference);
+                let training = neusight_graph::training_graph(&model, batch);
+                for graph in [&inference, &fused, &training] {
+                    for op in graph.kernels() {
+                        if seen.insert(op.clone()) {
+                            ops.push(op.clone());
+                        }
+                    }
+                }
+            }
+        }
+        ops
+    }
+
+    /// The pruned search against the scan it replaces, on the standard
+    /// database, for every zoo kernel on every catalog GPU (including
+    /// the three held out of training).
     #[test]
     fn index_matches_scan_on_standard_database_for_table4_kernels() {
         let db = &*STANDARD_DB;
-        let ops = table4_kernels();
+        let ops = zoo_kernels();
         assert!(ops.iter().any(|op| matches!(op, OpDesc::Fused(_))));
+        assert!(table4_kernels().iter().all(|op| ops.contains(op)));
         let gpus = all_gpus();
         assert_eq!(gpus.len(), 8);
         for spec in &gpus {
@@ -847,6 +1029,30 @@ pub(crate) mod tests {
         ]);
         assert_matches_scan(&db, &op, &a100);
         assert_eq!(db.tile_for(&op, &a100), TileShape::new(vec![5]));
+    }
+
+    /// An exact three-way tie across buckets: the pruned search meets
+    /// the lowest row last, in the bucket it visits third, and must still
+    /// visit that bucket, whose bound equals the best distance.
+    #[test]
+    fn ties_across_buckets_go_to_the_first_recorded_row() {
+        let a100 = catalog::gpu("A100-40GB").unwrap();
+        let here = (a100.num_sms(), a100.l2_bytes());
+        let ln2_sq = log_dist(100.0, 50.0);
+        assert_eq!(ln2_sq, log_dist(100.0, 200.0));
+        let db = db_of(vec![
+            row(vec![100, 800], None, here, 1),
+            row(vec![200, 100], None, here, 2),
+            row(vec![50, 100], None, here, 3),
+            row(vec![100, 50], None, here, 4),
+        ]);
+        let query = [100, 100];
+        // Both axes have three values, so axis 0 is the outer one. The
+        // search visits its value 100 (row 3), then 50 (row 2), then 200
+        // (row 1); all three rows lie ln²2 away.
+        assert_row_matches_scan(&db, OpClass::Elementwise, &query, None, &a100);
+        let nearest = db.nearest(OpClass::Elementwise, &query, None, &a100);
+        assert_eq!(nearest, Some((ln2_sq, 1)));
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl Matrix {
         &mut self.data[row * cols..(row + 1) * cols]
     }
 
-    /// `self · other`, via the blocked packing GEMM in [`gemm`].
+    /// `self · other`, via the GEMM in [`gemm`].
     ///
     /// # Panics
     ///
@@ -167,16 +167,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        gemm::run(
-            &mut out.data,
-            gemm::Operand::plain(&self.data, self.cols),
-            gemm::Operand::plain(&other.data, other.cols),
-            gemm::Shape {
-                m: self.rows,
-                n: other.cols,
-                k: self.cols,
-            },
-        );
+        matmul_acc(&mut out.data, &self.data, self.rows, other);
         out
     }
 
@@ -304,6 +295,34 @@ impl Matrix {
     }
 }
 
+/// `out += a · b`, where `a` is `rows × b.rows()` and `out` is
+/// `rows × b.cols()`, both row-major: [`Matrix::matmul`]'s product into a
+/// buffer the caller owns (and has zeroed, for the plain product).
+///
+/// # Panics
+///
+/// Panics if `a` or `out` has the wrong length.
+pub(crate) fn matmul_acc(out: &mut [f32], a: &[f32], rows: usize, b: &Matrix) {
+    assert!(
+        a.len() == rows * b.rows && out.len() == rows * b.cols,
+        "matmul_acc shape mismatch: {} and {} floats for {rows} rows · {}x{}",
+        a.len(),
+        out.len(),
+        b.rows,
+        b.cols
+    );
+    gemm::run(
+        out,
+        gemm::Operand::plain(a, b.rows),
+        gemm::Operand::plain(&b.data, b.cols),
+        gemm::Shape {
+            m: rows,
+            n: b.cols,
+            k: b.rows,
+        },
+    );
+}
+
 impl fmt::Display for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Matrix({}x{})", self.rows, self.cols)
@@ -328,6 +347,14 @@ impl fmt::Display for Matrix {
 /// same FMA chain in the same slab order either way. Large products are
 /// additionally split across threads by output row blocks; small ones
 /// stay serial because thread spawn costs more than the multiply.
+///
+/// A product with fewer than MR rows, a plain A and a plain B (every
+/// inference `x·W` the MLP runs, at a few rows) skips all of that on
+/// AVX2+FMA hosts: [`few_rows`] broadcasts straight from A's rows and
+/// reads B's rows in place, R rows × 16 to 32 columns per register tile,
+/// with no packing and no padding to MR rows. Each output element is still
+/// one FMA chain from zero over the slab's `p` in order, added to C once
+/// per KC slab, so the result is the 6×16 kernel's bit for bit.
 mod gemm {
     /// Micro-tile rows held in registers (6×16 fills the 16 AVX2 `ymm`
     /// registers: 12 accumulators + 2 B vectors + 1 broadcast).
@@ -435,6 +462,11 @@ mod gemm {
             } else {
                 counters.scalar.inc();
             }
+        }
+        #[cfg(target_arch = "x86_64")]
+        if m < MR && !a.transposed && !b.transposed && simd_kernel_available() {
+            few_rows(out, a, b, shape);
+            return;
         }
         if threads <= 1 {
             serial(out, a, b, shape, 0);
@@ -711,6 +743,179 @@ mod gemm {
             _mm256_storeu_ps(row.as_mut_ptr().add(8), av[1]);
         }
     }
+
+    /// `out += a · b` for fewer than MR rows of a plain A and a plain B,
+    /// one KC slab at a time, on the AVX2+FMA few-row kernel. Each tile is
+    /// as wide as lets its accumulators, B vectors and A broadcast share the
+    /// 16 `ymm` registers without spilling: one or two rows take 32
+    /// columns, three rows 24, four and five rows 16. All rows share each
+    /// B load, so B is read once per slab.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < m < MR` and the host has AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    fn few_rows(out: &mut [f32], a: Operand<'_>, b: Operand<'_>, shape: Shape) {
+        assert!(
+            simd_kernel_available(),
+            "the few-row kernel needs AVX2 and FMA"
+        );
+        let mut k0 = 0;
+        while k0 < shape.k {
+            let kc = KC.min(shape.k - k0);
+            let slab = Slab {
+                k0,
+                kc,
+                lda: a.stride,
+                ldb: b.stride,
+                n: shape.n,
+            };
+            // SAFETY: AVX2 and FMA were just checked, and the kernel
+            // asserts its slices cover the rows and columns it reads.
+            unsafe {
+                match shape.m {
+                    1 => few_rows_avx2::<1, 4>(out, a.data, b.data, slab),
+                    2 => few_rows_avx2::<2, 4>(out, a.data, b.data, slab),
+                    3 => few_rows_avx2::<3, 3>(out, a.data, b.data, slab),
+                    4 => few_rows_avx2::<4, 2>(out, a.data, b.data, slab),
+                    5 => few_rows_avx2::<5, 2>(out, a.data, b.data, slab),
+                    m => panic!("the few-row kernel takes 1 to {} rows, not {m}", MR - 1),
+                }
+            }
+            k0 += KC;
+        }
+    }
+
+    /// One KC slab of a few-row product: reduction rows `[k0, k0 + kc)`,
+    /// A's and B's row strides, and the output width `n` (C's stride).
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Clone, Copy)]
+    struct Slab {
+        k0: usize,
+        kc: usize,
+        lda: usize,
+        ldb: usize,
+        n: usize,
+    }
+
+    /// The few-row kernel over one slab: R rows of C, swept in tiles of
+    /// V 8-lane vectors, then single vectors, the last one masked.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `kc > 0`, `n > 0`, `out` holds R rows of `n`, `a`
+    /// holds columns `[k0, k0 + kc)` of R rows `lda` apart and `b` holds
+    /// `n` columns of rows `[k0, k0 + kc)`, `ldb` apart: the pointer
+    /// reads below stay inside the slices because of this check.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn few_rows_avx2<const R: usize, const V: usize>(
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        slab: Slab,
+    ) {
+        use std::arch::x86_64::{_mm256_cmpgt_epi32, _mm256_set1_epi32, _mm256_setr_epi32};
+        let Slab {
+            k0,
+            kc,
+            lda,
+            ldb,
+            n,
+        } = slab;
+        assert!(
+            kc > 0
+                && n > 0
+                && out.len() >= R * n
+                && a.len() >= (R - 1) * lda + k0 + kc
+                && b.len() >= (k0 + kc - 1) * ldb + n,
+            "few-row operands too short for {R} rows, k0={k0}, kc={kc}, n={n}"
+        );
+        let a_ptr = a.as_ptr().add(k0);
+        let b_ptr = b.as_ptr().add(k0 * ldb);
+        let c_ptr = out.as_mut_ptr();
+        let all = _mm256_set1_epi32(-1);
+        let mut j = 0;
+        while j + 8 * V <= n {
+            few_rows_tile::<R, V, false>(a_ptr, lda, b_ptr.add(j), ldb, kc, c_ptr.add(j), n, all);
+            j += 8 * V;
+        }
+        while j + 8 <= n {
+            few_rows_tile::<R, 1, false>(a_ptr, lda, b_ptr.add(j), ldb, kc, c_ptr.add(j), n, all);
+            j += 8;
+        }
+        if j < n {
+            // Lane i is live while i < n - j (at most 7 lanes).
+            let live = _mm256_set1_epi32(i32::try_from(n - j).expect("fewer than 8 lanes"));
+            let mask = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+            few_rows_tile::<R, 1, true>(a_ptr, lda, b_ptr.add(j), ldb, kc, c_ptr.add(j), n, mask);
+        }
+    }
+
+    /// One R × 8·V register tile: `c[i][..] += Σ_p a[i][p] · b[p][..]` with
+    /// each element one FMA chain over `p` from zero. With `MASKED`, the
+    /// last vector reads and writes only the lanes `mask` selects.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available, and `a` (R rows, `lda` apart,
+    /// `kc` floats each), `b` (`kc` rows `ldb` apart, 8·V floats each, or
+    /// the masked lanes of the last vector) and `c` (R rows `ldc` apart,
+    /// as wide as `b`'s rows) must be valid.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn few_rows_tile<const R: usize, const V: usize, const MASKED: bool>(
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        ldb: usize,
+        kc: usize,
+        c: *mut f32,
+        ldc: usize,
+        mask: std::arch::x86_64::__m256i,
+    ) {
+        use std::arch::x86_64::{
+            _mm256_add_ps, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps,
+            _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+        };
+        let masked = |v: usize| MASKED && v + 1 == V;
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for p in 0..kc {
+            let row = b.add(p * ldb);
+            let mut b_v = [_mm256_setzero_ps(); V];
+            for (v, bv) in b_v.iter_mut().enumerate() {
+                *bv = if masked(v) {
+                    _mm256_maskload_ps(row.add(8 * v), mask)
+                } else {
+                    _mm256_loadu_ps(row.add(8 * v))
+                };
+            }
+            for (i, acc_i) in acc.iter_mut().enumerate() {
+                let a_val = _mm256_broadcast_ss(&*a.add(i * lda + p));
+                for (av, &bv) in acc_i.iter_mut().zip(&b_v) {
+                    *av = _mm256_fmadd_ps(a_val, bv, *av);
+                }
+            }
+        }
+        for (i, acc_i) in acc.iter().enumerate() {
+            let row = c.add(i * ldc);
+            for (v, &av) in acc_i.iter().enumerate() {
+                let dst = row.add(8 * v);
+                if masked(v) {
+                    let sum = _mm256_add_ps(_mm256_maskload_ps(dst, mask), av);
+                    _mm256_maskstore_ps(dst, mask, sum);
+                } else {
+                    _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), av));
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -857,6 +1062,46 @@ mod tests {
                     .zip(fast.as_slice())
                     .all(|(x, y)| x.to_bits() == y.to_bits());
                 assert!(same, "({m}x{k})·({k}x{n}): {name} differs from matmul");
+            }
+        }
+    }
+
+    /// The few-row kernel on its edges: every row count below MR, widths
+    /// around its 8-lane vectors and 16- to 32-column tiles, depths
+    /// around the KC slab. It must match the packed 6×16 path (`matmul_t`
+    /// on the explicit transpose) bitwise, and the reference within
+    /// rounding.
+    #[test]
+    fn few_row_gemm_matches_packed_and_reference_on_edges() {
+        for m in 1..6 {
+            for n in [1, 2, 7, 8, 9, 16, 24, 31, 32, 33, 130] {
+                for k in [255, 256, 257] {
+                    let a =
+                        Matrix::from_fn(m, k, |r, c| ((r * 29 + c * 13) % 17) as f32 * 0.2 - 1.7);
+                    let b =
+                        Matrix::from_fn(k, n, |r, c| ((r * 5 + c * 11) % 19) as f32 * 0.1 - 0.9);
+                    let fast = a.matmul(&b);
+                    let b_t = Matrix::from_fn(n, k, |r, c| b.get(c, r));
+                    let packed = a.matmul_t(&b_t);
+                    let slow = a.matmul_reference(&b);
+                    for (i, ((x, p), y)) in fast
+                        .as_slice()
+                        .iter()
+                        .zip(packed.as_slice())
+                        .zip(slow.as_slice())
+                        .enumerate()
+                    {
+                        assert_eq!(
+                            x.to_bits(),
+                            p.to_bits(),
+                            "({m}x{k})·({k}x{n}) at {i}: {x} vs packed {p}"
+                        );
+                        assert!(
+                            (x - y).abs() <= 1e-4 * y.abs().max(1.0),
+                            "({m}x{k})·({k}x{n}) diverged at {i}: {x} vs {y}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -7,7 +7,7 @@
 //! [`Mlp::forward_train`] / [`Mlp::backward`] pair computes exact gradients
 //! for every weight and bias.
 
-use crate::matrix::{Matrix, ShapeError};
+use crate::matrix::{matmul_acc, Matrix, ShapeError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -60,6 +60,25 @@ impl Dense {
             out.map_inplace(|v| v.max(0.0));
         }
         out
+    }
+
+    /// Inference forward of `rows` rows of `input` into `out`, resized to
+    /// `rows` × this layer's width: the arithmetic of [`Dense::forward`]
+    /// without its allocations.
+    fn infer(&self, input: &[f32], rows: usize, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(rows * self.bias.len(), 0.0);
+        matmul_acc(out, input, rows, &self.weight);
+        for row in out.chunks_exact_mut(self.bias.len()) {
+            for (v, &b) in row.iter_mut().zip(&self.bias) {
+                *v += b;
+            }
+        }
+        if self.relu {
+            for v in out.iter_mut() {
+                *v = v.max(0.0);
+            }
+        }
     }
 
     /// Backpropagates `dout` (gradient of the loss w.r.t. this layer's
@@ -251,18 +270,22 @@ impl Mlp {
     #[must_use]
     pub fn forward(&self, input: &Matrix) -> Matrix {
         assert_eq!(input.cols(), self.input_dim, "input dim mismatch");
-        // `Dense::forward` takes `&mut self` to keep training caches; this
-        // is the same math on `&self`, with no caches.
-        let mut x: Option<Matrix> = None;
-        for layer in &self.layers {
-            let mut out = x.as_ref().unwrap_or(input).matmul(&layer.weight);
-            out.add_row_broadcast(&layer.bias);
-            if layer.relu {
-                out.map_inplace(|v| v.max(0.0));
-            }
-            x = Some(out);
+        if self.layers.is_empty() {
+            return input.clone();
         }
-        x.unwrap_or_else(|| input.clone())
+        // `Dense::forward` takes `&mut self` to keep training caches; this
+        // is the same math on `&self`, with no caches, in two buffers that
+        // take turns as a layer's input and its output.
+        let rows = input.rows();
+        let widest = self.layers.iter().map(|l| l.bias.len()).max().unwrap_or(0);
+        let mut x = Vec::with_capacity(rows * widest);
+        let mut y = Vec::with_capacity(rows * widest);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let layer_input = if i == 0 { input.as_slice() } else { &x };
+            layer.infer(layer_input, rows, &mut y);
+            std::mem::swap(&mut x, &mut y);
+        }
+        Matrix::from_vec(rows, self.output_dim, x)
     }
 
     /// Training-mode forward pass: caches intermediates for
@@ -391,6 +414,32 @@ mod tests {
         assert_eq!(a.forward(&x).as_slice(), b.forward(&x).as_slice());
         let c = Mlp::new(4, &[8], 1, 100);
         assert_ne!(a.forward(&x).as_slice(), c.forward(&x).as_slice());
+    }
+
+    /// Every row of a batched forward equals that row's forward alone,
+    /// bit for bit, on the serving network's shape at 1 to 13 rows: both
+    /// sides of the few-row GEMM kernel (below 6 rows) and the packed
+    /// one, and batches that mix a full 6-row tile with a short one; then
+    /// across the 96-row block at 97 and 200 rows.
+    #[test]
+    fn batched_forward_rows_match_single_row_forwards_bitwise() {
+        let mlp = Mlp::new(8, &[128; 4], 2, 17);
+        let row = |i: usize| -> Vec<f32> {
+            (0..8)
+                .map(|d| ((i * 37 + d * 11) % 23) as f32 * 0.17 - 1.9 + d as f32 * 0.05)
+                .collect()
+        };
+        let single: Vec<Matrix> = (0..200)
+            .map(|i| mlp.forward(&Matrix::from_vec(1, 8, row(i))))
+            .collect();
+        for rows in (1..=13).chain([97, 200]) {
+            let batch = Matrix::from_vec(rows, 8, (0..rows).flat_map(row).collect());
+            let out = mlp.forward(&batch);
+            for (r, alone) in single.iter().enumerate().take(rows) {
+                let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(out.row(r)), bits(alone.row(0)), "row {r} of {rows}");
+            }
+        }
     }
 
     #[test]

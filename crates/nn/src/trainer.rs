@@ -590,37 +590,6 @@ pub fn predict(mlp: &Mlp, head: &dyn Head, sample: &Sample) -> f32 {
     head.forward(raw.row(0), &sample.aux)
 }
 
-/// Batched counterpart of [`predict`]: stacks all samples into one feature
-/// matrix, runs a single forward pass, and applies the head per row.
-///
-/// Each row of the GEMM accumulates over the contraction dimension in the
-/// same order regardless of how many rows the matrix has, so every returned
-/// prediction is bitwise-identical to calling [`predict`] on that sample
-/// alone.
-///
-/// # Panics
-///
-/// Panics if the samples disagree on feature dimension.
-#[must_use]
-pub fn predict_batch(mlp: &Mlp, head: &dyn Head, samples: &[Sample]) -> Vec<f32> {
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let dim = samples[0].features.len();
-    let mut data = Vec::with_capacity(samples.len() * dim);
-    for sample in samples {
-        assert_eq!(sample.features.len(), dim, "ragged feature vectors");
-        data.extend_from_slice(&sample.features);
-    }
-    let x = Matrix::from_vec(samples.len(), dim, data);
-    let raw = mlp.forward(&x);
-    samples
-        .iter()
-        .enumerate()
-        .map(|(r, sample)| head.forward(raw.row(r), &sample.aux))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,38 +755,6 @@ mod tests {
             Loss::Mse,
             &Dataset::default(),
         );
-    }
-
-    #[test]
-    fn predict_batch_matches_scalar_predict_bitwise() {
-        // A small network, and the serving predictor's shape with a batch
-        // that crosses both the GEMM's MR=6 row tile and its MC=96 block.
-        let cases = [
-            (Mlp::new(3, &[16, 16], 2, 17), 23),
-            (Mlp::new(8, &[128; 4], 2, 17), 200),
-        ];
-        for (mlp, count) in &cases {
-            let samples: Vec<Sample> = (0..*count)
-                .map(|i| {
-                    let f = i as f32;
-                    let features = (0..mlp.input_dim())
-                        .map(|d| match d % 3 {
-                            0 => f * 0.31 - 2.0 + d as f32,
-                            1 => (f * 0.7 + d as f32).sin(),
-                            _ => 1.0 / (f + 1.0 + d as f32),
-                        })
-                        .collect();
-                    Sample::new(features, vec![1.0 + f], 0.0)
-                })
-                .collect();
-            let batched = predict_batch(mlp, &AlphaBetaHead, &samples);
-            assert_eq!(batched.len(), samples.len());
-            for (b, sample) in batched.iter().zip(&samples) {
-                let scalar = predict(mlp, &AlphaBetaHead, sample);
-                assert_eq!(b.to_bits(), scalar.to_bits());
-            }
-            assert!(predict_batch(mlp, &AlphaBetaHead, &[]).is_empty());
-        }
     }
 
     /// Serializes tests that arm (or may observe) the process-global
