@@ -59,7 +59,7 @@ fn load_json<T: serde::de::DeserializeOwned>(path: &Path) -> Option<T> {
             return None;
         }
     };
-    let text = std::str::from_utf8(&decoded.payload).ok()?;
+    let text = std::str::from_utf8(decoded.payload).ok()?;
     serde_json::from_str(text).ok()
 }
 

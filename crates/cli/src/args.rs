@@ -4,6 +4,56 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Every `--option` some command reads. Anything else is rejected at
+/// parse time, so a misspelled flag (`--trcae`, `--shed-target 250`)
+/// fails loudly instead of leaving a feature silently off.
+pub const KNOWN_OPTIONS: &[&str] = &[
+    "addr",
+    "batch",
+    "cache-capacity",
+    "cache-shards",
+    "deadline-ms",
+    "fault-seed",
+    "fault-spec",
+    "fused",
+    "gpu",
+    "hedge",
+    "input",
+    "max-batch",
+    "metrics",
+    "metrics-out",
+    "microbatches",
+    "model",
+    "models-dir",
+    "no-golden",
+    "op",
+    "out",
+    "parent",
+    "perturb",
+    "port",
+    "predictor",
+    "queue-depth",
+    // Accepted and ignored: `serve` and `router` always run the reactor
+    // front end, and existing scripts still pass the old flag.
+    "reactor",
+    "replicas",
+    "restart-budget",
+    "runs",
+    "scale",
+    "serve",
+    "server",
+    "shed-target-ms",
+    "strategy",
+    "tokens",
+    "trace",
+    "trace-jsonl",
+    "train",
+    "upstream",
+    "version",
+    "warm-gossip",
+    "workers",
+];
+
 /// Parse error with a user-facing message.
 #[derive(Debug)]
 pub struct ArgError(pub String);
@@ -29,7 +79,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] on a dangling `--`.
+    /// Returns [`ArgError`] on a dangling `--` or an option outside
+    /// [`KNOWN_OPTIONS`].
     pub fn parse(raw: impl Iterator<Item = String>) -> Result<Args, ArgError> {
         let mut args = Args::default();
         let mut raw = raw.peekable();
@@ -37,6 +88,9 @@ impl Args {
             if let Some(key) = token.strip_prefix("--") {
                 if key.is_empty() {
                     return Err(ArgError("dangling `--`".to_owned()));
+                }
+                if !KNOWN_OPTIONS.contains(&key) {
+                    return Err(ArgError(format!("unknown option `--{key}`")));
                 }
                 let value = match raw.peek() {
                     Some(next) if !next.starts_with("--") => raw.next().unwrap_or_default(),
@@ -97,8 +151,12 @@ impl Args {
 mod tests {
     use super::*;
 
+    fn try_parse(tokens: &[&str]) -> Result<Args, ArgError> {
+        Args::parse(tokens.iter().map(|s| (*s).to_owned()))
+    }
+
     fn parse(tokens: &[&str]) -> Args {
-        Args::parse(tokens.iter().map(|s| (*s).to_owned())).unwrap()
+        try_parse(tokens).unwrap()
     }
 
     #[test]
@@ -124,6 +182,55 @@ mod tests {
         assert!(args.get_or("batch", 1u64).is_err());
         assert_eq!(args.get_or("missing", 7u64).unwrap(), 7);
         assert!(args.require("gpu").is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected() {
+        let err = try_parse(&["serve", "--trcae", "spans.json"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option `--trcae`");
+        assert!(try_parse(&["router", "--shed-target", "250"]).is_err());
+        // The retired `--reactor` still parses, as a no-op.
+        assert!(parse(&["serve", "--reactor", "--port", "0"]).has("reactor"));
+    }
+
+    /// The option keys `main.rs` reads, found by scanning its source for
+    /// string-literal arguments of the accessors that take a key.
+    fn keys_read_by_main() -> Vec<String> {
+        let source = include_str!("main.rs");
+        let mut keys = Vec::new();
+        for call in [
+            ".option(\"",
+            ".has(\"",
+            ".get_or(\"",
+            ".require(\"",
+            "owned(\"",
+            "file_arg(\"",
+        ] {
+            for (at, _) in source.match_indices(call) {
+                let rest = &source[at + call.len()..];
+                let key = &rest[..rest.find('"').expect("closing quote")];
+                keys.push(key.to_owned());
+            }
+        }
+        keys.sort();
+        keys.dedup();
+        keys
+    }
+
+    #[test]
+    fn every_key_main_reads_is_known() {
+        let keys = keys_read_by_main();
+        assert!(keys.len() >= 40, "scan found only {keys:?}");
+        for key in &keys {
+            assert!(
+                KNOWN_OPTIONS.contains(&key.as_str()),
+                "main.rs reads --{key}, which KNOWN_OPTIONS lacks"
+            );
+        }
+        // And the list names nothing that no command reads.
+        for known in KNOWN_OPTIONS.iter().filter(|&&k| k != "reactor") {
+            assert!(keys.iter().any(|k| k == known), "--{known} is read nowhere");
+        }
     }
 
     #[test]

@@ -62,6 +62,11 @@
 //!   stdout in Prometheus text exposition format after the command.
 //! - `--metrics-out FILE` — write the same exposition to a file.
 //!
+//! `serve` and `router` always keep metrics on for `/metrics`, and record
+//! spans only when `--trace` or `--trace-jsonl` is given; the file is
+//! written after the drain. Unknown options are rejected (the list is
+//! `args::KNOWN_OPTIONS`); `--reactor` is still accepted as a no-op.
+//!
 //! `neusight profile` runs a model forecast under full instrumentation and
 //! prints a per-stage wall-time breakdown table (span taxonomy in
 //! DESIGN.md §Observability) plus cache/dispatch metric summaries.
@@ -162,9 +167,20 @@ fn configure_faults(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
 /// Whether any of the global observability flags is present.
 fn observability_requested(args: &Args) -> bool {
-    ["trace", "trace-jsonl", "metrics", "metrics-out"]
-        .iter()
-        .any(|flag| args.has(flag))
+    spans_requested(args) || args.has("metrics") || args.has("metrics-out")
+}
+
+/// Whether a span export (`--trace` / `--trace-jsonl`) was asked for.
+fn spans_requested(args: &Args) -> bool {
+    args.has("trace") || args.has("trace-jsonl")
+}
+
+/// Observability for a long-lived `serve` or `router` process: metrics
+/// always, for `/metrics`; spans only when an export at exit will read
+/// them, since nothing else does and a full recorder holds megabytes.
+fn enable_serving_observability(args: &Args) {
+    obs::set_enabled(true);
+    obs::set_spans(spans_requested(args));
 }
 
 /// Writes/prints the requested trace and metrics exports after a command.
@@ -879,9 +895,10 @@ fn cmd_serving(args: &Args) -> CliResult {
 /// Runs the long-lived HTTP prediction service (`neusight serve`).
 ///
 /// Blocks until SIGTERM/SIGINT, then drains in-flight requests before
-/// returning. Observability is force-enabled so `/metrics` has data.
+/// returning. Metrics are always on so `/metrics` has data; spans record
+/// only under `--trace` / `--trace-jsonl`, written out after the drain.
 fn cmd_serve(args: &Args) -> CliResult {
-    obs::set_enabled(true);
+    enable_serving_observability(args);
     let mut addr = args.option("addr").unwrap_or("127.0.0.1:8780").to_owned();
     // `--port N` overrides the port of `--addr`; `--port 0` asks the OS
     // for an ephemeral port. Either way the bound address is announced
@@ -943,7 +960,7 @@ fn cmd_serve(args: &Args) -> CliResult {
 /// `--shed-target-ms N` turns queue sojourn above N into replica
 /// brownout and above 2N into router-side 503 shedding.
 fn cmd_router(args: &Args) -> CliResult {
-    obs::set_enabled(true);
+    enable_serving_observability(args);
     neusight_serve::signal::install();
     let spec = ReplicaSpec::from_args(args);
     let mut children: Vec<std::process::Child> = Vec::new();
@@ -1307,7 +1324,7 @@ fn verify_artifact(path: &Path) -> Verdict {
     // artifact gets the stronger check: decode the manifest and
     // recompute the weight fingerprint against it (the envelope checksum
     // alone cannot catch a tamper sealed before wrapping).
-    let payload = &decoded.payload;
+    let payload = decoded.payload;
     if payload.starts_with(&codec::MODEL_TAG) {
         return match codec::decode(payload) {
             Ok(_) => Verdict::Sealed(None),

@@ -1,0 +1,118 @@
+//! End-to-end checks of the `neusight` binary's option handling: a
+//! server asked for `--trace` still writes its spans at drain, and a
+//! misspelled option is an error rather than a silently ignored flag.
+
+use neusight_serve::Client;
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+fn neusight() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_neusight"))
+}
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("neusight-cli-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+fn run(command: &mut Command) -> Output {
+    command.stdin(Stdio::null()).output().expect("run neusight")
+}
+
+/// Trains the tiny predictor into `dir` and returns its path.
+fn tiny_predictor(dir: &Path) -> PathBuf {
+    let path = dir.join("pred.json");
+    let out = run(neusight()
+        .args(["train", "--scale", "tiny", "--out"])
+        .arg(&path));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    path
+}
+
+extern "C" {
+    fn kill(pid: i32, signal: i32) -> i32;
+}
+
+const SIGTERM: i32 = 15;
+
+#[test]
+fn serve_with_trace_writes_the_predict_spans_at_drain() {
+    let dir = scratch("serve-trace");
+    let predictor = tiny_predictor(&dir);
+    let spans = dir.join("spans.json");
+    // `--reactor` is a retired flag that still parses, as a no-op.
+    let mut child = neusight()
+        .args(["serve", "--reactor", "--port", "0", "--predictor"])
+        .arg(&predictor)
+        .arg("--trace")
+        .arg(&spans)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert!(
+            stdout.read_line(&mut line).expect("read") > 0,
+            "serve exited early"
+        );
+        if let Some(addr) = line.trim().strip_prefix("ADDR ") {
+            break addr.parse().expect("announced address");
+        }
+    };
+    let mut client = Client::connect(addr).expect("connect");
+    for _ in 0..2 {
+        let response = client
+            .post_json("/v1/predict", r#"{"model":"gpt2","gpu":"H100","batch":2}"#)
+            .expect("predict");
+        assert_eq!(response.status, 200, "{}", response.text());
+    }
+    drop(client);
+
+    let pid = i32::try_from(child.id()).expect("pid fits");
+    // SAFETY: `kill` only sends a signal to the child this test spawned.
+    assert_eq!(unsafe { kill(pid, SIGTERM) }, 0);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "serve did not drain");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "serve exited with {status}");
+
+    let trace = std::fs::read_to_string(&spans).expect("span file written at drain");
+    for name in [
+        "serve_batch",
+        "dedup",
+        "cache_probe",
+        "batch_predict",
+        "aggregate",
+    ] {
+        assert!(
+            trace.contains(&format!("\"name\":\"{name}\"")),
+            "no `{name}` span in {}",
+            spans.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_misspelled_option_is_an_error() {
+    let out = run(neusight().args(["serve", "--trcae", "spans.json"]));
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option `--trcae`"), "{stderr}");
+}

@@ -47,8 +47,8 @@
 use crate::error::{CoreError, Result};
 use crate::framework::NeuSight;
 use crate::predictor::KernelPredictor;
-use crate::tiledb::{TileDatabase, TileEntry};
-use neusight_gpu::{DType, OpClass, TileShape};
+use crate::tiledb::{TileDatabase, TileRows};
+use neusight_gpu::{DType, OpClass};
 use neusight_nn::{Matrix, Mlp, StandardScaler};
 use std::collections::BTreeMap;
 
@@ -239,18 +239,17 @@ impl<'a> Reader<'a> {
         self.column(n, what, Reader::varint)
     }
 
-    /// `n` varint lengths, and their total.
-    fn lengths(&mut self, n: usize, what: &str) -> Result<(Vec<usize>, usize)> {
-        let lens = self
-            .varints(n, what)?
-            .into_iter()
-            .map(|v| usize::try_from(v).map_err(|_| format_error(format!("{what} {v} overflows"))))
-            .collect::<Result<Vec<_>>>()?;
-        let total = lens
-            .iter()
-            .try_fold(0usize, |sum, &len| sum.checked_add(len))
-            .ok_or_else(|| format_error(format!("{what}s overflow")))?;
-        Ok((lens, total))
+    /// `n` varint run lengths, as the running totals that end each run.
+    fn run_ends(&mut self, n: usize, what: &str) -> Result<Vec<u32>> {
+        let mut total = 0u32;
+        self.column(n, what, |r, what| {
+            let len = r.varint(what)?;
+            total = u32::try_from(len)
+                .ok()
+                .and_then(|len| total.checked_add(len))
+                .ok_or_else(|| format_error(format!("{what}s overflow")))?;
+            Ok(total)
+        })
     }
 
     fn class(&mut self, what: &str) -> Result<OpClass> {
@@ -272,7 +271,7 @@ pub fn encode(ns: &NeuSight) -> Vec<u8> {
     for predictor in ns.predictors().values() {
         encode_predictor(&mut w, predictor);
     }
-    encode_tiledb(&mut w, ns.tile_database().entries());
+    encode_tiledb(&mut w, ns.tile_database().rows());
     w.0
 }
 
@@ -294,37 +293,38 @@ fn encode_predictor(w: &mut Writer, predictor: &KernelPredictor) {
     }
 }
 
-fn encode_tiledb(w: &mut Writer, entries: &[TileEntry]) {
-    w.len(entries.len());
-    for e in entries {
-        w.u8(code_of(&CLASSES, &e.class));
+fn encode_tiledb(w: &mut Writer, rows: &TileRows) {
+    let n = rows.len();
+    w.len(n);
+    for class in &rows.class {
+        w.u8(code_of(&CLASSES, class));
     }
-    for e in entries {
-        w.varint(e.output_dims.len() as u64);
+    for i in 0..n {
+        w.varint(rows.dims(i).len() as u64);
     }
-    for &d in entries.iter().flat_map(|e| &e.output_dims) {
+    for &d in &rows.dims {
         w.varint(d);
     }
-    for e in entries {
-        w.u8(u8::from(e.gemm_k.is_some()));
+    for k in &rows.gemm_k {
+        w.u8(u8::from(k.is_some()));
     }
-    for k in entries.iter().filter_map(|e| e.gemm_k) {
+    for &k in rows.gemm_k.iter().flatten() {
         w.varint(k);
     }
-    for e in entries {
-        w.varint(u64::from(e.num_sms));
+    for &sms in &rows.num_sms {
+        w.varint(u64::from(sms));
     }
-    for e in entries {
-        w.0.extend_from_slice(&e.l2_bytes.to_le_bytes());
+    for l2 in &rows.l2_bytes {
+        w.0.extend_from_slice(&l2.to_le_bytes());
     }
-    for e in entries {
-        w.varint(e.tile.rank() as u64);
+    for i in 0..n {
+        w.varint(rows.tile(i).len() as u64);
     }
-    for &d in entries.iter().flat_map(|e| e.tile.dims()) {
+    for &d in &rows.tiles {
         w.varint(d);
     }
-    for e in entries {
-        w.varint(e.split_k);
+    for &split_k in &rows.split_k {
+        w.varint(split_k);
     }
 }
 
@@ -392,57 +392,54 @@ fn decode_predictor(r: &mut Reader<'_>) -> Result<KernelPredictor> {
     KernelPredictor::from_parts(class, mlp, scaler, validation_smape)
 }
 
-/// Splits a flat column into one run per row, `lens[i]` values each.
-fn runs(values: &[u64], lens: &[usize]) -> Vec<Vec<u64>> {
-    let mut at = 0;
-    lens.iter()
-        .map(|&n| {
-            at += n;
-            values[at - n..at].to_vec()
-        })
-        .collect()
-}
-
 fn decode_tiledb(r: &mut Reader<'_>) -> Result<TileDatabase> {
     // Each row takes at least 14 bytes: class, rank, has-k, SM count,
-    // L2 bytes, tile rank, split-K.
+    // L2 bytes, tile rank, split-K. The columns are read straight into
+    // the database's own.
     let n = r.count(14, "tile row count")?;
-    let classes = r.column(n, "tile family", Reader::class)?;
-    let (ranks, total) = r.lengths(n, "output rank")?;
-    let dims = r.varints(total, "output dims")?;
-    let has_k = r.column(n, "GEMM depth flag", Reader::flag)?;
-    let mut depths = r
-        .varints(has_k.iter().filter(|&&k| k).count(), "GEMM depths")?
-        .into_iter();
-    let sms = r.column(n, "SM count", |r, what| {
+    let class = r.column(n, "tile family", Reader::class)?;
+    let dim_ends = r.run_ends(n, "output rank")?;
+    let dims = r.varints(run_total(&dim_ends), "output dims")?;
+    let mut gemm_k = r.column(n, "GEMM depth flag", |r, what| {
+        Ok(r.flag(what)?.then_some(0))
+    })?;
+    for k in gemm_k.iter_mut().flatten() {
+        *k = r.varint("GEMM depths")?;
+    }
+    let num_sms = r.column(n, "SM count", |r, what| {
         let v = r.varint(what)?;
         u32::try_from(v).map_err(|_| format_error(format!("{what} {v} exceeds u32")))
     })?;
-    let l2 = r.column(n, "L2 bytes", Reader::f64)?;
-    let (tile_ranks, total) = r.lengths(n, "tile rank")?;
-    let tile_dims = r.varints(total, "tile dims")?;
+    let l2_bytes = r.column(n, "L2 bytes", Reader::f64)?;
+    let tile_ends = r.run_ends(n, "tile rank")?;
+    let tiles = r.varints(run_total(&tile_ends), "tile dims")?;
     let split_k = r.varints(n, "split-K")?;
 
-    let output_dims = runs(&dims, &ranks);
-    let tiles = runs(&tile_dims, &tile_ranks);
-    let mut entries = Vec::with_capacity(n);
-    for (i, (output_dims, tile)) in output_dims.into_iter().zip(tiles).enumerate() {
+    let rows = TileRows {
+        class,
+        dim_ends,
+        dims,
+        gemm_k,
+        num_sms,
+        l2_bytes,
+        tile_ends,
+        tiles,
+        split_k,
+    };
+    for i in 0..n {
+        let tile = rows.tile(i);
         if tile.is_empty() || tile.contains(&0) {
             return Err(format_error(format!(
                 "tile row {i}: tile {tile:?} has an empty or zero extent"
             )));
         }
-        entries.push(TileEntry {
-            class: classes[i],
-            output_dims,
-            gemm_k: if has_k[i] { depths.next() } else { None },
-            num_sms: sms[i],
-            l2_bytes: l2[i],
-            tile: TileShape::new(tile),
-            split_k: split_k[i],
-        });
     }
-    Ok(TileDatabase::from_entries(entries))
+    Ok(TileDatabase::from_rows(rows))
+}
+
+/// Items in the runs a column of run ends describes.
+fn run_total(ends: &[u32]) -> usize {
+    ends.last().map_or(0, |&end| end as usize)
 }
 
 /// Encodes a registry payload: the manifest JSON, length-prefixed, ahead
@@ -596,7 +593,7 @@ mod tests {
     /// Bytes of the encoded tile database after its row count.
     fn tiledb_len(ns: &NeuSight) -> usize {
         let mut w = Writer(Vec::new());
-        encode_tiledb(&mut w, ns.tile_database().entries());
+        encode_tiledb(&mut w, ns.tile_database().rows());
         w.0.len() - 8
     }
 

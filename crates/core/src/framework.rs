@@ -121,10 +121,17 @@ fn validate_op(op: &OpDesc, dtype: DType) -> Result<()> {
 }
 
 /// Records a predicted latency into the per-family histogram
-/// (`core.predicted_latency_ns.<family>`). Only called when enabled, so
-/// the registry lookup never lands on the disabled fast path.
-fn record_family_latency(family: &str, latency_s: f64) {
-    obs::metrics::histogram(&format!("core.predicted_latency_ns.{family}")).record_secs(latency_s);
+/// (`core.predicted_latency_ns.<family>`). Each family's handle is
+/// resolved once per process, on its first record, so a family never
+/// predicted registers no histogram.
+fn record_family_latency(class: OpClass, latency_s: f64) {
+    static HISTOGRAMS: [OnceLock<Arc<obs::Histogram>>; OpClass::ALL.len()] =
+        [const { OnceLock::new() }; OpClass::ALL.len()];
+    HISTOGRAMS[class as usize]
+        .get_or_init(|| {
+            obs::metrics::histogram(&format!("core.predicted_latency_ns.{}", class.name()))
+        })
+        .record_secs(latency_s);
 }
 
 /// Default shard count for the prediction cache. The effective count is
@@ -640,7 +647,7 @@ impl NeuSight {
         }
         let lat = self.predict_op_uncached(op, spec)?;
         if obs::enabled() {
-            record_family_latency(op.op_class().name(), lat);
+            record_family_latency(op.op_class(), lat);
         }
         self.cache.insert(fp, op, lat);
         self.cache.publish_size();
@@ -780,6 +787,11 @@ impl NeuSight {
                 return Err(CoreError::FaultInjected(injected.error()));
             }
         }
+        // An empty batch is the serving layer's health probe on every
+        // memo hit: past the failpoint it has nothing left to do.
+        if jobs.is_empty() {
+            return Ok(Vec::new());
+        }
 
         // Unique GPUs by fingerprint (jobs typically share one spec).
         let mut gpu_fps: Vec<u64> = Vec::new();
@@ -849,7 +861,7 @@ impl NeuSight {
                 {
                     let lat = op.memory_bytes(self.dtype) / spec.memory_bw();
                     if obs::enabled() {
-                        record_family_latency(class.name(), lat);
+                        record_family_latency(class, lat);
                     }
                     latencies[slot] = Some(lat);
                 } else {
@@ -880,7 +892,7 @@ impl NeuSight {
                     law_floor(unique[*slot].1, self.dtype, spec),
                 );
                 if obs::enabled() {
-                    record_family_latency(class_name, lat);
+                    record_family_latency(predictor.class(), lat);
                 }
                 latencies[*slot] = Some(lat);
             }
@@ -961,7 +973,7 @@ impl NeuSight {
                 neusight_guard::GuardError::Io(io) => CoreError::Io(io),
                 other => CoreError::Format(other.to_string()),
             })?;
-        crate::codec::decode(&decoded.payload)
+        crate::codec::decode(decoded.payload)
     }
 
     /// Applies `f` to every weight and bias of every family predictor's

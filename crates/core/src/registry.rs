@@ -106,7 +106,7 @@ pub fn load_artifact(path: &Path) -> Result<VersionedArtifact> {
         other => CoreError::Format(other.to_string()),
     })?;
     let artifact = if decoded.payload.starts_with(&codec::REGISTRY_TAG) {
-        let (manifest, model) = codec::split_registry(&decoded.payload)?;
+        let (manifest, model) = codec::split_registry(decoded.payload)?;
         let manifest = std::str::from_utf8(manifest)
             .map_err(|e| CoreError::Format(format!("registry manifest is not UTF-8: {e}")))?;
         let manifest: ModelManifest =
@@ -116,7 +116,7 @@ pub fn load_artifact(path: &Path) -> Result<VersionedArtifact> {
             model: codec::decode(model)?,
         }
     } else {
-        let json = std::str::from_utf8(&decoded.payload)
+        let json = std::str::from_utf8(decoded.payload)
             .map_err(|e| CoreError::Format(format!("registry payload is not UTF-8: {e}")))?;
         serde_json::from_str(json).map_err(|e| CoreError::Format(e.to_string()))?
     };

@@ -58,9 +58,12 @@ use neusight_gpu::{num_tiles, num_waves, GpuError, GpuSpec, KernelDataset, Kerne
 use neusight_gpu::{OpClass, OpDesc, TileShape};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
-/// One database row.
+/// One database row, as it is serialized and as the encoder and tests
+/// see it. The database itself keeps its rows as columns
+/// ([`TileRows`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TileEntry {
     /// Kernel family.
@@ -84,21 +87,143 @@ fn default_split_k() -> u64 {
     1
 }
 
+/// The rows of a database as flat columns: row `i` is position `i` of
+/// every per-row column, and a row's output dims and tile extents are
+/// runs of the shared `dims` and `tiles` columns. No row owns a heap
+/// allocation. The columns are consistent by construction: every per-row
+/// column has one item per row, and each `*_ends` column is
+/// non-decreasing and ends at its run column's length.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct TileRows {
+    /// Kernel family per row.
+    pub(crate) class: Vec<OpClass>,
+    /// Row `i`'s output dims are `dims[dim_ends[i - 1]..dim_ends[i]]`
+    /// (from 0 for row 0).
+    pub(crate) dim_ends: Vec<u32>,
+    pub(crate) dims: Vec<u64>,
+    /// GEMM contraction depth per row, if the family has one.
+    pub(crate) gemm_k: Vec<Option<u64>>,
+    /// SM count of the GPU each row was observed on.
+    pub(crate) num_sms: Vec<u32>,
+    /// L2 cache bytes of that GPU.
+    pub(crate) l2_bytes: Vec<f64>,
+    /// Row `i`'s tile is `tiles[tile_ends[i - 1]..tile_ends[i]]`.
+    pub(crate) tile_ends: Vec<u32>,
+    pub(crate) tiles: Vec<u64>,
+    /// Split-K factor per row.
+    pub(crate) split_k: Vec<u64>,
+}
+
+/// Position `i`'s run in a column of run ends.
+fn run(ends: &[u32], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    start..ends[i] as usize
+}
+
+impl TileRows {
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.class.len()
+    }
+
+    /// Row `i`'s output dims.
+    pub(crate) fn dims(&self, i: usize) -> &[u64] {
+        &self.dims[run(&self.dim_ends, i)]
+    }
+
+    /// Row `i`'s tile extents.
+    pub(crate) fn tile(&self, i: usize) -> &[u64] {
+        &self.tiles[run(&self.tile_ends, i)]
+    }
+
+    /// Appends one row.
+    #[allow(clippy::too_many_arguments)]
+    fn push(
+        &mut self,
+        class: OpClass,
+        dims: &[u64],
+        gemm_k: Option<u64>,
+        num_sms: u32,
+        l2_bytes: f64,
+        tile: &[u64],
+        split_k: u64,
+    ) {
+        self.class.push(class);
+        self.dims.extend_from_slice(dims);
+        self.dim_ends.push(pos(self.dims.len()));
+        self.gemm_k.push(gemm_k);
+        self.num_sms.push(num_sms);
+        self.l2_bytes.push(l2_bytes);
+        self.tiles.extend_from_slice(tile);
+        self.tile_ends.push(pos(self.tiles.len()));
+        self.split_k.push(split_k);
+    }
+
+    /// Row `i` as a [`TileEntry`].
+    fn entry(&self, i: usize) -> TileEntry {
+        TileEntry {
+            class: self.class[i],
+            output_dims: self.dims(i).to_vec(),
+            gemm_k: self.gemm_k[i],
+            num_sms: self.num_sms[i],
+            l2_bytes: self.l2_bytes[i],
+            tile: TileShape::new(self.tile(i).to_vec()),
+            split_k: self.split_k[i],
+        }
+    }
+}
+
 /// Nearest-match tile database.
 ///
-/// Only `entries` is persisted and compared; the search index is derived
-/// from them (see the module documentation).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Only the rows are persisted and compared; the search index is derived
+/// from them (see the module documentation). The rows serialize as
+/// `{"entries": [TileEntry, …]}`.
+#[derive(Debug, Clone, Default)]
 pub struct TileDatabase {
-    entries: Vec<TileEntry>,
+    rows: TileRows,
     /// The search index: one group per `(family, rank)`.
-    #[serde(skip)]
     index: OnceLock<Vec<TileGroup>>,
 }
 
 impl PartialEq for TileDatabase {
     fn eq(&self, other: &TileDatabase) -> bool {
-        self.entries == other.entries
+        self.rows == other.rows
+    }
+}
+
+/// The persisted form of a database: its rows and nothing else. Named
+/// like the database so that serde's messages read the same.
+mod persisted {
+    use super::TileEntry;
+    use serde::{Deserialize, Serialize};
+
+    #[derive(Serialize, Deserialize)]
+    pub(super) struct TileDatabase {
+        pub(super) entries: Vec<TileEntry>,
+    }
+}
+
+impl Serialize for TileDatabase {
+    fn to_value(&self) -> serde::value::Value {
+        persisted::TileDatabase {
+            entries: self.entries(),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for TileDatabase {
+    /// Rejects a row whose tile has no extent or a zero one, as the
+    /// binary decoder does: such a tile covers no output.
+    fn from_value(v: &serde::value::Value) -> Result<TileDatabase, serde::Error> {
+        let persisted = persisted::TileDatabase::from_value(v)?;
+        let empty = |e: &TileEntry| e.tile.dims().is_empty() || e.tile.dims().contains(&0);
+        if let Some(i) = persisted.entries.iter().position(empty) {
+            return Err(serde::Error::msg(format!(
+                "TileDatabase: tile row {i} has an empty or zero extent"
+            )));
+        }
+        Ok(TileDatabase::from_entries(&persisted.entries))
     }
 }
 
@@ -168,23 +293,23 @@ struct TileGroup {
 
 impl TileGroup {
     /// Indexes every row, one group per `(family, rank)`.
-    fn index(entries: &[TileEntry]) -> Vec<TileGroup> {
+    fn index(rows: &TileRows) -> Vec<TileGroup> {
         let mut members: Vec<((OpClass, usize), Vec<usize>)> = Vec::new();
-        for (i, entry) in entries.iter().enumerate() {
-            let key = (entry.class, entry.output_dims.len());
+        for i in 0..rows.len() {
+            let key = (rows.class[i], rows.dims(i).len());
             match members.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, rows)) => rows.push(i),
+                Some((_, group)) => group.push(i),
                 None => members.push((key, vec![i])),
             }
         }
         members
             .into_iter()
-            .map(|((class, rank), rows)| TileGroup::build(class, rank, entries, &rows))
+            .map(|((class, rank), group)| TileGroup::build(class, rank, rows, &group))
             .collect()
     }
 
-    /// Indexes `members` (entry indices in ascending order) of one group.
-    fn build(class: OpClass, rank: usize, entries: &[TileEntry], members: &[usize]) -> TileGroup {
+    /// Indexes `members` (row indices in ascending order) of one group.
+    fn build(class: OpClass, rank: usize, table: &TileRows, members: &[usize]) -> TileGroup {
         // Distinct values per axis (the GEMM depth is axis `rank`).
         let mut values = Vec::new();
         let mut starts = Vec::with_capacity(rank + 2);
@@ -192,11 +317,10 @@ impl TileGroup {
             let mut axis_values: Vec<u64> = members
                 .iter()
                 .filter_map(|&i| {
-                    let e = &entries[i];
                     if axis < rank {
-                        Some(e.output_dims[axis])
+                        Some(table.dims(i)[axis])
                     } else {
-                        e.gemm_k
+                        table.gemm_k[i]
                     }
                 })
                 .collect();
@@ -218,10 +342,10 @@ impl TileGroup {
         let mut shapes: Vec<Shape> = Vec::new();
         let mut gpus: Vec<(u32, f64)> = Vec::new();
         for &i in members {
-            let e = &entries[i];
-            let dims: Vec<u32> = (0..rank).map(|a| position(a, e.output_dims[a])).collect();
-            let k = e.gemm_k.map_or(NO_K, |k| position(rank, k));
-            let gpu = (e.num_sms, e.l2_bytes);
+            let output_dims = table.dims(i);
+            let dims: Vec<u32> = (0..rank).map(|a| position(a, output_dims[a])).collect();
+            let k = table.gemm_k[i].map_or(NO_K, |k| position(rank, k));
+            let gpu = (table.num_sms[i], table.l2_bytes[i]);
             let slot = match gpus
                 .iter()
                 .position(|g| g.0 == gpu.0 && g.1.to_bits() == gpu.1.to_bits())
@@ -437,22 +561,22 @@ impl TileDatabase {
     /// Builds the database from profiled kernel records.
     #[must_use]
     pub fn from_records(dataset: &KernelDataset) -> TileDatabase {
-        let mut entries = Vec::with_capacity(dataset.len());
+        let mut rows = TileRows::default();
         for record in dataset.records() {
             let Ok(spec) = neusight_gpu::catalog::gpu(&record.gpu) else {
                 continue;
             };
-            entries.push(TileEntry {
-                class: record.op.op_class(),
-                output_dims: record.op.output_dims(),
-                gemm_k: gemm_k_of(&record.op),
-                num_sms: spec.num_sms(),
-                l2_bytes: spec.l2_bytes(),
-                tile: record.launch.tile.clone(),
-                split_k: record.launch.split_k,
-            });
+            rows.push(
+                record.op.op_class(),
+                &record.op.output_dims(),
+                gemm_k_of(&record.op),
+                spec.num_sms(),
+                spec.l2_bytes(),
+                record.launch.tile.dims(),
+                record.launch.split_k,
+            );
         }
-        let db = TileDatabase::from_entries(entries);
+        let db = TileDatabase::from_rows(rows);
         db.groups();
         db
     }
@@ -460,33 +584,58 @@ impl TileDatabase {
     /// A database of `entries`, in order. The search index is built on
     /// the first query.
     #[must_use]
-    pub(crate) fn from_entries(entries: Vec<TileEntry>) -> TileDatabase {
+    pub(crate) fn from_entries(entries: &[TileEntry]) -> TileDatabase {
+        let mut rows = TileRows::default();
+        for e in entries {
+            rows.push(
+                e.class,
+                &e.output_dims,
+                e.gemm_k,
+                e.num_sms,
+                e.l2_bytes,
+                e.tile.dims(),
+                e.split_k,
+            );
+        }
+        TileDatabase::from_rows(rows)
+    }
+
+    /// A database of `rows`. The search index is built on the first
+    /// query.
+    #[must_use]
+    pub(crate) fn from_rows(rows: TileRows) -> TileDatabase {
         TileDatabase {
-            entries,
+            rows,
             index: OnceLock::new(),
         }
     }
 
-    /// The rows, in recorded order.
+    /// The rows, as columns.
     #[must_use]
-    pub(crate) fn entries(&self) -> &[TileEntry] {
-        &self.entries
+    pub(crate) fn rows(&self) -> &TileRows {
+        &self.rows
+    }
+
+    /// The rows, in recorded order, one [`TileEntry`] each.
+    #[must_use]
+    pub(crate) fn entries(&self) -> Vec<TileEntry> {
+        (0..self.len()).map(|i| self.rows.entry(i)).collect()
     }
 
     /// Number of rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// Whether the database is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     fn groups(&self) -> &[TileGroup] {
-        self.index.get_or_init(|| TileGroup::index(&self.entries))
+        self.index.get_or_init(|| TileGroup::index(&self.rows))
     }
 
     /// `(distance, entry index)` of the closest row of `class` and rank
@@ -513,7 +662,7 @@ impl TileDatabase {
     pub fn lookup(&self, op: &OpDesc, spec: &GpuSpec) -> Option<TileShape> {
         let dims = op.output_dims();
         let (_, row) = self.nearest(op.op_class(), &dims, gemm_k_of(op), spec)?;
-        Some(self.entries[row].tile.clamped_to(&dims))
+        Some(TileShape::clamp(self.rows.tile(row), &dims))
     }
 
     /// Like [`TileDatabase::lookup`] but also returns the nearest entry's
@@ -522,10 +671,10 @@ impl TileDatabase {
     pub fn launch_for(&self, op: &OpDesc, spec: &GpuSpec) -> (TileShape, u64) {
         let dims = op.output_dims();
         match self.nearest(op.op_class(), &dims, gemm_k_of(op), spec) {
-            Some((_, row)) => {
-                let entry = &self.entries[row];
-                (entry.tile.clamped_to(&dims), entry.split_k.max(1))
-            }
+            Some((_, row)) => (
+                TileShape::clamp(self.rows.tile(row), &dims),
+                self.rows.split_k[row].max(1),
+            ),
             None => (TileDatabase::default_tile(op), 1),
         }
     }
@@ -601,19 +750,21 @@ pub(crate) mod tests {
         spec: &GpuSpec,
     ) -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize)> = None;
-        for (i, entry) in db.entries.iter().enumerate() {
-            if entry.class != class || entry.output_dims.len() != dims.len() {
+        let rows = &db.rows;
+        for i in 0..rows.len() {
+            let output_dims = rows.dims(i);
+            if rows.class[i] != class || output_dims.len() != dims.len() {
                 continue;
             }
             let mut dist = 0.0;
-            for (&a, &b) in dims.iter().zip(&entry.output_dims) {
+            for (&a, &b) in dims.iter().zip(output_dims) {
                 dist += log_dist(a as f64, b as f64);
             }
-            if let (Some(ka), Some(kb)) = (k, entry.gemm_k) {
+            if let (Some(ka), Some(kb)) = (k, rows.gemm_k[i]) {
                 dist += log_dist(ka as f64, kb as f64);
             }
-            dist += log_dist(f64::from(spec.num_sms()), f64::from(entry.num_sms));
-            dist += log_dist(spec.l2_bytes(), entry.l2_bytes);
+            dist += log_dist(f64::from(spec.num_sms()), f64::from(rows.num_sms[i]));
+            dist += log_dist(spec.l2_bytes(), rows.l2_bytes[i]);
             if best.as_ref().is_none_or(|(bd, _)| dist < *bd) {
                 best = Some((dist, i));
             }
@@ -644,10 +795,10 @@ pub(crate) mod tests {
     fn assert_matches_scan(db: &TileDatabase, op: &OpDesc, spec: &GpuSpec) {
         let dims = op.output_dims();
         let want = match assert_row_matches_scan(db, op.op_class(), &dims, gemm_k_of(op), spec) {
-            Some((_, i)) => {
-                let entry = &db.entries[i];
-                (entry.tile.clamped_to(&dims), entry.split_k.max(1))
-            }
+            Some((_, i)) => (
+                TileShape::new(db.rows.tile(i).to_vec()).clamped_to(&dims),
+                db.rows.split_k[i].max(1),
+            ),
             None => (TileDatabase::default_tile(op), 1),
         };
         assert_eq!(db.launch_for(op, spec), want, "{op} on {}", spec.name());
@@ -821,7 +972,7 @@ pub(crate) mod tests {
         assert!(db.index.get().is_some());
         let json = serde_json::to_string(&db).unwrap();
         let persisted = PersistedDatabase {
-            entries: db.entries.clone(),
+            entries: db.entries(),
         };
         assert_eq!(json, serde_json::to_string(&persisted).unwrap());
         let back: TileDatabase = serde_json::from_str(&json).unwrap();
@@ -834,6 +985,59 @@ pub(crate) mod tests {
             assert_eq!(back.launch_for(op, &v100), db.launch_for(op, &v100));
         }
         assert!(back.index.get().is_some());
+    }
+
+    /// The rows of `dataset` as a list of entries, built directly from
+    /// the records: the reference the columns must serialize like.
+    fn entry_list(dataset: &KernelDataset) -> Vec<TileEntry> {
+        dataset
+            .records()
+            .iter()
+            .filter_map(|record| {
+                let spec = catalog::gpu(&record.gpu).ok()?;
+                Some(TileEntry {
+                    class: record.op.op_class(),
+                    output_dims: record.op.output_dims(),
+                    gemm_k: gemm_k_of(&record.op),
+                    num_sms: spec.num_sms(),
+                    l2_bytes: spec.l2_bytes(),
+                    tile: record.launch.tile.clone(),
+                    split_k: record.launch.split_k,
+                })
+            })
+            .collect()
+    }
+
+    /// The columns serialize to exactly the JSON of the entry list, which
+    /// is what `model_fingerprint` hashes, and read back to the same
+    /// columns.
+    #[test]
+    fn columns_serialize_to_the_entry_list_json() {
+        let ds = neusight_data::collect_training_set(
+            &neusight_data::training_gpus(),
+            neusight_data::SweepScale::Tiny,
+            DType::F32,
+        );
+        let entries = entry_list(&ds);
+        let db = TileDatabase::from_records(&ds);
+        assert_eq!(db.len(), entries.len());
+        assert_eq!(db.entries(), entries);
+        let json = serde_json::to_string(&db).unwrap();
+        assert_eq!(
+            json,
+            serde_json::to_string(&PersistedDatabase { entries }).unwrap()
+        );
+        let back: TileDatabase = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.rows, db.rows);
+        // A row without a split-K still defaults to 1.
+        let legacy = json.replace(",\"split_k\":1}", "}");
+        assert_ne!(legacy, json);
+        assert_eq!(serde_json::from_str::<TileDatabase>(&legacy).unwrap(), db);
+        // A tile with a zero extent is refused, as the binary decoder
+        // refuses it.
+        let zero = json.replacen("\"tile\":[", "\"tile\":[0,", 1);
+        let err = serde_json::from_str::<TileDatabase>(&zero).unwrap_err();
+        assert!(err.to_string().contains("tile row 0"), "{err}");
     }
 
     /// Every distinct kernel of the Table 4 zoo at batch 1–16: inference,
@@ -913,7 +1117,7 @@ pub(crate) mod tests {
             k in prop::sample::select(vec![None, Some(1u64), Some(64), Some(9000)]),
             gpu in 0usize..8,
         ) {
-            let db = TileDatabase { entries: rows, index: OnceLock::new() };
+            let db = TileDatabase::from_entries(&rows);
             let spec = &all_gpus()[gpu];
             for class in [OpClass::Bmm, OpClass::FullyConnected] {
                 assert_row_matches_scan(&db, class, &dims, k, spec);
@@ -989,10 +1193,7 @@ pub(crate) mod tests {
     }
 
     fn db_of(entries: Vec<TileEntry>) -> TileDatabase {
-        TileDatabase {
-            entries,
-            index: OnceLock::new(),
-        }
+        TileDatabase::from_entries(&entries)
     }
 
     #[test]
@@ -1081,7 +1282,7 @@ pub(crate) mod tests {
     #[test]
     fn clone_and_equality_follow_the_entries() {
         let db = small_db();
-        let unbuilt = db_of(db.entries.clone());
+        let unbuilt = db_of(db.entries());
         assert!(db.index.get().is_some() && unbuilt.index.get().is_none());
         assert_eq!(db, unbuilt);
         let copy = db.clone();
@@ -1091,7 +1292,7 @@ pub(crate) mod tests {
             assert_eq!(copy.plan_launch(op, &h100), db.plan_launch(op, &h100));
             assert_eq!(unbuilt.plan_launch(op, &h100), db.plan_launch(op, &h100));
         }
-        let mut fewer = db.entries.clone();
+        let mut fewer = db.entries();
         fewer.pop();
         assert_ne!(db_of(fewer), db);
     }

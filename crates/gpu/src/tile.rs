@@ -60,9 +60,16 @@ impl TileShape {
     /// never needs to be larger than the output it covers).
     #[must_use]
     pub fn clamped_to(&self, output_dims: &[u64]) -> TileShape {
+        TileShape::clamp(&self.0, output_dims)
+    }
+
+    /// The tile `tile` clamped to `output_dims`, as
+    /// [`TileShape::clamped_to`] does, for extents held outside a
+    /// `TileShape`.
+    #[must_use]
+    pub fn clamp(tile: &[u64], output_dims: &[u64]) -> TileShape {
         TileShape(
-            self.0
-                .iter()
+            tile.iter()
                 .zip(output_dims)
                 .map(|(&t, &x)| t.min(x).max(1))
                 .collect(),

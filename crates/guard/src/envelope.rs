@@ -125,12 +125,13 @@ impl From<io::Error> for GuardError {
     }
 }
 
-/// A successfully decoded artifact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Decoded {
+/// A successfully decoded artifact, borrowing its payload from the bytes
+/// it was decoded from: a model load holds one copy of the artifact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decoded<'a> {
     /// The artifact payload, in whatever layout its writer chose (a
     /// binary predictor, or JSON).
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
     /// Whether this was a legacy bare-JSON file (no checksum verified).
     pub legacy: bool,
 }
@@ -211,10 +212,10 @@ fn looks_like_legacy_json(bytes: &[u8]) -> bool {
 ///
 /// Envelope verification failures (see [`unwrap_envelope`]); bytes that
 /// are neither an envelope nor JSON-shaped yield [`GuardError::BadMagic`].
-pub fn decode(bytes: &[u8], origin: &str) -> Result<Decoded, GuardError> {
+pub fn decode<'a>(bytes: &'a [u8], origin: &str) -> Result<Decoded<'a>, GuardError> {
     if bytes.starts_with(&MAGIC) {
         return Ok(Decoded {
-            payload: unwrap_envelope(bytes)?.to_vec(),
+            payload: unwrap_envelope(bytes)?,
             legacy: false,
         });
     }
@@ -225,24 +226,13 @@ pub fn decode(bytes: &[u8], origin: &str) -> Result<Decoded, GuardError> {
              rewrite it (e.g. re-save) to enable corruption detection"
         );
         return Ok(Decoded {
-            payload: bytes.to_vec(),
+            payload: bytes,
             legacy: true,
         });
     }
     Err(GuardError::BadMagic {
         found: bytes.iter().take(4).copied().collect(),
     })
-}
-
-/// Reads and decodes an artifact file (envelope or legacy JSON).
-///
-/// # Errors
-///
-/// I/O failures (missing file included) as [`GuardError::Io`]; decode
-/// failures as in [`decode`].
-pub fn read_artifact(path: &Path) -> Result<Decoded, GuardError> {
-    let bytes = std::fs::read(path)?;
-    decode(&bytes, &path.display().to_string())
 }
 
 /// Writes `payload` to `path` wrapped in an envelope.
@@ -368,12 +358,11 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("neusight-guard-env-{}.json", std::process::id()));
         write_artifact(&path, b"{\"k\":3}").unwrap();
-        let decoded = read_artifact(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let decoded = decode(&bytes, "test").unwrap();
         assert_eq!(decoded.payload, b"{\"k\":3}");
         std::fs::remove_file(&path).unwrap();
-        assert!(matches!(
-            read_artifact(&path).unwrap_err(),
-            GuardError::Io(_)
-        ));
+        let missing = std::fs::read(&path).unwrap_err();
+        assert!(matches!(GuardError::from(missing), GuardError::Io(_)));
     }
 }

@@ -38,7 +38,7 @@ pub mod law;
 pub mod supervise;
 pub mod validate;
 
-pub use envelope::{read_artifact, write_artifact, Decoded, GuardError, SCHEMA_VERSION};
+pub use envelope::{write_artifact, Decoded, GuardError, SCHEMA_VERSION};
 pub use law::enforce_floor;
 pub use supervise::{catch, inject_panic, recover_poison, Supervisor, PANIC_POINT};
 pub use validate::FieldError;

@@ -279,7 +279,7 @@ impl TrainCheckpoint {
                 neusight_guard::GuardError::Io(io) => io,
                 other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
             })?;
-        let json = std::str::from_utf8(&decoded.payload)
+        let json = std::str::from_utf8(decoded.payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         serde_json::from_str(json)
             .map(Some)

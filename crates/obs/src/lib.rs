@@ -27,7 +27,9 @@
 //! disabled, spans allocate nothing and counters skip their atomic RMW, so
 //! instrumented hot paths (memoized `predict_graph`, the GEMM microkernel
 //! driver) stay within noise of their uninstrumented selves. The CLI flips
-//! the flag on for `--trace` / `--metrics` / `profile`.
+//! the flag on for `--trace` / `--metrics` / `profile`. `neusight serve`
+//! and `neusight router` keep it on for `/metrics` but switch spans off
+//! ([`set_spans`]) unless `--trace` or `--trace-jsonl` asks for them.
 //!
 //! # Example
 //!
@@ -58,8 +60,8 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram};
 pub use span::{
-    dropped_spans, event_with_fields, snapshot_spans, span, span_recording, span_with_fields,
-    take_spans, MAX_RETAINED_SPANS,
+    dropped_spans, event_with_fields, set_spans, snapshot_spans, span, span_recording,
+    span_with_fields, take_spans, MAX_RETAINED_SPANS,
 };
 pub use span::{FieldList, SpanGuard, SpanRecord};
 pub use trace::{Stage, TraceContext};

@@ -9,16 +9,15 @@
 
 use crate::{enabled, now_ns};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// Upper bound on retained spans. A long-lived process with
-/// observability enabled (the serving path keeps it on for the flight
-/// recorder) must not accumulate span records without bound: once the
-/// recorder is full, new spans are counted in [`dropped_spans`] but not
-/// stored, and guard creation degrades to a single atomic load — the
-/// serving hot path stops paying for span bookkeeping entirely once
-/// saturated. Draining ([`take_spans`], which `neusight profile` does
+/// Upper bound on retained spans. A long-lived process recording spans
+/// (a server run with `--trace`) must not accumulate span records
+/// without bound: once the recorder is full, new spans are counted in
+/// [`dropped_spans`] but not stored, and guard creation degrades to a
+/// single atomic load — the serving hot path stops paying for span
+/// bookkeeping entirely once saturated. Draining ([`take_spans`], which `neusight profile` does
 /// between measurements) or clearing ([`clear_spans`]) reopens the
 /// recorder.
 pub const MAX_RETAINED_SPANS: usize = 16_384;
@@ -35,15 +34,27 @@ pub fn dropped_spans() -> u64 {
     DROPPED_SPANS.load(Ordering::Relaxed)
 }
 
-/// True while the recorder has room; on saturation the would-be span is
-/// counted as dropped and the caller skips it entirely (one relaxed load
-/// plus one increment per suppressed span). The `span!`/`event!` macros
-/// call this before rendering field values, so a saturated recorder also
-/// skips the per-field `format!` allocations.
+/// Whether spans record while observability is enabled (on by default).
+static SPANS: AtomicBool = AtomicBool::new(true);
+
+/// Turns span recording on or off without touching metrics (on by
+/// default). A long-lived server keeps metrics on for `/metrics` but
+/// records spans only when it will export them: nothing else reads the
+/// recorder, and a full one holds megabytes.
+pub fn set_spans(on: bool) {
+    SPANS.store(on, Ordering::Relaxed);
+}
+
+/// True while observability is enabled, spans are on ([`set_spans`]) and
+/// the recorder has room; on saturation the would-be span is counted as
+/// dropped and the caller skips it entirely (one relaxed load plus one
+/// increment per suppressed span). The `span!`/`event!` macros call this
+/// before rendering field values, so a saturated recorder also skips the
+/// per-field `format!` allocations.
 #[inline]
 #[must_use]
 pub fn span_recording() -> bool {
-    if !enabled() {
+    if !enabled() || !SPANS.load(Ordering::Relaxed) {
         return false;
     }
     if RETAINED_SPANS.load(Ordering::Relaxed) < MAX_RETAINED_SPANS {
@@ -373,6 +384,30 @@ mod tests {
             assert_eq!(parent.thread, inner.thread);
             assert_eq!(parent.name, "worker");
         }
+    }
+
+    #[test]
+    fn spans_off_records_nothing_and_leaves_metrics_on() {
+        let _guard = test_lock::hold();
+        crate::set_enabled(true);
+        set_spans(false);
+        clear_spans();
+        {
+            let _g = crate::span!("quiet", n = 1);
+            crate::event!("quiet_event");
+        }
+        crate::metrics::counter("obs.test.spans_off").inc();
+        let recorded = take_spans();
+        let counted = crate::metrics::counter("obs.test.spans_off").get();
+        set_spans(true);
+        crate::set_enabled(false);
+        assert!(recorded.is_empty());
+        assert_eq!(
+            dropped_spans(),
+            0,
+            "a switched-off span is not a dropped one"
+        );
+        assert!(counted >= 1);
     }
 
     #[test]

@@ -160,7 +160,8 @@ struct ObserveState {
 
 enum State {
     Idle,
-    Shadowing(ShadowState),
+    /// Boxed: the candidate model is far larger than the other states.
+    Shadowing(Box<ShadowState>),
     Observing(ObserveState),
 }
 
@@ -434,13 +435,14 @@ impl PredictService {
             .shadow_samples
             .unwrap_or(self.lifecycle.config.shadow_samples);
         if shadow_samples > 0 {
-            self.lifecycle.set_state(State::Shadowing(ShadowState {
-                version: version.clone(),
-                ns: artifact.model,
-                needed: shadow_samples,
-                samples: 0,
-                divergence_sum: 0.0,
-            }));
+            self.lifecycle
+                .set_state(State::Shadowing(Box::new(ShadowState {
+                    version: version.clone(),
+                    ns: artifact.model,
+                    needed: shadow_samples,
+                    samples: 0,
+                    divergence_sum: 0.0,
+                })));
             obs::event!(
                 "model_shadow_start",
                 version = version,

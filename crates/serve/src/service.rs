@@ -879,7 +879,7 @@ impl PredictService {
                 "gossip requires a checksummed envelope (legacy payload rejected)",
             ));
         }
-        let text = std::str::from_utf8(&decoded.payload)
+        let text = std::str::from_utf8(decoded.payload)
             .map_err(|_| ServeError::bad_request("gossip payload is not UTF-8"))?;
         let payload: GossipPayload = serde_json::from_str(text)
             .map_err(|e| ServeError::bad_request(format!("gossip payload unparsable: {e}")))?;

@@ -7,7 +7,8 @@
 //! never make an allocation larger than a small multiple of the file: a
 //! length field is checked against the bytes that remain before anything
 //! is allocated for it. A counting global allocator records the largest
-//! single allocation made on the test's own thread.
+//! single allocation made on the test's own thread, and the peak of the
+//! bytes that thread holds live: a load keeps one copy of the artifact.
 
 use neusight::core::{codec, CoreError, NeuSight, NeuSightConfig};
 use neusight::gpu::{catalog, DType, OpDesc};
@@ -18,37 +19,58 @@ use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-/// The system allocator, noting the largest request made on each thread.
+/// The system allocator, noting the largest request made on each thread
+/// and the peak of the bytes each thread holds live.
 struct LargestRequest;
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Bytes allocated and not yet freed by this thread (a free of memory
+    /// another thread allocated counts here too), and their peak.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
     let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
 }
 
+fn grow(bytes: isize) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// An allocation size as a signed byte count.
+fn signed(size: usize) -> isize {
+    isize::try_from(size).unwrap_or(isize::MAX)
+}
+
 // SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
-// touches only a const-initialised thread-local `Cell` and never
+// touches only const-initialised thread-local `Cell`s and never
 // allocates.
 unsafe impl GlobalAlloc for LargestRequest {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        grow(signed(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        grow(signed(layout.size()));
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        grow(signed(new_size) - signed(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-signed(layout.size()));
         System.dealloc(ptr, layout);
     }
 }
@@ -118,6 +140,30 @@ fn load_sealed(payload: &[u8], name: &str) -> Result<bool, TestCaseError> {
 #[test]
 fn pristine_payload_loads_within_the_allocation_bound() {
     assert!(load_sealed(payload(), "pristine.json").expect("pristine"));
+}
+
+/// Loading holds the file's bytes once: beyond the model it returns, the
+/// peak live heap of `NeuSight::load` may exceed the file by less than
+/// half the payload. A second copy of the payload would add all of it.
+#[test]
+fn load_holds_one_copy_of_the_payload() {
+    let path = scratch("one-copy.json");
+    let sealed = envelope::wrap(payload());
+    std::fs::write(&path, &sealed).expect("write");
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let ns = NeuSight::load(&path).expect("pristine loads");
+    let peak = PEAK.with(Cell::get) - base;
+    let kept = LIVE.with(Cell::get) - base;
+    drop(ns);
+    let transient = peak - kept;
+    let bound = signed(sealed.len() + payload().len() / 2);
+    assert!(
+        transient < bound,
+        "loading a {}-byte file held {transient} bytes beyond the {kept}-byte model at its peak \
+         (bound {bound})",
+        sealed.len()
+    );
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Integration tests for the `neusight-obs` pipeline instrumentation:
 //! cache accounting across cold/warm graph predictions, span emission,
-//! and exporter output on a real forecast.
+//! exporter output on a real forecast, and a server that records no
+//! spans unless they will be exported.
 //!
 //! The observability subsystem is process-global, so every test
 //! serializes on one mutex and leaves the flag disabled on exit.
@@ -10,6 +11,7 @@ use neusight::data::{collect_training_set, training_gpus, SweepScale};
 use neusight::gpu::{catalog, DType, OpDesc};
 use neusight::graph::{config, inference_graph};
 use neusight::obs;
+use neusight::serve::{Client, ServeConfig, Server};
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -145,4 +147,56 @@ fn disabled_observability_records_nothing() {
     assert!(obs::take_spans().is_empty());
     assert_eq!(counter("core.predict_cache.miss"), 0);
     assert_eq!(counter("core.predict_cache.hit"), 0);
+}
+
+/// Posts each body to a fresh in-process server three times (one cold
+/// predict, then two memo hits) and returns the spans recorded meanwhile
+/// and the memo hits counted.
+fn serve_cold_and_warm(bodies: &[&str]) -> (Vec<obs::SpanRecord>, u64) {
+    obs::reset();
+    let server = Server::spawn(ServeConfig::default(), trained()).expect("spawn server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for body in bodies {
+        for _ in 0..3 {
+            let response = client.post_json("/v1/predict", body).expect("predict");
+            assert_eq!(response.status, 200, "{}", response.text());
+        }
+    }
+    server.shutdown_and_join().expect("clean drain");
+    (obs::take_spans(), counter("serve.response_cache.hits"))
+}
+
+/// `neusight serve` without `--trace` keeps metrics on for `/metrics`
+/// and spans off: cold predicts and memo hits leave the span recorder
+/// empty (and count no dropped spans), while the metrics still count.
+/// With spans on, the same traffic records the dispatcher's batch spans.
+#[test]
+fn serving_without_a_span_export_records_no_spans() {
+    let _guard = obs_lock();
+    let bodies = [
+        r#"{"model":"gpt2","gpu":"H100","batch":2}"#,
+        r#"{"model":"bert","gpu":"T4","batch":1,"train":true}"#,
+    ];
+    obs::set_enabled(true);
+    obs::set_spans(false);
+    let (quiet, quiet_hits) = serve_cold_and_warm(&bodies);
+    let dropped = obs::dropped_spans();
+    obs::set_spans(true);
+    let (traced, _) = serve_cold_and_warm(&bodies);
+    obs::set_enabled(false);
+    obs::reset();
+
+    assert!(
+        quiet.is_empty(),
+        "spans recorded with no export asked for: {:?}",
+        quiet.iter().map(|s| s.name).collect::<Vec<_>>()
+    );
+    assert_eq!(dropped, 0);
+    assert_eq!(quiet_hits, 4, "two memo hits per key");
+    for name in ["serve_batch", "dedup", "batch_predict", "aggregate"] {
+        assert!(
+            traced.iter().any(|s| s.name == name),
+            "no `{name}` span with spans on"
+        );
+    }
 }
