@@ -64,7 +64,9 @@
 //!
 //! `serve` and `router` always keep metrics on for `/metrics`, and record
 //! spans only when `--trace` or `--trace-jsonl` is given; the file is
-//! written after the drain. Unknown options are rejected (the list is
+//! written after the drain. A router records its route and relay spans
+//! in `FILE`, and each replica it spawns records its own in
+//! `FILE.replica-<i>`. Unknown options are rejected (the list is
 //! `args::KNOWN_OPTIONS`); `--reactor` is still accepted as a no-op.
 //!
 //! `neusight profile` runs a model forecast under full instrumentation and
@@ -1096,6 +1098,8 @@ struct ReplicaSpec {
     fault_spec: Option<String>,
     fault_seed: Option<String>,
     models_dir: Option<String>,
+    trace: Option<String>,
+    trace_jsonl: Option<String>,
 }
 
 impl ReplicaSpec {
@@ -1109,6 +1113,8 @@ impl ReplicaSpec {
             fault_spec: owned("fault-spec"),
             fault_seed: owned("fault-seed"),
             models_dir: owned("models-dir"),
+            trace: owned("trace"),
+            trace_jsonl: owned("trace-jsonl"),
         }
     }
 }
@@ -1137,6 +1143,14 @@ fn spawn_replica(
     forward(&mut command, "--fault-spec", &spec.fault_spec);
     forward(&mut command, "--fault-seed", &spec.fault_seed);
     forward(&mut command, "--models-dir", &spec.models_dir);
+    // Each replica writes its own spans next to the router's file.
+    for (flag, path) in [
+        ("--trace", &spec.trace),
+        ("--trace-jsonl", &spec.trace_jsonl),
+    ] {
+        let own = path.as_ref().map(|path| format!("{path}.replica-{index}"));
+        forward(&mut command, flag, &own);
+    }
     command
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::inherit());

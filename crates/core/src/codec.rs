@@ -152,11 +152,7 @@ impl<'a> Reader<'a> {
     }
 
     fn flag(&mut self, what: &str) -> Result<bool> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(format_error(format!("{what} is {other}, not 0 or 1"))),
-        }
+        flag_of(self.u8(what)?, what)
     }
 
     fn u64(&mut self, what: &str) -> Result<u64> {
@@ -165,10 +161,6 @@ impl<'a> Reader<'a> {
 
     fn f32(&mut self, what: &str) -> Result<f32> {
         Ok(f32::from_le_bytes(self.array(what)?))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.array(what)?))
     }
 
     /// A `u64` count of items that take at least `min_item_bytes` each,
@@ -198,67 +190,187 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    fn varint(&mut self, what: &str) -> Result<u64> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.u8(what)?;
-            let bits = u64::from(byte & 0x7f);
-            if shift == 63 && bits > 1 {
-                return Err(format_error(format!("{what} overflows 64 bits")));
-            }
-            v |= bits << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(format_error(format!("{what} overflows 64 bits")))
+    fn f64s(&mut self, n: usize, what: &str) -> Result<Vec<f64>> {
+        let bytes = n
+            .checked_mul(8)
+            .ok_or_else(|| format_error(format!("{what}: {n} floats overflow")))?;
+        Ok(self
+            .take(bytes, what)?
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+            .collect())
     }
 
-    /// A column of `n` items read by `item`, each a byte or more. The
-    /// count is checked against the remaining bytes before allocating.
-    fn column<T>(
+    /// One varint; the decoder reads its varints by the column.
+    #[cfg(test)]
+    fn varint(&mut self, what: &str) -> Result<u64> {
+        let (v, len) = leb128(self.bytes).ok_or_else(|| bad_varint(self.bytes, what))?;
+        self.bytes = &self.bytes[len..];
+        Ok(v)
+    }
+
+    /// A column of `n` one-byte codes, each read by `item`.
+    fn byte_column<T>(
         &mut self,
         n: usize,
         what: &str,
-        mut item: impl FnMut(&mut Self, &str) -> Result<T>,
+        item: impl Fn(u8) -> Result<T>,
     ) -> Result<Vec<T>> {
-        if n > self.bytes.len() {
-            return Err(format_error(format!(
-                "{n} {what} do not fit in the {} bytes that remain",
-                self.bytes.len()
-            )));
-        }
+        let codes = self.take(n, what)?;
         let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(item(self, what)?);
+        for &code in codes {
+            out.push(item(code)?);
         }
         Ok(out)
     }
 
+    /// A column of `n` varints, each converted by `item`. A one-byte
+    /// varint takes one comparison; a longer one up to eight bytes is
+    /// read from one 8-byte window without a branch per byte.
+    fn varint_column<T>(
+        &mut self,
+        n: usize,
+        what: &str,
+        mut item: impl FnMut(u64) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        // Each varint takes a byte or more: check before allocating.
+        let bytes = self.bytes;
+        if n > bytes.len() {
+            return Err(too_long(n, what, bytes.len()));
+        }
+        let mut at = 0;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let rest = &bytes[at..];
+            let (v, len) = match rest.first() {
+                Some(&byte) if byte < 0x80 => (u64::from(byte), 1),
+                _ => match rest.first_chunk().and_then(|&window| leb128_word(window)) {
+                    Some(read) => read,
+                    None => leb128(rest).ok_or_else(|| bad_varint(rest, what))?,
+                },
+            };
+            at += len;
+            out.push(item(v)?);
+        }
+        self.bytes = &bytes[at..];
+        Ok(out)
+    }
+
     fn varints(&mut self, n: usize, what: &str) -> Result<Vec<u64>> {
-        self.column(n, what, Reader::varint)
+        self.varint_column(n, what, Ok)
     }
 
     /// `n` varint run lengths, as the running totals that end each run.
     fn run_ends(&mut self, n: usize, what: &str) -> Result<Vec<u32>> {
         let mut total = 0u32;
-        self.column(n, what, |r, what| {
-            let len = r.varint(what)?;
+        self.varint_column(n, what, |len| {
             total = u32::try_from(len)
                 .ok()
                 .and_then(|len| total.checked_add(len))
-                .ok_or_else(|| format_error(format!("{what}s overflow")))?;
+                .ok_or_else(|| runs_overflow(what))?;
             Ok(total)
         })
     }
 
     fn class(&mut self, what: &str) -> Result<OpClass> {
-        let code = self.u8(what)?;
-        CLASSES
-            .get(usize::from(code))
-            .copied()
-            .ok_or_else(|| format_error(format!("{what}: unknown family code {code}")))
+        class_of(self.u8(what)?, what)
     }
+}
+
+/// The unsigned LEB128 varint at the start of `bytes`, and its length;
+/// `None` when it runs past `bytes` or past 64 bits.
+#[inline]
+fn leb128(bytes: &[u8]) -> Option<(u64, usize)> {
+    let mut v = 0u64;
+    for (i, &byte) in bytes.iter().take(10).enumerate() {
+        let bits = u64::from(byte & 0x7f);
+        if i == 9 && bits > 1 {
+            return None;
+        }
+        v |= bits << (7 * i);
+        if byte & 0x80 == 0 {
+            return Some((v, i + 1));
+        }
+    }
+    None
+}
+
+/// The varint at the start of an 8-byte window, and its length, without
+/// a branch per byte; `None` when it is longer than the window.
+#[inline(always)]
+fn leb128_word(window: [u8; 8]) -> Option<(u64, usize)> {
+    let w = u64::from_le_bytes(window);
+    // A clear top bit ends the varint: the lowest one marks its last byte.
+    let stops = !w & 0x8080_8080_8080_8080;
+    if stops == 0 {
+        return None;
+    }
+    let len = (stops.trailing_zeros() as usize + 1) / 8;
+    // Keep the varint's bytes, drop their top bits, and close the gaps:
+    // pairs of 7-bit groups, then of 14, then of 28.
+    let x = w & (stops ^ (stops - 1)) & 0x7f7f_7f7f_7f7f_7f7f;
+    let x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
+    let x = (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4);
+    Some((x, len))
+}
+
+/// The failure of [`leb128`] on `rest`. Fewer than ten bytes cannot
+/// overflow, so they ran out.
+#[cold]
+#[inline(never)]
+fn bad_varint(rest: &[u8], what: &str) -> CoreError {
+    if rest.len() < 10 {
+        format_error(format!(
+            "{what} runs past the {} bytes that remain",
+            rest.len()
+        ))
+    } else {
+        format_error(format!("{what} overflows 64 bits"))
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn too_long(n: usize, what: &str, remain: usize) -> CoreError {
+    format_error(format!(
+        "{n} {what} do not fit in the {remain} bytes that remain"
+    ))
+}
+
+#[cold]
+#[inline(never)]
+fn runs_overflow(what: &str) -> CoreError {
+    format_error(format!("{what}s overflow"))
+}
+
+/// A 0-or-1 flag byte.
+#[inline]
+fn flag_of(code: u8, what: &str) -> Result<bool> {
+    #[cold]
+    #[inline(never)]
+    fn not_a_flag(code: u8, what: &str) -> CoreError {
+        format_error(format!("{what} is {code}, not 0 or 1"))
+    }
+    match code {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(not_a_flag(code, what)),
+    }
+}
+
+/// The family with wire code `code`.
+#[inline]
+fn class_of(code: u8, what: &str) -> Result<OpClass> {
+    #[cold]
+    #[inline(never)]
+    fn unknown(code: u8, what: &str) -> CoreError {
+        format_error(format!("{what}: unknown family code {code}"))
+    }
+    CLASSES
+        .get(usize::from(code))
+        .copied()
+        .ok_or_else(|| unknown(code, what))
 }
 
 /// Encodes a trained framework as a model payload.
@@ -395,22 +507,22 @@ fn decode_predictor(r: &mut Reader<'_>) -> Result<KernelPredictor> {
 fn decode_tiledb(r: &mut Reader<'_>) -> Result<TileDatabase> {
     // Each row takes at least 14 bytes: class, rank, has-k, SM count,
     // L2 bytes, tile rank, split-K. The columns are read straight into
-    // the database's own.
+    // the database's own, each in one loop.
     let n = r.count(14, "tile row count")?;
-    let class = r.column(n, "tile family", Reader::class)?;
+    let class = r.byte_column(n, "tile family", |code| class_of(code, "tile family"))?;
     let dim_ends = r.run_ends(n, "output rank")?;
     let dims = r.varints(run_total(&dim_ends), "output dims")?;
-    let mut gemm_k = r.column(n, "GEMM depth flag", |r, what| {
-        Ok(r.flag(what)?.then_some(0))
+    let mut gemm_k = r.byte_column(n, "GEMM depth flag", |code| {
+        Ok(flag_of(code, "GEMM depth flag")?.then_some(0))
     })?;
-    for k in gemm_k.iter_mut().flatten() {
-        *k = r.varint("GEMM depths")?;
+    let depths = r.varints(gemm_k.iter().flatten().count(), "GEMM depths")?;
+    for (k, depth) in gemm_k.iter_mut().flatten().zip(depths) {
+        *k = depth;
     }
-    let num_sms = r.column(n, "SM count", |r, what| {
-        let v = r.varint(what)?;
-        u32::try_from(v).map_err(|_| format_error(format!("{what} {v} exceeds u32")))
+    let num_sms = r.varint_column(n, "SM count", |v| {
+        u32::try_from(v).map_err(|_| exceeds_u32(v, "SM count"))
     })?;
-    let l2_bytes = r.column(n, "L2 bytes", Reader::f64)?;
+    let l2_bytes = r.f64s(n, "L2 bytes")?;
     let tile_ends = r.run_ends(n, "tile rank")?;
     let tiles = r.varints(run_total(&tile_ends), "tile dims")?;
     let split_k = r.varints(n, "split-K")?;
@@ -426,15 +538,32 @@ fn decode_tiledb(r: &mut Reader<'_>) -> Result<TileDatabase> {
         tiles,
         split_k,
     };
-    for i in 0..n {
-        let tile = rows.tile(i);
-        if tile.is_empty() || tile.contains(&0) {
-            return Err(format_error(format!(
-                "tile row {i}: tile {tile:?} has an empty or zero extent"
-            )));
-        }
+    // Every run of tile extents is non-empty and holds no zero.
+    let empty_run = rows.tile_ends.first() == Some(&0)
+        || rows.tile_ends.windows(2).any(|pair| pair[0] == pair[1]);
+    if empty_run || rows.tiles.contains(&0) {
+        return Err(empty_tile(&rows));
     }
     Ok(TileDatabase::from_rows(rows))
+}
+
+#[cold]
+#[inline(never)]
+fn exceeds_u32(v: u64, what: &str) -> CoreError {
+    format_error(format!("{what} {v} exceeds u32"))
+}
+
+/// Names the first row whose tile has an empty or zero extent.
+#[cold]
+#[inline(never)]
+fn empty_tile(rows: &TileRows) -> CoreError {
+    let i = (0..rows.len())
+        .find(|&i| rows.tile(i).is_empty() || rows.tile(i).contains(&0))
+        .expect("some tile row is empty or has a zero extent");
+    format_error(format!(
+        "tile row {i}: tile {:?} has an empty or zero extent",
+        rows.tile(i)
+    ))
 }
 
 /// Items in the runs a column of run ends describes.
@@ -483,6 +612,7 @@ mod tests {
     use crate::registry::model_fingerprint;
     use crate::tiledb::tests::{all_gpus, table4_kernels};
     use neusight_data::{collect_training_set, training_gpus, SweepScale};
+    use proptest::prelude::*;
     use std::path::PathBuf;
     use std::sync::OnceLock;
 
@@ -697,6 +827,36 @@ mod tests {
         let mut past_64 = [0xffu8; 10];
         past_64[9] = 0x02;
         assert!(Reader { bytes: &past_64 }.varint("v").is_err());
+    }
+
+    proptest! {
+        /// A varint column reads what one varint after another does, on
+        /// any bytes: the same values, the same bytes left, the same
+        /// failure.
+        #[test]
+        fn varint_columns_match_varint_by_varint(
+            bytes in prop::collection::vec(
+                prop::sample::select(vec![0u8, 1, 0x7f, 0x80, 0x81, 0xff]),
+                0..40,
+            ),
+            n in 0usize..24,
+        ) {
+            let mut column = Reader { bytes: &bytes };
+            let got = column.varints(n, "v").map_err(|e| e.to_string());
+            let mut single = Reader { bytes: &bytes };
+            let want = if n > bytes.len() {
+                Err(too_long(n, "v", bytes.len()).to_string())
+            } else {
+                (0..n)
+                    .map(|_| single.varint("v"))
+                    .collect::<Result<Vec<_>>>()
+                    .map_err(|e| e.to_string())
+            };
+            prop_assert_eq!(&got, &want);
+            if got.is_ok() {
+                prop_assert_eq!(column.bytes, single.bytes);
+            }
+        }
     }
 
     #[test]

@@ -57,7 +57,6 @@
 use neusight_gpu::{num_tiles, num_waves, GpuError, GpuSpec, KernelDataset, KernelLaunch};
 use neusight_gpu::{OpClass, OpDesc, TileShape};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -258,6 +257,7 @@ const NO_K: u32 = u32::MAX;
 
 /// The rows of one `(family, rank)`, deduplicated by shape and GPU.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 struct TileGroup {
     class: OpClass,
     rank: usize,
@@ -309,93 +309,148 @@ impl TileGroup {
     }
 
     /// Indexes `members` (row indices in ascending order) of one group.
+    ///
+    /// No per-row key or map entry is allocated, and nothing is sorted but
+    /// each axis's few distinct values. One pass over the members numbers
+    /// each axis's values in order of first appearance; a pass per axis
+    /// then folds a member's numbers into one mixed-radix key, and its
+    /// shapes are numbered the same way. Counting sorts place each
+    /// shape's rows, in row order, and order the shapes by cell.
     fn build(class: OpClass, rank: usize, table: &TileRows, members: &[usize]) -> TileGroup {
-        // Distinct values per axis (the GEMM depth is axis `rank`).
-        let mut values = Vec::new();
-        let mut starts = Vec::with_capacity(rank + 2);
-        for axis in 0..=rank {
-            let mut axis_values: Vec<u64> = members
-                .iter()
-                .filter_map(|&i| {
-                    if axis < rank {
-                        Some(table.dims(i)[axis])
-                    } else {
-                        table.gemm_k[i]
-                    }
-                })
-                .collect();
-            axis_values.sort_unstable();
-            axis_values.dedup();
-            starts.push(values.len());
-            values.extend(axis_values);
-        }
-        starts.push(values.len());
-        let position = |axis: usize, v: u64| {
-            let run = &values[starts[axis]..starts[axis + 1]];
-            pos(starts[axis] + run.binary_search(&v).expect("value was tabled"))
-        };
-
-        // Distinct shapes in order of first appearance: dims, depth, and
-        // the rows under each.
-        type Shape = (Vec<u32>, u32, Vec<(u32, u32)>);
-        let mut shape_of: HashMap<(Vec<u32>, u32), usize> = HashMap::new();
-        let mut shapes: Vec<Shape> = Vec::new();
+        // Per member, its value ids on the output axes, then its GEMM
+        // depth's (`NO_K` for none): `ids[j * width + axis]`; and its GPU
+        // slot.
+        let width = rank + 1;
+        let mut ids = vec![NO_K; members.len() * width];
+        let mut distinct: Vec<Interner> = (0..width).map(|_| Interner::default()).collect();
         let mut gpus: Vec<(u32, f64)> = Vec::new();
-        for &i in members {
-            let output_dims = table.dims(i);
-            let dims: Vec<u32> = (0..rank).map(|a| position(a, output_dims[a])).collect();
-            let k = table.gemm_k[i].map_or(NO_K, |k| position(rank, k));
+        let mut gpu_of = Vec::with_capacity(members.len());
+        for (row, &i) in ids.chunks_exact_mut(width).zip(members) {
+            for ((id, &value), axis) in row.iter_mut().zip(table.dims(i)).zip(&mut distinct) {
+                *id = axis.id(value);
+            }
+            if let Some(k) = table.gemm_k[i] {
+                row[rank] = distinct[rank].id(k);
+            }
+            // Rows come GPU after GPU: try the previous member's slot first.
             let gpu = (table.num_sms[i], table.l2_bytes[i]);
-            let slot = match gpus
-                .iter()
-                .position(|g| g.0 == gpu.0 && g.1.to_bits() == gpu.1.to_bits())
-            {
-                Some(slot) => slot,
-                None => {
+            let same = |g: &(u32, f64)| g.0 == gpu.0 && g.1.to_bits() == gpu.1.to_bits();
+            let slot = match gpu_of.last() {
+                Some(&slot) if same(&gpus[slot as usize]) => slot,
+                _ => pos(gpus.iter().position(same).unwrap_or_else(|| {
                     gpus.push(gpu);
                     gpus.len() - 1
-                }
+                })),
             };
-            let shape = *shape_of.entry((dims, k)).or_insert_with_key(|(dims, k)| {
-                shapes.push((dims.clone(), *k, Vec::new()));
-                shapes.len() - 1
-            });
-            shapes[shape].2.push((pos(i), pos(slot)));
+            gpu_of.push(slot);
         }
 
+        // Each axis's distinct values in order (the value tables), and
+        // each id's position among them.
+        let mut values = Vec::new();
+        let mut starts = Vec::with_capacity(rank + 2);
+        let mut position: Vec<Vec<u32>> = Vec::with_capacity(width);
+        for axis in distinct {
+            let found = axis.keys;
+            let mut sorted: Vec<u32> = (0..pos(found.len())).collect();
+            sorted.sort_unstable_by_key(|&id| found[id as usize]);
+            let mut at = vec![0; found.len()];
+            for (p, &id) in sorted.iter().enumerate() {
+                at[id as usize] = pos(values.len() + p);
+            }
+            starts.push(values.len());
+            values.extend(sorted.iter().map(|&id| found[id as usize]));
+            position.push(at);
+        }
+        starts.push(values.len());
+        let position_of = |axis: usize, id: u32| match id {
+            NO_K => NO_K,
+            id => position[axis][id as usize],
+        };
+
+        // Each member's shape, numbered in order of first appearance: its
+        // ids as the digits of one mixed-radix key (the depth's digit 0 for
+        // none), renumbered densely whenever the next axis would overflow
+        // the key.
+        let mut shape_of = vec![0u64; members.len()];
+        let mut span = 1u64;
+        for axis in 0..width {
+            let has_none = axis == rank;
+            let radix = position[axis].len() as u64 + u64::from(has_none);
+            span = match span.checked_mul(radix) {
+                Some(span) => span,
+                None => Interner::number(&mut shape_of) * radix,
+            };
+            for (key, row) in shape_of.iter_mut().zip(ids.chunks_exact(width)) {
+                let digit = match row[axis] {
+                    NO_K => 0,
+                    id => u64::from(id) + u64::from(has_none),
+                };
+                *key = *key * radix + digit;
+            }
+        }
+        let shapes = Interner::number(&mut shape_of) as usize;
+
+        // The members by shape, in member order within each: the first is
+        // the one a shape's positions are read from.
+        let (by_shape, member_starts) =
+            counting_sort(members.len(), shapes, |j| shape_of[j] as usize);
+        let shape_row = |s: usize| {
+            let j = by_shape[member_starts[s]] as usize;
+            &ids[j * width..(j + 1) * width]
+        };
+
         // Bucket the shapes on the two output axes with the most distinct
-        // values (the first such axes); a stable sort keeps first
-        // appearance within each cell.
+        // values (the first such axes), in value order on each; ties in a
+        // cell keep first appearance. A counting sort by the second axis,
+        // then a stable one by the first.
         let mut split: Vec<usize> = (0..rank).collect();
         split.sort_by_key(|&a| std::cmp::Reverse(starts[a + 1] - starts[a]));
         split.truncate(2);
-        let cell_of = |dims: &[u32]| {
-            let at = |level: usize| split.get(level).map_or(NO_K, |&a| dims[a]);
+        let level = |l: usize, s: usize| split.get(l).map(|&a| (a, shape_row(s)[a]));
+        let mut order: Vec<u32> = (0..pos(shapes)).collect();
+        for l in [1, 0] {
+            let range = split.get(l).map_or(1, |&a| position[a].len());
+            let sorted = counting_sort(shapes, range, |at| {
+                let s = order[at] as usize;
+                level(l, s).map_or(0, |(a, id)| (position_of(a, id) as usize) - starts[a])
+            })
+            .0;
+            order = sorted.into_iter().map(|at| order[at as usize]).collect();
+        }
+        let cell_of = |s: usize| {
+            let at = |l: usize| level(l, s).map_or(NO_K, |(a, id)| position_of(a, id));
             (at(0), at(1))
         };
-        shapes.sort_by_key(|(dims, _, _)| cell_of(dims));
+
         let outer_values = split.first().map_or(1, |&a| starts[a + 1] - starts[a]);
         let mut outer_starts = Vec::with_capacity(outer_values + 1);
         let mut cells: Vec<(u32, u32)> = Vec::new();
-        let mut shape_dims = Vec::with_capacity(shapes.len() * rank);
-        let mut shape_k = Vec::with_capacity(shapes.len());
-        let mut row_starts = Vec::with_capacity(shapes.len() + 1);
+        let mut shape_dims = Vec::with_capacity(shapes * rank);
+        let mut shape_k = Vec::with_capacity(shapes);
+        let mut row_starts = Vec::with_capacity(shapes + 1);
         let mut rows = Vec::with_capacity(members.len());
         let mut last_cell = None;
-        for (s, (dims, k, shape_rows)) in shapes.into_iter().enumerate() {
-            let cell = cell_of(&dims);
+        for (at, &s) in order.iter().enumerate() {
+            let s = s as usize;
+            let cell = cell_of(s);
             if last_cell != Some(cell) {
                 let outer = split.first().map_or(0, |&a| cell.0 as usize - starts[a]);
                 while outer_starts.len() <= outer {
                     outer_starts.push(cells.len());
                 }
-                cells.push((cell.1, pos(s)));
+                cells.push((cell.1, pos(at)));
                 last_cell = Some(cell);
             }
-            shape_dims.extend(dims);
-            shape_k.push(k);
+            let row = shape_row(s);
+            shape_dims.extend((0..rank).map(|a| position_of(a, row[a])));
+            shape_k.push(position_of(rank, row[rank]));
             row_starts.push(rows.len());
-            rows.extend(shape_rows);
+            rows.extend(
+                by_shape[member_starts[s]..member_starts[s + 1]]
+                    .iter()
+                    .map(|&j| (pos(members[j as usize]), gpu_of[j as usize])),
+            );
         }
         outer_starts.resize(outer_values + 1, cells.len());
         cells.push((NO_K, pos(shape_k.len())));
@@ -528,6 +583,112 @@ impl TileGroup {
                 *best = Some((dist, entry));
             }
         }
+    }
+}
+
+/// `0..n` ordered by `key`, a value below `range`, keeping the order of
+/// equal keys; and where each key's run starts (`range + 1` entries).
+fn counting_sort(n: usize, range: usize, key: impl Fn(usize) -> usize) -> (Vec<u32>, Vec<usize>) {
+    let mut starts = vec![0usize; range + 1];
+    for item in 0..n {
+        starts[key(item) + 1] += 1;
+    }
+    for k in 0..range {
+        starts[k + 1] += starts[k];
+    }
+    let mut next = starts.clone();
+    let mut sorted = vec![0u32; n];
+    for item in 0..n {
+        let k = key(item);
+        sorted[next[k]] = pos(item);
+        next[k] += 1;
+    }
+    (sorted, starts)
+}
+
+/// Dense ids for `u64` keys, in order of first appearance: an
+/// open-addressing table with Fibonacci hashing and linear probing, kept
+/// at most half full, in front of which the last key looked up is
+/// remembered (rows in sweep order repeat values).
+struct Interner {
+    /// Per table slot, the key there and its id (`u32::MAX` if empty).
+    slots: Vec<(u64, u32)>,
+    /// 64 less log₂ of the slot count: a hash's top bits pick a slot.
+    shift: u32,
+    /// The keys, by id.
+    keys: Vec<u64>,
+    /// The last key looked up and its id (`u32::MAX` before the first).
+    last: (u64, u32),
+}
+
+/// An empty table slot.
+const EMPTY: (u64, u32) = (0, u32::MAX);
+
+impl Default for Interner {
+    fn default() -> Interner {
+        Interner {
+            slots: vec![EMPTY; 16],
+            shift: 64 - 4,
+            keys: Vec::new(),
+            last: EMPTY,
+        }
+    }
+}
+
+impl Interner {
+    /// `key`'s id, giving it the next one if it is new.
+    #[inline]
+    fn id(&mut self, key: u64) -> u32 {
+        if self.last.0 == key && self.last.1 != u32::MAX {
+            return self.last.1;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(key);
+        let id = loop {
+            match self.slots[at] {
+                (_, u32::MAX) => break self.insert(key, at),
+                (k, id) if k == key => break id,
+                _ => at = (at + 1) & mask,
+            }
+        };
+        self.last = (key, id);
+        id
+    }
+
+    /// The slot a key's probe starts at.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Gives `key`, found missing at empty slot `at`, the next id.
+    fn insert(&mut self, key: u64, at: usize) -> u32 {
+        let id = pos(self.keys.len());
+        self.slots[at] = (key, id);
+        self.keys.push(key);
+        if 2 * self.keys.len() > self.slots.len() {
+            self.slots = vec![EMPTY; 2 * self.slots.len()];
+            self.shift -= 1;
+            let mask = self.slots.len() - 1;
+            for (id, &key) in self.keys.iter().enumerate() {
+                let mut at = self.home(key);
+                while self.slots[at].1 != u32::MAX {
+                    at = (at + 1) & mask;
+                }
+                self.slots[at] = (key, pos(id));
+            }
+        }
+        id
+    }
+
+    /// Replaces each key by its id, and returns how many distinct keys
+    /// there were.
+    fn number(keys: &mut [u64]) -> u64 {
+        let mut interner = Interner::default();
+        for key in keys.iter_mut() {
+            *key = u64::from(interner.id(*key));
+        }
+        interner.keys.len() as u64
     }
 }
 
@@ -735,7 +896,7 @@ pub(crate) mod tests {
     use neusight_gpu::{catalog, DType, EwKind};
     use neusight_sim::SimulatedGpu;
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use std::sync::LazyLock;
 
     /// The linear scan the index replaces, kept as the reference: sums the
@@ -1080,6 +1241,145 @@ pub(crate) mod tests {
         }
     }
 
+    /// The index builder [`TileGroup::build`] replaced, kept as its
+    /// reference: a `Vec<u32>` key and a hash-map entry per row, and a
+    /// vector per shape.
+    fn reference_build(
+        class: OpClass,
+        rank: usize,
+        table: &TileRows,
+        members: &[usize],
+    ) -> TileGroup {
+        // Distinct values per axis (the GEMM depth is axis `rank`).
+        let mut values = Vec::new();
+        let mut starts = Vec::with_capacity(rank + 2);
+        for axis in 0..=rank {
+            let mut axis_values: Vec<u64> = members
+                .iter()
+                .filter_map(|&i| {
+                    if axis < rank {
+                        Some(table.dims(i)[axis])
+                    } else {
+                        table.gemm_k[i]
+                    }
+                })
+                .collect();
+            axis_values.sort_unstable();
+            axis_values.dedup();
+            starts.push(values.len());
+            values.extend(axis_values);
+        }
+        starts.push(values.len());
+        let position = |axis: usize, v: u64| {
+            let run = &values[starts[axis]..starts[axis + 1]];
+            pos(starts[axis] + run.binary_search(&v).expect("value was tabled"))
+        };
+
+        // Distinct shapes in order of first appearance: dims, depth, and
+        // the rows under each.
+        type Shape = (Vec<u32>, u32, Vec<(u32, u32)>);
+        let mut shape_of: HashMap<(Vec<u32>, u32), usize> = HashMap::new();
+        let mut shapes: Vec<Shape> = Vec::new();
+        let mut gpus: Vec<(u32, f64)> = Vec::new();
+        for &i in members {
+            let output_dims = table.dims(i);
+            let dims: Vec<u32> = (0..rank).map(|a| position(a, output_dims[a])).collect();
+            let k = table.gemm_k[i].map_or(NO_K, |k| position(rank, k));
+            let gpu = (table.num_sms[i], table.l2_bytes[i]);
+            let slot = match gpus
+                .iter()
+                .position(|g| g.0 == gpu.0 && g.1.to_bits() == gpu.1.to_bits())
+            {
+                Some(slot) => slot,
+                None => {
+                    gpus.push(gpu);
+                    gpus.len() - 1
+                }
+            };
+            let shape = *shape_of.entry((dims, k)).or_insert_with_key(|(dims, k)| {
+                shapes.push((dims.clone(), *k, Vec::new()));
+                shapes.len() - 1
+            });
+            shapes[shape].2.push((pos(i), pos(slot)));
+        }
+
+        // Bucket the shapes on the two output axes with the most distinct
+        // values (the first such axes); a stable sort keeps first
+        // appearance within each cell.
+        let mut split: Vec<usize> = (0..rank).collect();
+        split.sort_by_key(|&a| std::cmp::Reverse(starts[a + 1] - starts[a]));
+        split.truncate(2);
+        let cell_of = |dims: &[u32]| {
+            let at = |level: usize| split.get(level).map_or(NO_K, |&a| dims[a]);
+            (at(0), at(1))
+        };
+        shapes.sort_by_key(|(dims, _, _)| cell_of(dims));
+        let outer_values = split.first().map_or(1, |&a| starts[a + 1] - starts[a]);
+        let mut outer_starts = Vec::with_capacity(outer_values + 1);
+        let mut cells: Vec<(u32, u32)> = Vec::new();
+        let mut shape_dims = Vec::with_capacity(shapes.len() * rank);
+        let mut shape_k = Vec::with_capacity(shapes.len());
+        let mut row_starts = Vec::with_capacity(shapes.len() + 1);
+        let mut rows = Vec::with_capacity(members.len());
+        let mut last_cell = None;
+        for (s, (dims, k, shape_rows)) in shapes.into_iter().enumerate() {
+            let cell = cell_of(&dims);
+            if last_cell != Some(cell) {
+                let outer = split.first().map_or(0, |&a| cell.0 as usize - starts[a]);
+                while outer_starts.len() <= outer {
+                    outer_starts.push(cells.len());
+                }
+                cells.push((cell.1, pos(s)));
+                last_cell = Some(cell);
+            }
+            shape_dims.extend(dims);
+            shape_k.push(k);
+            row_starts.push(rows.len());
+            rows.extend(shape_rows);
+        }
+        outer_starts.resize(outer_values + 1, cells.len());
+        cells.push((NO_K, pos(shape_k.len())));
+        row_starts.push(rows.len());
+        TileGroup {
+            class,
+            rank,
+            values,
+            starts,
+            split,
+            outer_starts,
+            cells,
+            shape_dims,
+            shape_k,
+            row_starts,
+            rows,
+            gpus,
+        }
+    }
+
+    /// [`TileGroup::index`] over [`reference_build`].
+    fn reference_index(rows: &TileRows) -> Vec<TileGroup> {
+        let mut members: Vec<((OpClass, usize), Vec<usize>)> = Vec::new();
+        for i in 0..rows.len() {
+            let key = (rows.class[i], rows.dims(i).len());
+            match members.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, group)) => group.push(i),
+                None => members.push((key, vec![i])),
+            }
+        }
+        members
+            .into_iter()
+            .map(|((class, rank), group)| reference_build(class, rank, rows, &group))
+            .collect()
+    }
+
+    #[test]
+    fn index_matches_the_reference_builder_on_the_standard_database() {
+        let rows = &STANDARD_DB.rows;
+        let groups = TileGroup::index(rows);
+        assert!(groups.len() > 1);
+        assert_eq!(groups, reference_index(rows));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1122,6 +1422,15 @@ pub(crate) mod tests {
             for class in [OpClass::Bmm, OpClass::FullyConnected] {
                 assert_row_matches_scan(&db, class, &dims, k, spec);
             }
+        }
+
+        /// The same rows, indexed by the builder and by its reference.
+        #[test]
+        fn index_matches_the_reference_builder_on_synthetic_rows(
+            rows in prop::collection::vec(synthetic_row(), 1..40),
+        ) {
+            let db = TileDatabase::from_entries(&rows);
+            prop_assert_eq!(TileGroup::index(&db.rows), reference_index(&db.rows));
         }
     }
 

@@ -15,7 +15,7 @@
 //!   answering.
 //! - **Disk** ([`envelope`]): artifacts (predictor weights, datasets,
 //!   training checkpoints) are wrapped in a versioned envelope —
-//!   `magic + schema_version + payload_len + FNV-1a checksum + payload` —
+//!   `magic + schema_version + payload_len + checksum + payload` —
 //!   so a single flipped byte is detected at load time instead of
 //!   producing plausible-but-wrong latencies. Legacy bare-JSON files
 //!   still load, with a warning and a counter.

@@ -227,6 +227,7 @@ impl Front {
     /// Each failed attempt drains its owner, so the ring shrinks
     /// monotonically within one request and this terminates.
     fn attempt(&self, io: &mut Io<Response>, ticket: u64, f: &mut Forward) -> Option<Response> {
+        let _span = obs::span!("router.route", path = f.path, attempt = f.attempt);
         let (shared, metrics) = (&*self.shared, &self.shared.metrics);
         while f.attempt < f.attempts {
             let owner = match &f.predict {
@@ -515,6 +516,7 @@ fn shed_check(shared: &RouterShared) -> Option<Response> {
 /// replica's `X-Model-Version` stamp — clients observing a rolling model
 /// swap through the router see exactly which generation answered.
 fn relay(reply: ClientResponse) -> Response {
+    let _span = obs::span!("router.relay", status = reply.status);
     let model_version = reply.header("x-model-version").map(str::to_owned);
     let content_type = reply.header("content-type").unwrap_or("application/json");
     let response = match content_type {
