@@ -22,7 +22,7 @@ pub mod habitat;
 pub mod li;
 pub mod roofline;
 
-use neusight_graph::{Graph, Phase};
+use neusight_graph::{Graph, KernelPlan, Phase};
 
 pub use habitat::HabitatBaseline;
 pub use li::LiBaseline;
@@ -39,34 +39,35 @@ pub trait OpLatencyPredictor {
     /// Predicted per-device latency of a graph: the sum of its kernels
     /// (sequential device execution), split by phase.
     fn predict_graph(&self, graph: &Graph, spec: &neusight_gpu::GpuSpec) -> GraphLatency {
-        self.predict_graph_by_kernel(graph, spec).0
+        self.predict_graph_by_kernel(graph.plan(), spec).0
     }
 
-    /// [`OpLatencyPredictor::predict_graph`] plus the latency of each
-    /// kernel-table entry (indexed by [`KernelId`](neusight_graph::KernelId)):
-    /// each distinct kernel is predicted once, and the phase sums add the
-    /// nodes' latencies in execution order.
+    /// [`OpLatencyPredictor::predict_graph`] over a graph's
+    /// [`KernelPlan`], plus the latency of each kernel-table entry
+    /// (indexed by [`KernelId`](neusight_graph::KernelId)): each distinct
+    /// kernel is predicted once, and the phase sums add the nodes'
+    /// latencies in execution order.
     fn predict_graph_by_kernel(
         &self,
-        graph: &Graph,
+        plan: &KernelPlan,
         spec: &neusight_gpu::GpuSpec,
     ) -> (GraphLatency, Vec<f64>) {
         let _span = neusight_obs::span!(
             "baseline_predict_graph",
             baseline = self.name(),
             gpu = spec.name(),
-            nodes = graph.len()
+            nodes = plan.len()
         );
-        let kernel_s: Vec<f64> = graph
+        let kernel_s: Vec<f64> = plan
             .kernels()
             .iter()
             .map(|op| self.predict_op(op, spec))
             .collect();
         let (mut forward_s, mut backward_s) = (0.0, 0.0);
-        for node in graph.iter() {
-            match node.phase {
-                Phase::Forward => forward_s += kernel_s[node.kernel.0],
-                Phase::Backward => backward_s += kernel_s[node.kernel.0],
+        for (kernel, phase) in plan.nodes() {
+            match phase {
+                Phase::Forward => forward_s += kernel_s[kernel.0],
+                Phase::Backward => backward_s += kernel_s[kernel.0],
             }
         }
         let total_s = forward_s + backward_s;

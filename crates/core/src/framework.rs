@@ -6,7 +6,7 @@ use crate::error::{CoreError, Result};
 use crate::predictor::{KernelPredictor, PredictorConfig};
 use crate::tiledb::TileDatabase;
 use neusight_gpu::{roofline, DType, GpuSpec, KernelDataset, KernelLaunch, OpClass, OpDesc};
-use neusight_graph::{Graph, Phase};
+use neusight_graph::{Graph, KernelPlan, Phase};
 use neusight_obs as obs;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -750,8 +750,18 @@ impl NeuSight {
     ///
     /// Propagates per-kernel errors.
     pub fn predict_graph(&self, graph: &Graph, spec: &GpuSpec) -> Result<GraphPrediction> {
-        let _span = obs::span!("predict_graph", gpu = spec.name(), nodes = graph.len());
-        let mut predictions = self.predict_graph_batch(&[(graph, spec)])?;
+        self.predict_plan(graph.plan(), spec)
+    }
+
+    /// [`NeuSight::predict_graph`] over a graph's [`KernelPlan`], which
+    /// is all a forecast reads of the graph.
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-kernel errors.
+    pub fn predict_plan(&self, plan: &KernelPlan, spec: &GpuSpec) -> Result<GraphPrediction> {
+        let _span = obs::span!("predict_graph", gpu = spec.name(), nodes = plan.len());
+        let mut predictions = self.predict_plan_batch(&[(plan, spec)])?;
         Ok(predictions.pop().expect("one job in, one prediction out"))
     }
 
@@ -772,6 +782,23 @@ impl NeuSight {
     ///
     /// Propagates per-kernel launch-planning errors.
     pub fn predict_graph_batch(&self, jobs: &[(&Graph, &GpuSpec)]) -> Result<Vec<GraphPrediction>> {
+        let plans: Vec<(&KernelPlan, &GpuSpec)> = jobs
+            .iter()
+            .map(|&(graph, spec)| (graph.plan(), spec))
+            .collect();
+        self.predict_plan_batch(&plans)
+    }
+
+    /// [`NeuSight::predict_graph_batch`] over the jobs' [`KernelPlan`]s:
+    /// the one batched prediction every graph forecast runs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-kernel launch-planning errors.
+    pub fn predict_plan_batch(
+        &self,
+        jobs: &[(&KernelPlan, &GpuSpec)],
+    ) -> Result<Vec<GraphPrediction>> {
         // No span of its own: the stage spans below nest directly under
         // the caller's root (`predict_graph` or the server's
         // `serve_batch`), keeping the §5c taxonomy
@@ -816,9 +843,9 @@ impl NeuSight {
         {
             let _stage = obs::span("dedup");
             let mut slot_of: HashMap<(usize, &OpDesc), usize> = HashMap::new();
-            for ((graph, _), &gpu) in jobs.iter().zip(&job_gpu) {
-                let mut slots = Vec::with_capacity(graph.kernels().len());
-                for op in graph.kernels() {
+            for ((plan, _), &gpu) in jobs.iter().zip(&job_gpu) {
+                let mut slots = Vec::with_capacity(plan.kernels().len());
+                for op in plan.kernels() {
                     let next = unique.len();
                     let slot = *slot_of.entry((gpu, op)).or_insert(next);
                     if slot == next {
@@ -911,13 +938,13 @@ impl NeuSight {
 
         let _stage = obs::span("aggregate");
         let mut out = Vec::with_capacity(jobs.len());
-        for ((graph, _), slots) in jobs.iter().zip(&job_slots) {
-            let mut per_node_s = Vec::with_capacity(graph.len());
+        for ((plan, _), slots) in jobs.iter().zip(&job_slots) {
+            let mut per_node_s = Vec::with_capacity(plan.len());
             let (mut forward_s, mut backward_s) = (0.0, 0.0);
-            for node in graph.iter() {
-                let lat = latencies[slots[node.kernel.0]].expect("every unique op resolved");
+            for (kernel, phase) in plan.nodes() {
+                let lat = latencies[slots[kernel.0]].expect("every unique op resolved");
                 per_node_s.push(lat);
-                match node.phase {
+                match phase {
                     Phase::Forward => forward_s += lat,
                     Phase::Backward => backward_s += lat,
                 }
@@ -1559,6 +1586,18 @@ mod tests {
         })
     }
 
+    /// [`oracle_graphs`]' plans, owned: what the serving layer keeps.
+    fn oracle_plans() -> &'static [KernelPlan] {
+        static PLANS: OnceLock<Vec<KernelPlan>> = OnceLock::new();
+        PLANS.get_or_init(|| {
+            oracle_graphs()
+                .iter()
+                .cloned()
+                .map(Graph::into_plan)
+                .collect()
+        })
+    }
+
     fn oracle_framework() -> &'static NeuSight {
         static NS: OnceLock<NeuSight> = OnceLock::new();
         NS.get_or_init(tiny_framework)
@@ -1569,7 +1608,8 @@ mod tests {
 
         /// Kernel-table dedup agrees bitwise with the node-walk oracle on
         /// random batches (repeated graphs and GPUs included), cold and
-        /// warm, and leaves the same cache entries in the same order.
+        /// warm, and leaves the same cache entries in the same order,
+        /// whether the jobs are graphs or their owned plans.
         #[test]
         fn kernel_table_dedup_matches_node_walk_oracle(
             picks in prop::collection::vec(
@@ -1590,6 +1630,18 @@ mod tests {
             let cold = ns.predict_graph_batch(&jobs).unwrap();
             prop_assert_eq!(cache_entries(ns), want_entries);
             let warm = ns.predict_graph_batch(&jobs).unwrap();
+            prop_assert_eq!(prediction_bits(&cold), prediction_bits(&want));
+            prop_assert_eq!(prediction_bits(&warm), prediction_bits(&want));
+
+            let plans: Vec<(&KernelPlan, &GpuSpec)> = picks
+                .iter()
+                .zip(&specs)
+                .map(|((graph, _), spec)| (&oracle_plans()[*graph], spec))
+                .collect();
+            ns.clear_prediction_cache();
+            let cold = ns.predict_plan_batch(&plans).unwrap();
+            prop_assert_eq!(cache_entries(ns), want_entries);
+            let warm = ns.predict_plan_batch(&plans).unwrap();
             prop_assert_eq!(prediction_bits(&cold), prediction_bits(&want));
             prop_assert_eq!(prediction_bits(&warm), prediction_bits(&want));
         }

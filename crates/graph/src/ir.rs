@@ -176,8 +176,71 @@ impl Node {
     }
 }
 
+/// What a forecast reads of a [`Graph`]: the kernel table, and each node's
+/// kernel id and phase in execution order. A per-kernel predictor
+/// predicts each table entry once and sums the nodes' latencies in order,
+/// so a plan answers every forecast its graph does at about 5 bytes a
+/// node plus the table, without names, inputs or per-node op copies.
+///
+/// ```
+/// use neusight_graph::{Graph, KernelId, Phase};
+/// use neusight_gpu::OpDesc;
+///
+/// let mut g = Graph::new("tiny");
+/// let a = g.add("fc", OpDesc::fc(32, 128, 128), &[]);
+/// let _ = g.add_in_phase("fc.grad0", OpDesc::fc(32, 128, 128), &[a], Phase::Backward);
+/// let plan = g.into_plan();
+/// assert_eq!(plan.len(), 2);
+/// assert_eq!(plan.kernels().len(), 1);
+/// let nodes: Vec<_> = plan.nodes().collect();
+/// assert_eq!(nodes, [(KernelId(0), Phase::Forward), (KernelId(0), Phase::Backward)]);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct KernelPlan {
+    kernels: Vec<OpDesc>,
+    /// Each node's entry of `kernels`, in execution order.
+    node_kernels: Vec<u32>,
+    /// Each node's phase, in execution order.
+    phases: Vec<Phase>,
+}
+
+impl KernelPlan {
+    /// Number of nodes.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.node_kernels.len()
+    }
+
+    /// Whether the plan has no nodes.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.node_kernels.is_empty()
+    }
+
+    /// The distinct kernels, in the order nodes first use them.
+    #[must_use]
+    pub fn kernels(&self) -> &[OpDesc] {
+        &self.kernels
+    }
+
+    /// Each node's kernel and phase, in execution order.
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = (KernelId, Phase)> + '_ {
+        self.node_kernels
+            .iter()
+            .zip(&self.phases)
+            .map(|(&kernel, &phase)| (KernelId(kernel as usize), phase))
+    }
+
+    fn push(&mut self, kernel: KernelId, phase: Phase) {
+        let kernel = u32::try_from(kernel.0).expect("kernel table fits in u32");
+        self.node_kernels.push(kernel);
+        self.phases.push(phase);
+    }
+}
+
 /// A topologically ordered dataflow graph of kernel nodes, with a kernel
-/// table holding each distinct [`OpDesc`] once.
+/// table holding each distinct [`OpDesc`] once. Its kernel table and
+/// per-node kernel ids and phases form its [`KernelPlan`].
 ///
 /// ```
 /// use neusight_graph::{Graph, KernelId, Phase};
@@ -195,8 +258,8 @@ impl Node {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Graph {
     name: String,
-    kernels: Vec<OpDesc>,
-    /// `kernels` ids in op order, for interning by binary search.
+    plan: KernelPlan,
+    /// Kernel-table ids in op order, for interning by binary search.
     sorted: Vec<KernelId>,
     nodes: Vec<Node>,
     inputs: Vec<NodeId>,
@@ -245,11 +308,12 @@ impl Graph {
 
     /// The kernel-table entry equal to `op`, appended if it is new.
     pub(crate) fn intern(&mut self, op: &OpDesc) -> KernelId {
-        match self.sorted.binary_search_by(|k| self.kernels[k.0].cmp(op)) {
+        let kernels = &mut self.plan.kernels;
+        match self.sorted.binary_search_by(|k| kernels[k.0].cmp(op)) {
             Ok(i) => self.sorted[i],
             Err(i) => {
-                let kernel = KernelId(self.kernels.len());
-                self.kernels.push(op.clone());
+                let kernel = KernelId(kernels.len());
+                kernels.push(op.clone());
                 self.sorted.insert(i, kernel);
                 kernel
             }
@@ -276,6 +340,7 @@ impl Graph {
         let start = offset(self.inputs.len());
         self.inputs.extend_from_slice(inputs);
         let inputs = (start, offset(self.inputs.len()));
+        self.plan.push(kernel, phase);
         self.nodes.push(Node {
             id,
             name,
@@ -323,7 +388,7 @@ impl Graph {
     /// The distinct kernels, in the order nodes first use them.
     #[must_use]
     pub fn kernels(&self) -> &[OpDesc] {
-        &self.kernels
+        self.plan.kernels()
     }
 
     /// Borrow of a kernel-table entry.
@@ -333,7 +398,25 @@ impl Graph {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn kernel(&self, id: KernelId) -> &OpDesc {
-        &self.kernels[id.0]
+        &self.plan.kernels[id.0]
+    }
+
+    /// The graph's kernel table and per-node kernel ids and phases.
+    #[must_use]
+    pub fn plan(&self) -> &KernelPlan {
+        &self.plan
+    }
+
+    /// The graph's [`KernelPlan`], dropping names, inputs and the
+    /// per-node op copies. The plan's buffers are trimmed to their
+    /// length, since a plan is kept for as long as it is served.
+    #[must_use]
+    pub fn into_plan(self) -> KernelPlan {
+        let mut plan = self.plan;
+        plan.kernels.shrink_to_fit();
+        plan.node_kernels.shrink_to_fit();
+        plan.phases.shrink_to_fit();
+        plan
     }
 
     /// Iterates nodes in execution order.

@@ -32,7 +32,7 @@ pub mod transformer;
 
 pub use config::{ModelConfig, MoeConfig, ResolveError, TaskKind};
 pub use fusion::fuse_graph;
-pub use ir::{Graph, KernelId, Node, NodeId, NodeName, Phase};
+pub use ir::{Graph, KernelId, KernelPlan, Node, NodeId, NodeName, Phase};
 pub use transformer::{decode_graph, inference_graph, training_graph};
 
 /// Builds the kernel graph a workload name refers to: any Table 4

@@ -348,11 +348,14 @@ impl fmt::Display for Matrix {
 /// additionally split across threads by output row blocks; small ones
 /// stay serial because thread spawn costs more than the multiply.
 ///
-/// A product with fewer than MR rows, a plain A and a plain B (every
+/// A product with fewer than 2·MR rows, a plain A and a plain B (every
 /// inference `x·W` the MLP runs, at a few rows) skips all of that on
 /// AVX2+FMA hosts: [`few_rows`] broadcasts straight from A's rows and
 /// reads B's rows in place, R rows × 16 to 32 columns per register tile,
-/// with no packing and no padding to MR rows. Each output element is still
+/// with no packing and no padding to MR rows. From MR rows up the product
+/// runs as two few-row passes over disjoint row blocks, the first taking
+/// the larger half: one more row costs one more row's work, not the
+/// packed path's packing and padding. Each output element is still
 /// one FMA chain from zero over the slab's `p` in order, added to C once
 /// per KC slab, so the result is the 6×16 kernel's bit for bit.
 mod gemm {
@@ -365,6 +368,9 @@ mod gemm {
     const MC: usize = 96;
     /// Reduction-slab size (packed panels stay cache-resident).
     const KC: usize = 256;
+    /// Most rows a plain product runs on the few-row kernel: two passes
+    /// of at most MR rows each.
+    const FEW_ROWS_MAX: usize = 2 * MR - 1;
     /// Column-panel size of one B block.
     const NC: usize = 512;
     /// Below this many FLOPs (2·m·n·k) the product stays single-threaded:
@@ -464,8 +470,16 @@ mod gemm {
             }
         }
         #[cfg(target_arch = "x86_64")]
-        if m < MR && !a.transposed && !b.transposed && simd_kernel_available() {
-            few_rows(out, a, b, shape);
+        if m <= FEW_ROWS_MAX && !a.transposed && !b.transposed && simd_kernel_available() {
+            if m < MR {
+                few_rows(out, a, b, shape);
+            } else {
+                let top = m.div_ceil(2);
+                let (top_out, bottom_out) = out.split_at_mut(top * n);
+                few_rows(top_out, a, b, Shape { m: top, n, k });
+                let bottom_a = Operand::plain(&a.data[top * a.stride..], a.stride);
+                few_rows(bottom_out, bottom_a, b, Shape { m: m - top, n, k });
+            }
             return;
         }
         if threads <= 1 {
@@ -744,16 +758,16 @@ mod gemm {
         }
     }
 
-    /// `out += a · b` for fewer than MR rows of a plain A and a plain B,
-    /// one KC slab at a time, on the AVX2+FMA few-row kernel. Each tile is
-    /// as wide as lets its accumulators, B vectors and A broadcast share the
+    /// `out += a · b` for at most MR rows of a plain A and a plain B, one
+    /// KC slab at a time, on the AVX2+FMA few-row kernel. Each tile is as
+    /// wide as lets its accumulators, B vectors and A broadcast share the
     /// 16 `ymm` registers without spilling: one or two rows take 32
-    /// columns, three rows 24, four and five rows 16. All rows share each
+    /// columns, three rows 24, four to six rows 16. All rows share each
     /// B load, so B is read once per slab.
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < m < MR` and the host has AVX2 and FMA.
+    /// Panics unless `0 < m <= MR` and the host has AVX2 and FMA.
     #[cfg(target_arch = "x86_64")]
     fn few_rows(out: &mut [f32], a: Operand<'_>, b: Operand<'_>, shape: Shape) {
         assert!(
@@ -779,7 +793,8 @@ mod gemm {
                     3 => few_rows_avx2::<3, 3>(out, a.data, b.data, slab),
                     4 => few_rows_avx2::<4, 2>(out, a.data, b.data, slab),
                     5 => few_rows_avx2::<5, 2>(out, a.data, b.data, slab),
-                    m => panic!("the few-row kernel takes 1 to {} rows, not {m}", MR - 1),
+                    6 => few_rows_avx2::<6, 2>(out, a.data, b.data, slab),
+                    m => panic!("the few-row kernel takes 1 to {MR} rows, not {m}"),
                 }
             }
             k0 += KC;
@@ -1066,14 +1081,15 @@ mod tests {
         }
     }
 
-    /// The few-row kernel on its edges: every row count below MR, widths
-    /// around its 8-lane vectors and 16- to 32-column tiles, depths
-    /// around the KC slab. It must match the packed 6×16 path (`matmul_t`
+    /// The few-row kernel on its edges: every row count it takes (one
+    /// pass below MR rows, two passes from MR to 2·MR − 1), widths around
+    /// its 8-lane vectors and 16- to 32-column tiles, depths around the
+    /// KC slab. It must match the packed 6×16 path (`matmul_t`
     /// on the explicit transpose) bitwise, and the reference within
     /// rounding.
     #[test]
     fn few_row_gemm_matches_packed_and_reference_on_edges() {
-        for m in 1..6 {
+        for m in 1..=11 {
             for n in [1, 2, 7, 8, 9, 16, 24, 31, 32, 33, 130] {
                 for k in [255, 256, 257] {
                     let a =

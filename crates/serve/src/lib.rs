@@ -15,7 +15,7 @@
 //! - [`queue`] — the bounded admission queue; a full queue means `429`,
 //!   never a stalled socket.
 //! - [`dispatch`] — the micro-batching dispatcher; concurrent requests
-//!   coalesce into one [`NeuSight::predict_graph_batch`] call, i.e. one
+//!   coalesce into one [`NeuSight::predict_plan_batch`] call, i.e. one
 //!   MLP forward per `(GPU, op family)`.
 //! - [`service`] — request/response types and the model/GPU/graph
 //!   resolution + prediction logic, shared by the server and direct
@@ -41,7 +41,7 @@
 //! ```
 //!
 //! [`predict_graph`]: neusight_core::NeuSight::predict_graph
-//! [`NeuSight::predict_graph_batch`]: neusight_core::NeuSight::predict_graph_batch
+//! [`NeuSight::predict_plan_batch`]: neusight_core::NeuSight::predict_plan_batch
 
 pub mod client;
 pub mod deadline;

@@ -588,8 +588,8 @@ impl PredictService {
         }
         let model = PredictService::canonical_model(&req.model).ok()?;
         let spec = self.resolve_gpu(&req.gpu).ok()?;
-        let graph = self.graph(&model, req.batch, req.train, req.fused).ok()?;
-        let pred = candidate.predict_graph(&graph, &spec).ok()?;
+        let plan = self.plan(&model, req.batch, req.train, req.fused).ok()?;
+        let pred = candidate.predict_plan(&plan, &spec).ok()?;
         let candidate_ms = pred.total_s * 1e3;
         let served_ms = served.total_ms;
         if !(served_ms.is_finite() && candidate_ms.is_finite()) || served_ms <= 0.0 {

@@ -1,8 +1,8 @@
 //! The prediction service behind the HTTP routes: wire types for
-//! `/v1/predict`, name resolution shared with the CLI, a graph cache so
-//! repeated requests skip IR construction, the batched entry point the
-//! micro-batching dispatcher calls, and the response-memo answer the
-//! event loop gives on its own thread.
+//! `/v1/predict`, name resolution shared with the CLI, a kernel-plan
+//! cache so repeated requests skip IR construction, the batched entry
+//! point the micro-batching dispatcher calls, and the response-memo
+//! answer the event loop gives on its own thread.
 
 use crate::lifecycle::{Lifecycle, LifecycleConfig};
 use crate::model::{ModelEpoch, ModelHandle};
@@ -10,10 +10,12 @@ use neusight_baselines::OpLatencyPredictor;
 use neusight_core::NeuSight;
 use neusight_fault::{BreakerConfig, BreakerState, CircuitBreaker};
 use neusight_gpu::{catalog, GpuSpec, OpClass, OpDesc};
-use neusight_graph::{config, workload_graph, Graph};
+use neusight_graph::{config, workload_graph, KernelPlan};
 use neusight_obs as obs;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -139,8 +141,8 @@ pub const MAX_REQUEST_BATCH: u64 = 4096;
 /// Upper bound on `model` / `gpu` name length, bytes.
 pub const MAX_NAME_BYTES: usize = 256;
 
-/// Cache key for built graphs: canonical model × batch × phase × fusion.
-type GraphKey = (String, u64, bool, bool);
+/// Cache key for kernel plans: canonical model × batch × phase × fusion.
+type PlanKey = (String, u64, bool, bool);
 
 /// Bound on memoized serialized responses. The request space is tiny
 /// (model × GPU × batch × flags), so this is generous; FIFO eviction
@@ -150,6 +152,47 @@ const RESPONSE_CACHE_CAPACITY: usize = 8192;
 /// Memo key: the model epoch the body was computed under, the request,
 /// and the degraded flag it was served with.
 type MemoKey = (u64, PredictRequest, bool);
+
+/// A memo key's parts, whether the key owns its request or borrows it:
+/// the map stores [`MemoKey`]s, and a lookup hashes and compares a
+/// borrowed view, so a memo hit copies no request string.
+trait MemoKeyView {
+    fn parts(&self) -> (u64, &PredictRequest, bool);
+}
+
+impl MemoKeyView for MemoKey {
+    fn parts(&self) -> (u64, &PredictRequest, bool) {
+        (self.0, &self.1, self.2)
+    }
+}
+
+impl MemoKeyView for (u64, &PredictRequest, bool) {
+    fn parts(&self) -> (u64, &PredictRequest, bool) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn MemoKeyView + 'a> for MemoKey {
+    fn borrow(&self) -> &(dyn MemoKeyView + 'a) {
+        self
+    }
+}
+
+/// Hashes exactly as [`MemoKey`]'s tuple hash does: the parts in order,
+/// the request through `&PredictRequest`'s forwarding impl.
+impl Hash for dyn MemoKeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn MemoKeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn MemoKeyView + '_ {}
 
 /// A bounded FIFO memo of fully serialized response bodies, keyed by the
 /// model epoch plus the request plus the degraded flag it was served
@@ -178,9 +221,11 @@ impl ResponseCache {
         }
     }
 
-    fn get(&self, key: &MemoKey) -> Option<Arc<str>> {
+    /// The non-degraded body memoized for `request` under `epoch`.
+    fn get(&self, epoch: u64, request: &PredictRequest) -> Option<Arc<str>> {
+        let key: &dyn MemoKeyView = &(epoch, request, false);
         let (stamped_epoch, body) = self.map.get(key)?;
-        if *stamped_epoch != key.0 {
+        if *stamped_epoch != epoch {
             // Unreachable by construction (the epoch is part of the key),
             // but the whole point of the counter is to prove that in
             // production rather than assume it.
@@ -254,12 +299,13 @@ pub const MAX_GOSSIP_ENTRIES: usize = 1024;
 pub const MAX_GOSSIP_BYTES: usize = 768 * 1024;
 
 /// The long-lived prediction service: one trained [`NeuSight`] plus a
-/// graph cache, shared by every connection handler through the
+/// kernel-plan cache, shared by every connection handler through the
 /// dispatcher.
 ///
 /// Amortization is the whole point of the server (the ROADMAP's
 /// "millions of users" shape): the predictor weights and tile database
-/// load once, built kernel graphs are reused across requests, and the
+/// load once, each workload's graph is built once and its
+/// [`KernelPlan`] reused across requests, and the
 /// bounded memo cache inside [`NeuSight`] carries warm per-kernel
 /// predictions from any request to all later ones.
 pub struct PredictService {
@@ -267,7 +313,9 @@ pub struct PredictService {
     /// (see [`ModelHandle`]); the degraded-tier roofline baseline rides
     /// inside each generation so it always matches the serving dtype.
     pub(crate) model: ModelHandle,
-    graphs: Mutex<HashMap<GraphKey, Arc<Graph>>>,
+    /// Each served workload's [`KernelPlan`]: all a forecast reads of
+    /// its graph, at about 5 bytes a node plus the kernel table.
+    plans: Mutex<HashMap<PlanKey, Arc<KernelPlan>>>,
     specs: Mutex<HashMap<String, GpuSpec>>,
     /// Trips after consecutive MLP-path failures; while open, requests go
     /// straight to the roofline fallback without touching the predictor.
@@ -315,7 +363,7 @@ impl PredictService {
     ) -> PredictService {
         PredictService {
             model: ModelHandle::new(version, ns),
-            graphs: Mutex::new(HashMap::new()),
+            plans: Mutex::new(HashMap::new()),
             specs: Mutex::new(HashMap::new()),
             breaker: CircuitBreaker::new("serve.predict", config),
             responses: Mutex::new(ResponseCache::new()),
@@ -453,38 +501,41 @@ impl PredictService {
         Ok(spec)
     }
 
-    /// The (cached) kernel graph for a resolved request.
+    /// The (cached) kernel plan for a resolved request. A miss builds
+    /// the graph, fuses it if asked (fusion needs the topology), keeps
+    /// its plan and drops the rest.
     ///
     /// # Errors
     ///
     /// 500 if graph construction fails for a name that resolved — a
     /// service bug, but one that must answer as JSON, not a panic.
-    pub(crate) fn graph(
+    pub(crate) fn plan(
         &self,
         canonical: &str,
         batch: u64,
         train: bool,
         fused: bool,
-    ) -> Result<Arc<Graph>, ServeError> {
+    ) -> Result<Arc<KernelPlan>, ServeError> {
         let key = (canonical.to_owned(), batch, train, fused);
-        let mut graphs = neusight_guard::recover_poison(self.graphs.lock());
-        if let Some(graph) = graphs.get(&key) {
-            return Ok(Arc::clone(graph));
+        let mut plans = neusight_guard::recover_poison(self.plans.lock());
+        if let Some(plan) = plans.get(&key) {
+            return Ok(Arc::clone(plan));
         }
         let graph = workload_graph(canonical, batch, train).map_err(|e| {
             ServeError::internal(format!("graph construction failed for `{canonical}`: {e}"))
         })?;
-        let graph = Arc::new(if fused {
+        let graph = if fused {
             neusight_graph::fuse_graph(&graph)
         } else {
             graph
-        });
-        graphs.insert(key, Arc::clone(&graph));
-        Ok(graph)
+        };
+        let plan = Arc::new(graph.into_plan());
+        plans.insert(key, Arc::clone(&plan));
+        Ok(plan)
     }
 
     /// Serves a whole micro-batch of predict requests with **one**
-    /// [`NeuSight::predict_graph_batch`] call: the kernels of every
+    /// [`NeuSight::predict_plan_batch`] call: the kernels of every
     /// request in the batch are deduplicated together and dispatched as
     /// one MLP forward pass per `(GPU, op family)`. Results are
     /// positionally aligned with `requests`.
@@ -506,22 +557,22 @@ impl PredictService {
     ) -> Vec<Result<PredictResponse, ServeError>> {
         // Resolve every request first; unresolvable ones fail without
         // poisoning the rest of the batch.
-        type Resolved = (String, GpuSpec, Arc<Graph>);
+        type Resolved = (String, GpuSpec, Arc<KernelPlan>);
         let resolved: Vec<Result<Resolved, ServeError>> = requests
             .iter()
             .map(|req| {
                 Self::validate(req)?;
                 let model = Self::canonical_model(&req.model)?;
                 let spec = self.resolve_gpu(&req.gpu)?;
-                let graph = self.graph(&model, req.batch, req.train, req.fused)?;
-                Ok((model, spec, graph))
+                let plan = self.plan(&model, req.batch, req.train, req.fused)?;
+                Ok((model, spec, plan))
             })
             .collect();
 
-        let jobs: Vec<(&Graph, &GpuSpec)> = resolved
+        let jobs: Vec<(&KernelPlan, &GpuSpec)> = resolved
             .iter()
             .filter_map(|r| r.as_ref().ok())
-            .map(|(_, spec, graph)| (graph.as_ref(), spec))
+            .map(|(_, spec, plan)| (plan.as_ref(), spec))
             .collect();
 
         // MLP path, guarded by the circuit breaker. Any failure — or an
@@ -537,7 +588,7 @@ impl PredictService {
                 obs::metrics::counter("serve.predict.brownout_served").inc();
                 degraded = true;
             } else if self.breaker.allow() {
-                match current.predict_graph_batch(&jobs) {
+                match current.predict_plan_batch(&jobs) {
                     Ok(p) => {
                         self.breaker.record_success();
                         predictions = p.into_iter();
@@ -559,11 +610,11 @@ impl PredictService {
             .iter()
             .zip(resolved)
             .map(|(req, slot)| {
-                let (model, spec, graph) = slot?;
+                let (model, spec, plan) = slot?;
                 let (total_s, forward_s, backward_s, per_node_s) = if degraded {
                     obs::metrics::counter("serve.degraded.responses").inc();
-                    let (lat, kernel_s) = current.baseline().predict_graph_by_kernel(&graph, &spec);
-                    let per_node_s = graph.iter().map(|node| kernel_s[node.kernel.0]).collect();
+                    let (lat, kernel_s) = current.baseline().predict_graph_by_kernel(&plan, &spec);
+                    let per_node_s = plan.nodes().map(|(kernel, _)| kernel_s[kernel.0]).collect();
                     (lat.total_s, lat.forward_s, lat.backward_s, per_node_s)
                 } else {
                     let pred = predictions.next().ok_or_else(|| {
@@ -578,10 +629,10 @@ impl PredictService {
                 };
                 // Per-family sums in node order, keyed by class until the
                 // (at most six) map keys are built.
-                let class_of: Vec<OpClass> = graph.kernels().iter().map(OpDesc::op_class).collect();
+                let class_of: Vec<OpClass> = plan.kernels().iter().map(OpDesc::op_class).collect();
                 let mut family_ms: [Option<f64>; OpClass::ALL.len()] = Default::default();
-                for (node, lat) in graph.iter().zip(&per_node_s) {
-                    *family_ms[class_of[node.kernel.0] as usize].get_or_insert(0.0) += lat * 1e3;
+                for ((kernel, _), lat) in plan.nodes().zip(&per_node_s) {
+                    *family_ms[class_of[kernel.0] as usize].get_or_insert(0.0) += lat * 1e3;
                 }
                 let per_family_ms = OpClass::ALL
                     .iter()
@@ -594,7 +645,7 @@ impl PredictService {
                     batch: req.batch,
                     mode: if req.train { "training" } else { "inference" }.to_owned(),
                     fused: req.fused,
-                    kernels: graph.len(),
+                    kernels: plan.len(),
                     total_ms: total_s * 1e3,
                     forward_ms: forward_s * 1e3,
                     backward_ms: backward_s * 1e3,
@@ -615,7 +666,7 @@ impl PredictService {
     /// The memo answers only while the breaker is closed and brownout is
     /// off, and only when **every** request has a cached non-degraded
     /// body. Even then the predictor is probed once (an empty
-    /// `predict_graph_batch`, which runs the `core.predict.mlp` failpoint
+    /// `predict_plan_batch`, which runs the `core.predict.mlp` failpoint
     /// before touching any job), so injected MLP faults and breaker
     /// accounting see every answer exactly as they would without the
     /// memo. A failed probe counts as an MLP failure and returns `None`,
@@ -640,10 +691,10 @@ impl PredictService {
             let memo = neusight_guard::recover_poison(self.responses.lock());
             requests
                 .iter()
-                .map(|req| memo.get(&(current.epoch(), req.clone(), false)).map(Ok))
+                .map(|req| memo.get(current.epoch(), req).map(Ok))
                 .collect::<Option<_>>()?
         };
-        if let Err(e) = current.predict_graph_batch(&[]) {
+        if let Err(e) = current.predict_plan_batch(&[]) {
             self.breaker.record_failure();
             obs::metrics::counter("serve.predict.mlp_failures").inc();
             obs::event!("predict_degraded", reason = e);
@@ -968,6 +1019,50 @@ mod tests {
             fused: false,
             detail: false,
         }
+    }
+
+    /// A borrowed lookup finds exactly the owned key it names: the same
+    /// epoch, the same request, not degraded. FIFO eviction and epoch
+    /// purging still drop entries by their owned keys.
+    #[test]
+    fn memo_lookup_by_borrowed_key_matches_owned_keys() {
+        let mut memo = ResponseCache::new();
+        let hot = req("gpt2-large", "H100", 2, false);
+        let degraded = req("gpt2-large", "H100", 4, false);
+        assert!(memo.insert((1, hot.clone(), false), "hot".into()));
+        assert!(!memo.insert((1, hot.clone(), false), "again".into()));
+        assert!(memo.insert((1, degraded.clone(), true), "degraded".into()));
+        assert_eq!(memo.get(1, &hot).as_deref(), Some("hot"));
+        assert_eq!(memo.get(2, &hot), None);
+        assert_eq!(memo.get(1, &degraded), None);
+        assert_eq!(
+            memo.get(
+                1,
+                &PredictRequest {
+                    detail: true,
+                    ..hot.clone()
+                }
+            ),
+            None
+        );
+
+        for batch in 0..RESPONSE_CACHE_CAPACITY as u64 {
+            memo.insert(
+                (1, req("bert-large", "V100", batch, true), false),
+                "x".into(),
+            );
+        }
+        assert_eq!(memo.map.len(), RESPONSE_CACHE_CAPACITY);
+        assert_eq!(memo.get(1, &hot), None, "the oldest entry is evicted first");
+        assert_eq!(
+            memo.get(1, &req("bert-large", "V100", 0, true)).as_deref(),
+            Some("x")
+        );
+
+        assert_eq!(memo.purge_other_epochs(2), RESPONSE_CACHE_CAPACITY);
+        assert!(memo.map.is_empty() && memo.order.is_empty());
+        assert!(memo.insert((2, hot.clone(), false), "next".into()));
+        assert_eq!(memo.get(2, &hot).as_deref(), Some("next"));
     }
 
     #[test]
