@@ -35,19 +35,24 @@
 //! A varint is unsigned LEB128: seven bits per byte, low bits first, the
 //! top bit set on every byte but the last. Tile-database integers are
 //! small, so the ~16.7k-row standard database takes a few hundred KB.
+//! The decoder hands each value to the database's index as it reads it
+//! (see [`crate::tiledb`]), so no column is held; the columns are written
+//! back from the index in row order, the same bytes as were read.
 //!
 //! A registry payload is `b"NSR1"`, the manifest's JSON length as `u64`,
 //! the manifest JSON, then a model payload.
 //!
 //! The decoder trusts nothing: it checks every count against the bytes
 //! that remain before allocating, checks that layer and scaler shapes fit
-//! together, rejects trailing bytes, and reports every failure as
+//! together, refuses what the index's narrowed ids cannot hold (more than
+//! 2³² tile rows, 2¹⁶ distinct launches, or 2¹⁶ distinct GPUs in one
+//! family and rank), rejects trailing bytes, and reports every failure as
 //! [`CoreError::Format`] without panicking.
 
 use crate::error::{CoreError, Result};
 use crate::framework::NeuSight;
 use crate::predictor::KernelPredictor;
-use crate::tiledb::{TileDatabase, TileRows};
+use crate::tiledb::{Builder, TileEntry};
 use neusight_gpu::{DType, OpClass};
 use neusight_nn::{Matrix, Mlp, StandardScaler};
 use std::collections::BTreeMap;
@@ -120,10 +125,15 @@ impl Writer {
         }
         self.0.push(v as u8);
     }
+
+    fn varints(&mut self, values: impl Iterator<Item = u64>) {
+        values.for_each(|v| self.varint(v));
+    }
 }
 
 /// Reads little-endian fields from a byte slice, checking every length
 /// against what remains.
+#[derive(Clone, Copy)]
 struct Reader<'a> {
     bytes: &'a [u8],
 }
@@ -151,10 +161,6 @@ impl<'a> Reader<'a> {
         Ok(self.array::<1>(what)?[0])
     }
 
-    fn flag(&mut self, what: &str) -> Result<bool> {
-        flag_of(self.u8(what)?, what)
-    }
-
     fn u64(&mut self, what: &str) -> Result<u64> {
         Ok(u64::from_le_bytes(self.array(what)?))
     }
@@ -167,6 +173,12 @@ impl<'a> Reader<'a> {
     /// rejected when the remaining bytes cannot hold that many.
     fn count(&mut self, min_item_bytes: usize, what: &str) -> Result<usize> {
         let n = self.u64(what)?;
+        self.fits(n, min_item_bytes, what)
+    }
+
+    /// `n`, when the remaining bytes can hold that many items of at least
+    /// `min_item_bytes` each.
+    fn fits(&self, n: u64, min_item_bytes: usize, what: &str) -> Result<usize> {
         let fits = usize::try_from(n).ok().filter(|&n| {
             n.checked_mul(min_item_bytes)
                 .is_some_and(|b| b <= self.bytes.len())
@@ -190,90 +202,36 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    fn f64s(&mut self, n: usize, what: &str) -> Result<Vec<f64>> {
-        let bytes = n
-            .checked_mul(8)
-            .ok_or_else(|| format_error(format!("{what}: {n} floats overflow")))?;
-        Ok(self
-            .take(bytes, what)?
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect())
-    }
-
-    /// One varint; the decoder reads its varints by the column.
-    #[cfg(test)]
+    /// One varint. A one-byte varint takes one comparison; a longer one
+    /// up to eight bytes is read from one 8-byte window without a branch
+    /// per byte.
+    #[inline(always)]
     fn varint(&mut self, what: &str) -> Result<u64> {
-        let (v, len) = leb128(self.bytes).ok_or_else(|| bad_varint(self.bytes, what))?;
-        self.bytes = &self.bytes[len..];
+        let rest = self.bytes;
+        let (v, len) = match rest.first() {
+            Some(&byte) if byte < 0x80 => (u64::from(byte), 1),
+            _ => match rest.first_chunk().and_then(|&window| leb128_word(window)) {
+                Some(read) => read,
+                None => leb128(rest).ok_or_else(|| bad_varint(rest, what))?,
+            },
+        };
+        self.bytes = &rest[len..];
         Ok(v)
     }
 
-    /// A column of `n` one-byte codes, each read by `item`.
-    fn byte_column<T>(
-        &mut self,
-        n: usize,
-        what: &str,
-        item: impl Fn(u8) -> Result<T>,
-    ) -> Result<Vec<T>> {
-        let codes = self.take(n, what)?;
-        let mut out = Vec::with_capacity(n);
-        for &code in codes {
-            out.push(item(code)?);
-        }
-        Ok(out)
-    }
-
-    /// A column of `n` varints, each converted by `item`. A one-byte
-    /// varint takes one comparison; a longer one up to eight bytes is
-    /// read from one 8-byte window without a branch per byte.
-    fn varint_column<T>(
-        &mut self,
-        n: usize,
-        what: &str,
-        mut item: impl FnMut(u64) -> Result<T>,
-    ) -> Result<Vec<T>> {
-        // Each varint takes a byte or more: check before allocating.
-        let bytes = self.bytes;
-        if n > bytes.len() {
-            return Err(too_long(n, what, bytes.len()));
-        }
-        let mut at = 0;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let rest = &bytes[at..];
-            let (v, len) = match rest.first() {
-                Some(&byte) if byte < 0x80 => (u64::from(byte), 1),
-                _ => match rest.first_chunk().and_then(|&window| leb128_word(window)) {
-                    Some(read) => read,
-                    None => leb128(rest).ok_or_else(|| bad_varint(rest, what))?,
-                },
-            };
-            at += len;
-            out.push(item(v)?);
-        }
-        self.bytes = &bytes[at..];
-        Ok(out)
-    }
-
-    fn varints(&mut self, n: usize, what: &str) -> Result<Vec<u64>> {
-        self.varint_column(n, what, Ok)
-    }
-
-    /// `n` varint run lengths, as the running totals that end each run.
-    fn run_ends(&mut self, n: usize, what: &str) -> Result<Vec<u32>> {
-        let mut total = 0u32;
-        self.varint_column(n, what, |len| {
-            total = u32::try_from(len)
-                .ok()
-                .and_then(|len| total.checked_add(len))
-                .ok_or_else(|| runs_overflow(what))?;
-            Ok(total)
-        })
-    }
-
-    fn class(&mut self, what: &str) -> Result<OpClass> {
-        class_of(self.u8(what)?, what)
+    /// A reader of the next `n` varints, past which this one moves: a
+    /// column read alongside a later one. A varint ends at each byte
+    /// below 0x80, so this only counts those; reading the column checks
+    /// the values.
+    fn varints(&mut self, n: usize, what: &str) -> Result<Reader<'a>> {
+        let mut ends = (self.bytes.iter().enumerate()).filter(|&(_, &byte)| byte < 0x80);
+        let len = n
+            .checked_sub(1)
+            .map_or(Some(0), |last| ends.nth(last).map(|(at, _)| at + 1));
+        let len = len.ok_or_else(|| too_long(n as u64, what, self.bytes.len()))?;
+        let (column, rest) = self.bytes.split_at(len);
+        self.bytes = rest;
+        Ok(Reader { bytes: column })
     }
 }
 
@@ -332,16 +290,10 @@ fn bad_varint(rest: &[u8], what: &str) -> CoreError {
 
 #[cold]
 #[inline(never)]
-fn too_long(n: usize, what: &str, remain: usize) -> CoreError {
+fn too_long(n: u64, what: &str, remain: usize) -> CoreError {
     format_error(format!(
         "{n} {what} do not fit in the {remain} bytes that remain"
     ))
-}
-
-#[cold]
-#[inline(never)]
-fn runs_overflow(what: &str) -> CoreError {
-    format_error(format!("{what}s overflow"))
 }
 
 /// A 0-or-1 flag byte.
@@ -383,7 +335,7 @@ pub fn encode(ns: &NeuSight) -> Vec<u8> {
     for predictor in ns.predictors().values() {
         encode_predictor(&mut w, predictor);
     }
-    encode_tiledb(&mut w, ns.tile_database().rows());
+    encode_tiledb(&mut w, &ns.tile_database().entries());
     w.0
 }
 
@@ -405,39 +357,18 @@ fn encode_predictor(w: &mut Writer, predictor: &KernelPredictor) {
     }
 }
 
-fn encode_tiledb(w: &mut Writer, rows: &TileRows) {
-    let n = rows.len();
-    w.len(n);
-    for class in &rows.class {
-        w.u8(code_of(&CLASSES, class));
-    }
-    for i in 0..n {
-        w.varint(rows.dims(i).len() as u64);
-    }
-    for &d in &rows.dims {
-        w.varint(d);
-    }
-    for k in &rows.gemm_k {
-        w.u8(u8::from(k.is_some()));
-    }
-    for &k in rows.gemm_k.iter().flatten() {
-        w.varint(k);
-    }
-    for &sms in &rows.num_sms {
-        w.varint(u64::from(sms));
-    }
-    for l2 in &rows.l2_bytes {
-        w.0.extend_from_slice(&l2.to_le_bytes());
-    }
-    for i in 0..n {
-        w.varint(rows.tile(i).len() as u64);
-    }
-    for &d in &rows.tiles {
-        w.varint(d);
-    }
-    for &split_k in &rows.split_k {
-        w.varint(split_k);
-    }
+fn encode_tiledb(w: &mut Writer, rows: &[TileEntry]) {
+    w.len(rows.len());
+    w.0.extend(rows.iter().map(|row| code_of(&CLASSES, &row.class)));
+    w.varints(rows.iter().map(|row| row.output_dims.len() as u64));
+    w.varints(rows.iter().flat_map(|row| row.output_dims.iter().copied()));
+    w.0.extend(rows.iter().map(|row| u8::from(row.gemm_k.is_some())));
+    w.varints(rows.iter().filter_map(|row| row.gemm_k));
+    w.varints(rows.iter().map(|row| u64::from(row.num_sms)));
+    w.0.extend(rows.iter().flat_map(|row| row.l2_bytes.to_le_bytes()));
+    w.varints(rows.iter().map(|row| row.tile.dims().len() as u64));
+    w.varints(rows.iter().flat_map(|row| row.tile.dims().iter().copied()));
+    w.varints(rows.iter().map(|row| row.split_k));
 }
 
 /// Decodes an artifact payload into a framework: a binary model payload
@@ -448,10 +379,17 @@ fn encode_tiledb(w: &mut Writer, rows: &TileRows) {
 /// [`CoreError::Format`] for payloads that are neither a well-formed
 /// model payload nor a serialized framework.
 pub fn decode(payload: &[u8]) -> Result<NeuSight> {
+    decode_unindexed(payload).map(|index| index())
+}
+
+/// [`decode`] but for the tile index, which the returned closure builds
+/// from what was read: the caller may free the payload first.
+pub(crate) fn decode_unindexed(payload: &[u8]) -> Result<Box<dyn FnOnce() -> NeuSight>> {
     let Some(body) = payload.strip_prefix(&MODEL_TAG) else {
         let json = std::str::from_utf8(payload)
             .map_err(|e| CoreError::Format(format!("artifact payload is not UTF-8: {e}")))?;
-        return serde_json::from_str(json).map_err(|e| CoreError::Format(e.to_string()));
+        let ns = serde_json::from_str(json).map_err(|e| CoreError::Format(e.to_string()))?;
+        return Ok(Box::new(move || ns));
     };
     let mut r = Reader { bytes: body };
     let code = r.u8("dtype")?;
@@ -475,11 +413,13 @@ pub fn decode(payload: &[u8]) -> Result<NeuSight> {
             r.bytes.len()
         )));
     }
-    Ok(NeuSight::from_parts(predictors, tiledb, dtype))
+    Ok(Box::new(move || {
+        NeuSight::from_parts(predictors, tiledb.finish(), dtype)
+    }))
 }
 
 fn decode_predictor(r: &mut Reader<'_>) -> Result<KernelPredictor> {
-    let class = r.class("family")?;
+    let class = class_of(r.u8("family")?, "family")?;
     let validation_smape = r.f32("validation SMAPE")?;
     let width = r.count(8, "scaler width")?;
     let means = r.f32s(width, "scaler means")?;
@@ -491,7 +431,7 @@ fn decode_predictor(r: &mut Reader<'_>) -> Result<KernelPredictor> {
     for _ in 0..depth {
         let inputs = r.count(4, "layer inputs")?;
         let outputs = r.count(4, "layer outputs")?;
-        let relu = r.flag("ReLU flag")?;
+        let relu = flag_of(r.u8("ReLU flag")?, "ReLU flag")?;
         let weights = inputs
             .checked_mul(outputs)
             .ok_or_else(|| format_error(format!("a {inputs}x{outputs} layer overflows")))?;
@@ -504,71 +444,66 @@ fn decode_predictor(r: &mut Reader<'_>) -> Result<KernelPredictor> {
     KernelPredictor::from_parts(class, mlp, scaler, validation_smape)
 }
 
-fn decode_tiledb(r: &mut Reader<'_>) -> Result<TileDatabase> {
-    // Each row takes at least 14 bytes: class, rank, has-k, SM count,
-    // L2 bytes, tile rank, split-K. The columns are read straight into
-    // the database's own, each in one loop.
-    let n = r.count(14, "tile row count")?;
-    let class = r.byte_column(n, "tile family", |code| class_of(code, "tile family"))?;
-    let dim_ends = r.run_ends(n, "output rank")?;
-    let dims = r.varints(run_total(&dim_ends), "output dims")?;
-    let mut gemm_k = r.byte_column(n, "GEMM depth flag", |code| {
-        Ok(flag_of(code, "GEMM depth flag")?.then_some(0))
-    })?;
-    let depths = r.varints(gemm_k.iter().flatten().count(), "GEMM depths")?;
-    for (k, depth) in gemm_k.iter_mut().flatten().zip(depths) {
-        *k = depth;
+fn decode_tiledb(r: &mut Reader<'_>) -> Result<Builder> {
+    // Each row takes at least 14 bytes: class, rank, has-k, SM count, L2
+    // bytes, tile rank, split-K. Each value goes to the index as it is
+    // read; a column needed alongside a later one is read again.
+    let rows = r.u64("tile row count")?;
+    if rows > u64::from(u32::MAX) {
+        return Err(exceeds_u32(rows, "tile row count"));
     }
-    let num_sms = r.varint_column(n, "SM count", |v| {
-        u32::try_from(v).map_err(|_| exceeds_u32(v, "SM count"))
-    })?;
-    let l2_bytes = r.f64s(n, "L2 bytes")?;
-    let tile_ends = r.run_ends(n, "tile rank")?;
-    let tiles = r.varints(run_total(&tile_ends), "tile dims")?;
-    let split_k = r.varints(n, "split-K")?;
-
-    let rows = TileRows {
-        class,
-        dim_ends,
-        dims,
-        gemm_k,
-        num_sms,
-        l2_bytes,
-        tile_ends,
-        tiles,
-        split_k,
-    };
-    // Every run of tile extents is non-empty and holds no zero.
-    let empty_run = rows.tile_ends.first() == Some(&0)
-        || rows.tile_ends.windows(2).any(|pair| pair[0] == pair[1]);
-    if empty_run || rows.tiles.contains(&0) {
-        return Err(empty_tile(&rows));
+    let n = r.fits(rows, 14, "tile row count")?;
+    let mut b = Builder::default();
+    let classes = r.take(n, "tile family")?;
+    // Each output dim takes a byte or more: check before indexing a row.
+    let mut dims = 0u64;
+    for &code in classes {
+        let rank = r.varint("output rank")?;
+        dims = dims.saturating_add(rank);
+        if dims > r.bytes.len() as u64 {
+            return Err(too_long(dims, "output dims", r.bytes.len()));
+        }
+        b.row(class_of(code, "tile family")?, rank)
+            .map_err(format_error)?;
     }
-    Ok(TileDatabase::from_rows(rows))
+    b.rows_added();
+    for row in 0..n {
+        b.dims(row, std::iter::repeat_with(|| r.varint("output dims")))?;
+    }
+    for (row, &flag) in r.take(n, "GEMM depth flag")?.iter().enumerate() {
+        if flag_of(flag, "GEMM depth flag")? {
+            b.depth(row, r.varint("GEMM depths")?);
+        }
+    }
+    let mut sms = r.varints(n, "SM count")?;
+    for (row, l2) in r.take(8 * n, "L2 bytes")?.chunks_exact(8).enumerate() {
+        let v = sms.varint("SM count")?;
+        let num_sms = u32::try_from(v).map_err(|_| exceeds_u32(v, "SM count"))?;
+        let l2_bytes = f64::from_le_bytes(l2.try_into().expect("8-byte chunks"));
+        b.gpu(row, num_sms, l2_bytes).map_err(format_error)?;
+    }
+    let mut ranks = r.varints(n, "tile rank")?;
+    let (mut count, mut dims) = (ranks, 0usize);
+    for _ in 0..n {
+        dims = dims.saturating_add(count.varint("tile rank")? as usize);
+    }
+    let mut extents = r.varints(dims, "tile dims")?;
+    let mut tile = Vec::new();
+    for row in 0..n {
+        tile.clear();
+        for _ in 0..ranks.varint("tile rank")? {
+            tile.push(extents.varint("tile dims")?);
+        }
+        b.launch(row, &tile, r.varint("split-K")?)
+            .map_err(format_error)?;
+    }
+    Ok(b)
 }
 
 #[cold]
 #[inline(never)]
 fn exceeds_u32(v: u64, what: &str) -> CoreError {
     format_error(format!("{what} {v} exceeds u32"))
-}
-
-/// Names the first row whose tile has an empty or zero extent.
-#[cold]
-#[inline(never)]
-fn empty_tile(rows: &TileRows) -> CoreError {
-    let i = (0..rows.len())
-        .find(|&i| rows.tile(i).is_empty() || rows.tile(i).contains(&0))
-        .expect("some tile row is empty or has a zero extent");
-    format_error(format!(
-        "tile row {i}: tile {:?} has an empty or zero extent",
-        rows.tile(i)
-    ))
-}
-
-/// Items in the runs a column of run ends describes.
-fn run_total(ends: &[u32]) -> usize {
-    ends.last().map_or(0, |&end| end as usize)
 }
 
 /// Encodes a registry payload: the manifest JSON, length-prefixed, ahead
@@ -610,7 +545,9 @@ mod tests {
     use super::*;
     use crate::framework::NeuSightConfig;
     use crate::registry::model_fingerprint;
-    use crate::tiledb::tests::{all_gpus, table4_kernels};
+    use crate::tiledb::tests::{all_gpus, entry_list, table4_kernels};
+    use crate::tiledb::tests::{STANDARD_DB, STANDARD_RECORDS};
+    use crate::tiledb::{MAX_IDS, MAX_RANK};
     use neusight_data::{collect_training_set, training_gpus, SweepScale};
     use proptest::prelude::*;
     use std::path::PathBuf;
@@ -723,7 +660,7 @@ mod tests {
     /// Bytes of the encoded tile database after its row count.
     fn tiledb_len(ns: &NeuSight) -> usize {
         let mut w = Writer(Vec::new());
-        encode_tiledb(&mut w, ns.tile_database().rows());
+        encode_tiledb(&mut w, &ns.tile_database().entries());
         w.0.len() - 8
     }
 
@@ -801,6 +738,73 @@ mod tests {
         }
     }
 
+    /// A model payload with no families and the tile rows `rows`.
+    fn rows_payload(rows: &[TileEntry]) -> Vec<u8> {
+        let mut w = Writer(MODEL_TAG.to_vec());
+        w.u8(code_of(&DTYPES, &DType::F32));
+        w.len(0);
+        encode_tiledb(&mut w, rows);
+        w.0
+    }
+
+    /// `n` FC rows, row `i` observed on `gpu(i)` with tile `[tile(i)]`.
+    fn fc_rows(n: u64, gpu: impl Fn(u64) -> u32, tile: impl Fn(u64) -> u64) -> Vec<TileEntry> {
+        (0..n)
+            .map(|i| TileEntry {
+                class: OpClass::FullyConnected,
+                output_dims: vec![64, 64],
+                gemm_k: Some(32),
+                num_sms: gpu(i),
+                l2_bytes: 6e6,
+                tile: neusight_gpu::TileShape::new(vec![tile(i)]),
+                split_k: 1,
+            })
+            .collect()
+    }
+
+    /// Values the index narrows are refused, at one past what the
+    /// narrowed type holds, as format errors.
+    #[test]
+    fn values_beyond_the_narrowed_types_are_refused() {
+        let ids = MAX_IDS as u64;
+        // Launch ids are u16: 2^16 distinct launches fit, one more does not.
+        assert!(decode(&rows_payload(&fc_rows(ids, |_| 80, |i| i + 1))).is_ok());
+        let msg = decode_err(&rows_payload(&fc_rows(ids + 1, |_| 80, |i| i + 1)));
+        assert!(msg.contains("distinct launches"), "{msg}");
+        // GPU slots are u16 per group.
+        let sms = |i: u64| u32::try_from(i + 1).unwrap();
+        assert!(decode(&rows_payload(&fc_rows(ids, sms, |_| 8))).is_ok());
+        let msg = decode_err(&rows_payload(&fc_rows(ids + 1, sms, |_| 8)));
+        assert!(msg.contains("distinct GPUs"), "{msg}");
+        // Row indices are u32: the count is refused before the bytes it
+        // would need are looked for.
+        let mut rows = rows_payload(&fc_rows(1, |_| 80, |_| 8));
+        rows[13..21].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        let msg = decode_err(&rows);
+        assert!(
+            msg.contains("tile row count 4294967296 exceeds u32"),
+            "{msg}"
+        );
+        // An output rank beyond `MAX_RANK`.
+        let mut row = fc_rows(1, |_| 80, |_| 8);
+        row[0].output_dims = vec![1; MAX_RANK as usize + 1];
+        let msg = decode_err(&rows_payload(&row));
+        assert!(msg.contains("output rank 256 exceeds 255"), "{msg}");
+    }
+
+    /// The standard-sweep database reads back to the same rows, and
+    /// writes the same bytes again.
+    #[test]
+    fn standard_database_round_trips_byte_identically() {
+        let entries = STANDARD_DB.entries();
+        assert_eq!(entries, entry_list(&STANDARD_RECORDS));
+        let payload = rows_payload(&entries);
+        let back = decode(&payload).unwrap();
+        assert!(*back.tile_database() == *STANDARD_DB);
+        assert!(back.tile_database().entries() == entries);
+        assert_eq!(encode(&back), payload);
+    }
+
     #[test]
     fn varints_round_trip_and_reject_overflow() {
         let values = [
@@ -830,9 +834,9 @@ mod tests {
     }
 
     proptest! {
-        /// A varint column reads what one varint after another does, on
-        /// any bytes: the same values, the same bytes left, the same
-        /// failure.
+        /// The windowed varint read takes what byte-by-byte LEB128 takes,
+        /// on any bytes: the same values, the same bytes left, the same
+        /// failure; and a column of `n` of them reads the same values.
         #[test]
         fn varint_columns_match_varint_by_varint(
             bytes in prop::collection::vec(
@@ -841,20 +845,40 @@ mod tests {
             ),
             n in 0usize..24,
         ) {
-            let mut column = Reader { bytes: &bytes };
-            let got = column.varints(n, "v").map_err(|e| e.to_string());
-            let mut single = Reader { bytes: &bytes };
-            let want = if n > bytes.len() {
-                Err(too_long(n, "v", bytes.len()).to_string())
-            } else {
-                (0..n)
-                    .map(|_| single.varint("v"))
-                    .collect::<Result<Vec<_>>>()
-                    .map_err(|e| e.to_string())
-            };
+            let mut fast = Reader { bytes: &bytes };
+            let mut rest: &[u8] = &bytes;
+            let mut got = Vec::new();
+            let mut want = Vec::new();
+            for _ in 0..n {
+                got.push(fast.varint("v").map_err(|e| e.to_string()));
+                want.push(match leb128(rest) {
+                    Some((v, len)) => {
+                        rest = &rest[len..];
+                        Ok(v)
+                    }
+                    None => Err(bad_varint(rest, "v").to_string()),
+                });
+                if want.last().is_some_and(|v| v.is_err()) {
+                    break;
+                }
+                prop_assert_eq!(fast.bytes, rest);
+            }
             prop_assert_eq!(&got, &want);
-            if got.is_ok() {
-                prop_assert_eq!(column.bytes, single.bytes);
+            let mut whole = Reader { bytes: &bytes };
+            match whole.varints(n, "v") {
+                Ok(mut column) => {
+                    for v in &want {
+                        prop_assert_eq!(column.varint("v").ok(), v.clone().ok());
+                    }
+                    if want.iter().all(|v| v.is_ok()) {
+                        prop_assert!(column.bytes.is_empty());
+                        prop_assert_eq!(whole.bytes, rest);
+                    }
+                }
+                Err(_) => {
+                    prop_assert!(want.last().is_some_and(|v| v.is_err()));
+                    prop_assert!(bytes.iter().filter(|&&byte| byte < 0x80).count() < n);
+                }
             }
         }
     }

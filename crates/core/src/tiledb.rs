@@ -13,19 +13,22 @@
 //! then the GEMM depth (when both sides have one), then the SM count, then
 //! the L2 size, and keeping the first row with the strictly smallest sum.
 //! Scanning the rows directly costs one `ln` per term per row. Instead, a
-//! [`TileDatabase`] answers queries from a derived index, built once per
-//! database (eagerly in [`TileDatabase::from_records`], on the first query
-//! after deserialisation) and never serialised:
+//! [`TileDatabase`] holds its rows only as a search index, built as they
+//! are read (the binary decoder interns each value as it reads it):
 //!
 //! - rows are grouped by `(family, rank)`;
 //! - each group keeps the distinct values of each output axis and of the
 //!   GEMM depth, and every distinct `(dims, gemm_k)` shape once, as
 //!   positions into those value tables;
-//! - under each shape sit its rows, as `(row, GPU slot)` in row order,
-//!   where a slot is one distinct `(num_sms, l2_bytes)` pair of the group;
+//! - under each shape sit its rows, as `(entry index, GPU slot, launch)`
+//!   in entry order: a slot is one distinct `(num_sms, l2_bytes)` of the
+//!   group, a launch one distinct `(tile, split_k)` of the database;
 //! - the shapes are bucketed on the two output axes with the most
 //!   distinct values (the split axes): an outer bucket per value of the
 //!   first, a cell per value pair present.
+//!
+//! The entry indices give back the row order, so the JSON view and the
+//! binary encoding of [`TileDatabase::entries`] are the bytes read.
 //!
 //! A query takes one `ln` per distinct axis value and per GPU slot, then
 //! scores shapes and their rows by adding table entries only. It does
@@ -57,12 +60,9 @@
 use neusight_gpu::{num_tiles, num_waves, GpuError, GpuSpec, KernelDataset, KernelLaunch};
 use neusight_gpu::{OpClass, OpDesc, TileShape};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
-use std::sync::OnceLock;
 
 /// One database row, as it is serialized and as the encoder and tests
-/// see it. The database itself keeps its rows as columns
-/// ([`TileRows`]).
+/// see it. The database itself holds its rows only as its search index.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TileEntry {
     /// Kernel family.
@@ -86,108 +86,17 @@ fn default_split_k() -> u64 {
     1
 }
 
-/// The rows of a database as flat columns: row `i` is position `i` of
-/// every per-row column, and a row's output dims and tile extents are
-/// runs of the shared `dims` and `tiles` columns. No row owns a heap
-/// allocation. The columns are consistent by construction: every per-row
-/// column has one item per row, and each `*_ends` column is
-/// non-decreasing and ends at its run column's length.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct TileRows {
-    /// Kernel family per row.
-    pub(crate) class: Vec<OpClass>,
-    /// Row `i`'s output dims are `dims[dim_ends[i - 1]..dim_ends[i]]`
-    /// (from 0 for row 0).
-    pub(crate) dim_ends: Vec<u32>,
-    pub(crate) dims: Vec<u64>,
-    /// GEMM contraction depth per row, if the family has one.
-    pub(crate) gemm_k: Vec<Option<u64>>,
-    /// SM count of the GPU each row was observed on.
-    pub(crate) num_sms: Vec<u32>,
-    /// L2 cache bytes of that GPU.
-    pub(crate) l2_bytes: Vec<f64>,
-    /// Row `i`'s tile is `tiles[tile_ends[i - 1]..tile_ends[i]]`.
-    pub(crate) tile_ends: Vec<u32>,
-    pub(crate) tiles: Vec<u64>,
-    /// Split-K factor per row.
-    pub(crate) split_k: Vec<u64>,
-}
-
-/// Position `i`'s run in a column of run ends.
-fn run(ends: &[u32], i: usize) -> Range<usize> {
-    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
-    start..ends[i] as usize
-}
-
-impl TileRows {
-    /// Number of rows.
-    pub(crate) fn len(&self) -> usize {
-        self.class.len()
-    }
-
-    /// Row `i`'s output dims.
-    pub(crate) fn dims(&self, i: usize) -> &[u64] {
-        &self.dims[run(&self.dim_ends, i)]
-    }
-
-    /// Row `i`'s tile extents.
-    pub(crate) fn tile(&self, i: usize) -> &[u64] {
-        &self.tiles[run(&self.tile_ends, i)]
-    }
-
-    /// Appends one row.
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        class: OpClass,
-        dims: &[u64],
-        gemm_k: Option<u64>,
-        num_sms: u32,
-        l2_bytes: f64,
-        tile: &[u64],
-        split_k: u64,
-    ) {
-        self.class.push(class);
-        self.dims.extend_from_slice(dims);
-        self.dim_ends.push(pos(self.dims.len()));
-        self.gemm_k.push(gemm_k);
-        self.num_sms.push(num_sms);
-        self.l2_bytes.push(l2_bytes);
-        self.tiles.extend_from_slice(tile);
-        self.tile_ends.push(pos(self.tiles.len()));
-        self.split_k.push(split_k);
-    }
-
-    /// Row `i` as a [`TileEntry`].
-    fn entry(&self, i: usize) -> TileEntry {
-        TileEntry {
-            class: self.class[i],
-            output_dims: self.dims(i).to_vec(),
-            gemm_k: self.gemm_k[i],
-            num_sms: self.num_sms[i],
-            l2_bytes: self.l2_bytes[i],
-            tile: TileShape::new(self.tile(i).to_vec()),
-            split_k: self.split_k[i],
-        }
-    }
-}
-
-/// Nearest-match tile database.
-///
-/// Only the rows are persisted and compared; the search index is derived
-/// from them (see the module documentation). The rows serialize as
+/// Nearest-match tile database, held as its search index (see the module
+/// documentation). The index is a function of the rows, so two databases
+/// are equal exactly when their rows are. The rows serialize as
 /// `{"entries": [TileEntry, …]}`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TileDatabase {
-    rows: TileRows,
-    /// The search index: one group per `(family, rank)`.
-    index: OnceLock<Vec<TileGroup>>,
-}
-
-impl PartialEq for TileDatabase {
-    fn eq(&self, other: &TileDatabase) -> bool {
-        self.rows == other.rows
-    }
+    /// One group per `(family, rank)`, in order of first appearance.
+    groups: Vec<TileGroup>,
+    /// The distinct `(tile, split_k)` pairs, or launches, that the
+    /// groups' rows name by id.
+    launches: Vec<(TileShape, u64)>,
 }
 
 /// The persisted form of a database: its rows and nothing else. Named
@@ -212,17 +121,12 @@ impl Serialize for TileDatabase {
 }
 
 impl Deserialize for TileDatabase {
-    /// Rejects a row whose tile has no extent or a zero one, as the
-    /// binary decoder does: such a tile covers no output.
+    /// Rejects a row the index cannot hold, as the binary decoder does
+    /// (such as a tile with no extent or a zero one).
     fn from_value(v: &serde::value::Value) -> Result<TileDatabase, serde::Error> {
         let persisted = persisted::TileDatabase::from_value(v)?;
-        let empty = |e: &TileEntry| e.tile.dims().is_empty() || e.tile.dims().contains(&0);
-        if let Some(i) = persisted.entries.iter().position(empty) {
-            return Err(serde::Error::msg(format!(
-                "TileDatabase: tile row {i} has an empty or zero extent"
-            )));
-        }
-        Ok(TileDatabase::from_entries(&persisted.entries))
+        TileDatabase::from_entries(&persisted.entries)
+            .map_err(|e| serde::Error::msg(format!("TileDatabase: {e}")))
     }
 }
 
@@ -255,9 +159,192 @@ fn pos(i: usize) -> u32 {
 /// a group with fewer than two split axes.
 const NO_K: u32 = u32::MAX;
 
+/// Rows name a launch, and a GPU of their group, by a `u16` id.
+pub(crate) const MAX_IDS: usize = 1 << 16;
+
+/// Most output dims a row may have (kernel outputs have at most four).
+pub(crate) const MAX_RANK: u64 = 255;
+
+/// Collects rows, interning each value as it arrives, then indexes them.
+/// A row is added with its family and rank; its values follow row by row,
+/// or column by column as the binary decoder reads them.
+#[derive(Default)]
+pub(crate) struct Builder {
+    groups: Vec<Members>,
+    /// Each row's group.
+    group_of: Vec<u16>,
+    /// Where the last row lookup stopped: a row, and per group how many
+    /// of its members come before that row.
+    cursor: (usize, Vec<u32>),
+    launches: Vec<(TileShape, u64)>,
+    launch_ids: Interner,
+}
+
+/// The rows of one `(family, rank)` while they are added.
+struct Members {
+    class: OpClass,
+    rank: usize,
+    /// Per member, the value ids of its output axes, then its GEMM
+    /// depth's ([`NO_K`] for none): `ids[j * (rank + 1) + axis]`.
+    ids: Vec<u32>,
+    /// One interner per output axis, then one for the GEMM depths.
+    values: Vec<Interner>,
+    /// The distinct `(num_sms, l2_bytes)` pairs, by slot.
+    gpus: Vec<(u32, f64)>,
+    gpu_ids: Interner,
+    /// Per member, its GPU slot and launch id.
+    slots: Vec<(u16, u16)>,
+}
+
+impl Builder {
+    /// Adds a row of `class` and `rank` and returns its index, counting
+    /// from 0; a rank above [`MAX_RANK`] is refused.
+    pub(crate) fn row(&mut self, class: OpClass, rank: u64) -> Result<usize, String> {
+        if rank > MAX_RANK {
+            return Err(format!("output rank {rank} exceeds {MAX_RANK}"));
+        }
+        let rank = rank as usize;
+        let groups = &mut self.groups;
+        // Rows in sweep order come family after family: try the last row's
+        // group first.
+        let last = self.group_of.last().map(|&g| usize::from(g));
+        let found = (last.into_iter().chain(0..groups.len()))
+            .find(|&g| (groups[g].class, groups[g].rank) == (class, rank));
+        let g = found.unwrap_or_else(|| {
+            groups.push(Members {
+                class,
+                rank,
+                ids: Vec::new(),
+                values: (0..=rank).map(|_| Interner::default()).collect(),
+                gpus: Vec::new(),
+                gpu_ids: Interner::default(),
+                slots: Vec::new(),
+            });
+            self.cursor.1.push(0);
+            groups.len() - 1
+        });
+        let (row, m) = (self.group_of.len(), &mut groups[g]);
+        self.group_of
+            .push(u16::try_from(g).expect("6 families of 256 ranks"));
+        m.ids.resize(m.ids.len() + rank + 1, NO_K);
+        m.slots.push((0, 0));
+        Ok(row)
+    }
+
+    /// Trims the per-row tables, for a reader that adds every row first.
+    pub(crate) fn rows_added(&mut self) {
+        self.group_of.shrink_to_fit();
+        for m in &mut self.groups {
+            m.ids.shrink_to_fit();
+            m.slots.shrink_to_fit();
+        }
+    }
+
+    /// Row `row`'s group and its place there. Rows are looked up in
+    /// order, column after column: a lookup counts the rows since the
+    /// last, and one of an earlier row starts the count again.
+    fn member(&mut self, row: usize) -> (&mut Members, usize) {
+        let (at, before) = &mut self.cursor;
+        if row < *at {
+            before.fill(0);
+            *at = 0;
+        }
+        for &g in &self.group_of[*at..row] {
+            before[usize::from(g)] += 1;
+        }
+        *at = row;
+        let g = usize::from(self.group_of[row]);
+        (&mut self.groups[g], before[g] as usize)
+    }
+
+    /// Sets `row`'s output dims, taking one from `dims` per axis.
+    pub(crate) fn dims<E>(
+        &mut self,
+        row: usize,
+        mut dims: impl Iterator<Item = Result<u64, E>>,
+    ) -> Result<(), E> {
+        let (m, j) = self.member(row);
+        let ids = &mut m.ids[j * (m.rank + 1)..][..m.rank];
+        for ((id, values), dim) in ids.iter_mut().zip(&mut m.values).zip(&mut dims) {
+            *id = values.id(dim?);
+        }
+        Ok(())
+    }
+
+    /// Sets `row`'s GEMM depth.
+    pub(crate) fn depth(&mut self, row: usize, k: u64) {
+        let (m, j) = self.member(row);
+        m.ids[j * (m.rank + 1) + m.rank] = m.values[m.rank].id(k);
+    }
+
+    /// Sets the GPU `row` was observed on; more than [`MAX_IDS`] distinct
+    /// GPUs in one group are refused.
+    pub(crate) fn gpu(&mut self, row: usize, num_sms: u32, l2_bytes: f64) -> Result<(), String> {
+        let (m, j) = self.member(row);
+        let gpus = &mut m.gpus;
+        let bits = (num_sms, l2_bytes.to_bits());
+        let same = |s: u32| (gpus[s as usize].0, gpus[s as usize].1.to_bits()) == bits;
+        let slot = m.gpu_ids.find(bits.1 ^ u64::from(num_sms), same);
+        if slot as usize == MAX_IDS {
+            return Err(format!("more than {MAX_IDS} distinct GPUs in a group"));
+        } else if slot as usize == gpus.len() {
+            gpus.push((num_sms, l2_bytes));
+        }
+        m.slots[j].0 = slot as u16;
+        Ok(())
+    }
+
+    /// Sets `row`'s launch: `tile`, split `split_k` ways. A tile with an
+    /// empty or zero extent covers no output and is refused, and so are
+    /// more than [`MAX_IDS`] distinct launches.
+    pub(crate) fn launch(&mut self, row: usize, tile: &[u64], split_k: u64) -> Result<(), String> {
+        if tile.is_empty() || tile.contains(&0) {
+            return Err(format!(
+                "tile row {row}: {tile:?} has an empty or zero extent"
+            ));
+        }
+        let launches = &mut self.launches;
+        let hash = tile.iter().fold(split_k, |h, &e| h.rotate_left(21) ^ e);
+        let same =
+            |l: u32| launches[l as usize].0.dims() == tile && launches[l as usize].1 == split_k;
+        let l = self.launch_ids.find(hash, same);
+        if l as usize == MAX_IDS {
+            return Err(format!("more than {MAX_IDS} distinct launches"));
+        } else if l as usize == launches.len() {
+            launches.push((TileShape::new(tile.to_vec()), split_k));
+        }
+        let (m, j) = self.member(row);
+        m.slots[j].1 = l as u16;
+        Ok(())
+    }
+
+    /// Adds the row `e`.
+    fn push(&mut self, e: &TileEntry) -> Result<(), String> {
+        let row = self.row(e.class, e.output_dims.len() as u64)?;
+        self.dims(row, e.output_dims.iter().map(|&d| Ok::<_, String>(d)))?;
+        if let Some(k) = e.gemm_k {
+            self.depth(row, k);
+        }
+        self.gpu(row, e.num_sms, e.l2_bytes)?;
+        self.launch(row, e.tile.dims(), e.split_k)
+    }
+
+    /// Indexes the rows.
+    pub(crate) fn finish(self) -> TileDatabase {
+        let mut entries = vec![Vec::new(); self.groups.len()];
+        for (row, &g) in self.group_of.iter().enumerate() {
+            entries[usize::from(g)].push(pos(row));
+        }
+        let groups = self.groups.into_iter().zip(&entries);
+        TileDatabase {
+            groups: groups.map(|(m, rows)| TileGroup::build(m, rows)).collect(),
+            launches: self.launches,
+        }
+    }
+}
+
 /// The rows of one `(family, rank)`, deduplicated by shape and GPU.
-#[derive(Debug, Clone)]
-#[cfg_attr(test, derive(PartialEq))]
+#[derive(Debug, Clone, PartialEq)]
 struct TileGroup {
     class: OpClass,
     rank: usize,
@@ -285,69 +372,36 @@ struct TileGroup {
     shape_k: Vec<u32>,
     /// Shape `s` owns `rows[row_starts[s]..row_starts[s + 1]]`.
     row_starts: Vec<usize>,
-    /// `(entry index, GPU slot)` of every row, in entry order per shape.
-    rows: Vec<(u32, u32)>,
+    /// `(entry index, GPU slot, launch id)` of every row, in entry order
+    /// per shape.
+    rows: Vec<(u32, u16, u16)>,
     /// The distinct `(num_sms, l2_bytes)` pairs; a slot indexes this.
     gpus: Vec<(u32, f64)>,
 }
 
 impl TileGroup {
-    /// Indexes every row, one group per `(family, rank)`.
-    fn index(rows: &TileRows) -> Vec<TileGroup> {
-        let mut members: Vec<((OpClass, usize), Vec<usize>)> = Vec::new();
-        for i in 0..rows.len() {
-            let key = (rows.class[i], rows.dims(i).len());
-            match members.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, group)) => group.push(i),
-                None => members.push((key, vec![i])),
-            }
-        }
-        members
-            .into_iter()
-            .map(|((class, rank), group)| TileGroup::build(class, rank, rows, &group))
-            .collect()
-    }
-
-    /// Indexes `members` (row indices in ascending order) of one group.
+    /// Indexes the members of a group, rows `entries`.
     ///
     /// No per-row key or map entry is allocated, and nothing is sorted but
-    /// each axis's few distinct values. One pass over the members numbers
-    /// each axis's values in order of first appearance; a pass per axis
-    /// then folds a member's numbers into one mixed-radix key, and its
-    /// shapes are numbered the same way. Counting sorts place each
-    /// shape's rows, in row order, and order the shapes by cell.
-    fn build(class: OpClass, rank: usize, table: &TileRows, members: &[usize]) -> TileGroup {
-        // Per member, its value ids on the output axes, then its GEMM
-        // depth's (`NO_K` for none): `ids[j * width + axis]`; and its GPU
-        // slot.
+    /// each axis's few distinct values. The members' values were numbered
+    /// in order of first appearance as they were added; a pass per axis
+    /// folds a member's numbers into one mixed-radix key, and its shapes
+    /// are numbered the same way. Counting sorts place each shape's rows,
+    /// in row order, and order the shapes by cell.
+    fn build(members: Members, entries: &[u32]) -> TileGroup {
+        let Members {
+            class,
+            rank,
+            ids,
+            values: distinct,
+            gpus,
+            slots,
+            ..
+        } = members;
         let width = rank + 1;
-        let mut ids = vec![NO_K; members.len() * width];
-        let mut distinct: Vec<Interner> = (0..width).map(|_| Interner::default()).collect();
-        let mut gpus: Vec<(u32, f64)> = Vec::new();
-        let mut gpu_of = Vec::with_capacity(members.len());
-        for (row, &i) in ids.chunks_exact_mut(width).zip(members) {
-            for ((id, &value), axis) in row.iter_mut().zip(table.dims(i)).zip(&mut distinct) {
-                *id = axis.id(value);
-            }
-            if let Some(k) = table.gemm_k[i] {
-                row[rank] = distinct[rank].id(k);
-            }
-            // Rows come GPU after GPU: try the previous member's slot first.
-            let gpu = (table.num_sms[i], table.l2_bytes[i]);
-            let same = |g: &(u32, f64)| g.0 == gpu.0 && g.1.to_bits() == gpu.1.to_bits();
-            let slot = match gpu_of.last() {
-                Some(&slot) if same(&gpus[slot as usize]) => slot,
-                _ => pos(gpus.iter().position(same).unwrap_or_else(|| {
-                    gpus.push(gpu);
-                    gpus.len() - 1
-                })),
-            };
-            gpu_of.push(slot);
-        }
-
         // Each axis's distinct values in order (the value tables), and
         // each id's position among them.
-        let mut values = Vec::new();
+        let mut values = Vec::with_capacity(distinct.iter().map(|axis| axis.keys.len()).sum());
         let mut starts = Vec::with_capacity(rank + 2);
         let mut position: Vec<Vec<u32>> = Vec::with_capacity(width);
         for axis in distinct {
@@ -372,7 +426,7 @@ impl TileGroup {
         // ids as the digits of one mixed-radix key (the depth's digit 0 for
         // none), renumbered densely whenever the next axis would overflow
         // the key.
-        let mut shape_of = vec![0u64; members.len()];
+        let mut shape_of = vec![0u64; entries.len()];
         let mut span = 1u64;
         for axis in 0..width {
             let has_none = axis == rank;
@@ -394,7 +448,7 @@ impl TileGroup {
         // The members by shape, in member order within each: the first is
         // the one a shape's positions are read from.
         let (by_shape, member_starts) =
-            counting_sort(members.len(), shapes, |j| shape_of[j] as usize);
+            counting_sort(entries.len(), shapes, |j| shape_of[j] as usize);
         let shape_row = |s: usize| {
             let j = by_shape[member_starts[s]] as usize;
             &ids[j * width..(j + 1) * width]
@@ -429,7 +483,7 @@ impl TileGroup {
         let mut shape_dims = Vec::with_capacity(shapes * rank);
         let mut shape_k = Vec::with_capacity(shapes);
         let mut row_starts = Vec::with_capacity(shapes + 1);
-        let mut rows = Vec::with_capacity(members.len());
+        let mut rows = Vec::with_capacity(entries.len());
         let mut last_cell = None;
         for (at, &s) in order.iter().enumerate() {
             let s = s as usize;
@@ -449,11 +503,18 @@ impl TileGroup {
             rows.extend(
                 by_shape[member_starts[s]..member_starts[s + 1]]
                     .iter()
-                    .map(|&j| (pos(members[j as usize]), gpu_of[j as usize])),
+                    .map(|&j| {
+                        (
+                            entries[j as usize],
+                            slots[j as usize].0,
+                            slots[j as usize].1,
+                        )
+                    }),
             );
         }
         outer_starts.resize(outer_values + 1, cells.len());
         cells.push((NO_K, pos(shape_k.len())));
+        cells.shrink_to_fit();
         row_starts.push(rows.len());
         TileGroup {
             class,
@@ -471,13 +532,13 @@ impl TileGroup {
         }
     }
 
-    /// `(distance, entry index)` of the nearest entry: the lowest entry
-    /// index among those at the minimum distance. Distances are never NaN
+    /// `(distance, entry index, launch)` of the nearest entry: the lowest
+    /// entry index among those at the minimum distance. Distances are never NaN
     /// (`log_dist` clamps its operands to positive values, and entry L2
     /// sizes are finite), so this order is total and picks the row the
     /// scan's first-row-wins order picks.
     #[allow(clippy::cast_precision_loss)]
-    fn nearest(&self, dims: &[u64], k: Option<u64>, spec: &GpuSpec) -> Option<(f64, usize)> {
+    fn nearest(&self, dims: &[u64], k: Option<u64>, spec: &GpuSpec) -> Option<(f64, usize, u16)> {
         // One log-distance per distinct value: the query's output axes
         // against each axis's values, its GEMM depth against the depths.
         let mut dist_of = Vec::with_capacity(self.values.len());
@@ -550,7 +611,7 @@ impl TileGroup {
                 },
             );
         });
-        best.map(|(dist, entry)| (dist, entry as usize))
+        best.map(|(dist, entry, launch)| (dist, entry as usize, launch))
     }
 
     /// Scores every row of `shape` against the query, keeping the nearest
@@ -561,7 +622,7 @@ impl TileGroup {
         dist_of: &[f64],
         has_k: bool,
         gpu_dist: &[(f64, f64)],
-        best: &mut Option<(f64, u32)>,
+        best: &mut Best,
     ) {
         let mut base = 0.0;
         for &p in &self.shape_dims[shape * self.rank..(shape + 1) * self.rank] {
@@ -576,11 +637,12 @@ impl TileGroup {
         if exceeds(base, *best) {
             return;
         }
-        for &(entry, slot) in &self.rows[self.row_starts[shape]..self.row_starts[shape + 1]] {
-            let (sm, l2) = gpu_dist[slot as usize];
+        for &(entry, slot, launch) in &self.rows[self.row_starts[shape]..self.row_starts[shape + 1]]
+        {
+            let (sm, l2) = gpu_dist[usize::from(slot)];
             let dist = base + sm + l2;
-            if best.is_none_or(|(d, e)| dist < d || (dist == d && entry < e)) {
-                *best = Some((dist, entry));
+            if best.is_none_or(|(d, e, _)| dist < d || (dist == d && entry < e)) {
+                *best = Some((dist, entry, launch));
             }
         }
     }
@@ -606,18 +668,20 @@ fn counting_sort(n: usize, range: usize, key: impl Fn(usize) -> usize) -> (Vec<u
     (sorted, starts)
 }
 
-/// Dense ids for `u64` keys, in order of first appearance: an
-/// open-addressing table with Fibonacci hashing and linear probing, kept
-/// at most half full, in front of which the last key looked up is
-/// remembered (rows in sweep order repeat values).
+/// Dense ids for keys, in order of first appearance: an open-addressing
+/// table over the keys' 64-bit hashes with Fibonacci hashing and linear
+/// probing, kept at most half full, in front of which the last key looked
+/// up is remembered (rows in sweep order repeat values). A `u64` key is
+/// its own hash; the caller tells a wider key from others of its hash.
 struct Interner {
-    /// Per table slot, the key there and its id (`u32::MAX` if empty).
+    /// Per table slot, the hash there and its key's id (`u32::MAX` if
+    /// empty).
     slots: Vec<(u64, u32)>,
     /// 64 less log₂ of the slot count: a hash's top bits pick a slot.
     shift: u32,
-    /// The keys, by id.
+    /// The hashes, by id: for `u64` keys, the keys.
     keys: Vec<u64>,
-    /// The last key looked up and its id (`u32::MAX` before the first).
+    /// The last hash looked up and its id (`u32::MAX` before the first).
     last: (u64, u32),
 }
 
@@ -627,8 +691,8 @@ const EMPTY: (u64, u32) = (0, u32::MAX);
 impl Default for Interner {
     fn default() -> Interner {
         Interner {
-            slots: vec![EMPTY; 16],
-            shift: 64 - 4,
+            slots: vec![EMPTY; 4],
+            shift: 64 - 2,
             keys: Vec::new(),
             last: EMPTY,
         }
@@ -639,19 +703,26 @@ impl Interner {
     /// `key`'s id, giving it the next one if it is new.
     #[inline]
     fn id(&mut self, key: u64) -> u32 {
-        if self.last.0 == key && self.last.1 != u32::MAX {
+        self.find(key, |_| true)
+    }
+
+    /// The id of the key with `hash` that `same` accepts (given its id),
+    /// or the next id if there is none: a new key's.
+    #[inline]
+    fn find(&mut self, hash: u64, same: impl Fn(u32) -> bool) -> u32 {
+        if self.last.0 == hash && self.last.1 != u32::MAX && same(self.last.1) {
             return self.last.1;
         }
         let mask = self.slots.len() - 1;
-        let mut at = self.home(key);
+        let mut at = self.home(hash);
         let id = loop {
             match self.slots[at] {
-                (_, u32::MAX) => break self.insert(key, at),
-                (k, id) if k == key => break id,
+                (_, u32::MAX) => break self.insert(hash, at),
+                (h, id) if h == hash && same(id) => break id,
                 _ => at = (at + 1) & mask,
             }
         };
-        self.last = (key, id);
+        self.last = (hash, id);
         id
     }
 
@@ -661,11 +732,12 @@ impl Interner {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// Gives `key`, found missing at empty slot `at`, the next id.
-    fn insert(&mut self, key: u64, at: usize) -> u32 {
+    /// Gives the key with `hash`, found missing at empty slot `at`, the
+    /// next id.
+    fn insert(&mut self, hash: u64, at: usize) -> u32 {
         let id = pos(self.keys.len());
-        self.slots[at] = (key, id);
-        self.keys.push(key);
+        self.slots[at] = (hash, id);
+        self.keys.push(hash);
         if 2 * self.keys.len() > self.slots.len() {
             self.slots = vec![EMPTY; 2 * self.slots.len()];
             self.shift -= 1;
@@ -692,9 +764,12 @@ impl Interner {
     }
 }
 
+/// The nearest row so far: `(distance, entry index, launch)`.
+type Best = Option<(f64, u32, u16)>;
+
 /// Whether a lower bound rules out beating or tying `best`.
-fn exceeds(bound: f64, best: Option<(f64, u32)>) -> bool {
-    best.is_some_and(|(d, _)| bound > d)
+fn exceeds(bound: f64, best: Best) -> bool {
+    best.is_some_and(|(d, _, _)| bound > d)
 }
 
 /// Calls `visit` on each of `0..len` once, nearest first: walking out
@@ -722,71 +797,68 @@ impl TileDatabase {
     /// Builds the database from profiled kernel records.
     #[must_use]
     pub fn from_records(dataset: &KernelDataset) -> TileDatabase {
-        let mut rows = TileRows::default();
+        let mut builder = Builder::default();
         for record in dataset.records() {
             let Ok(spec) = neusight_gpu::catalog::gpu(&record.gpu) else {
                 continue;
             };
-            rows.push(
-                record.op.op_class(),
-                &record.op.output_dims(),
-                gemm_k_of(&record.op),
-                spec.num_sms(),
-                spec.l2_bytes(),
-                record.launch.tile.dims(),
-                record.launch.split_k,
-            );
+            let row = TileEntry {
+                class: record.op.op_class(),
+                output_dims: record.op.output_dims(),
+                gemm_k: gemm_k_of(&record.op),
+                num_sms: spec.num_sms(),
+                l2_bytes: spec.l2_bytes(),
+                tile: record.launch.tile.clone(),
+                split_k: record.launch.split_k,
+            };
+            builder.push(&row).expect("profiled launches fit the index");
         }
-        let db = TileDatabase::from_rows(rows);
-        db.groups();
-        db
+        builder.finish()
     }
 
-    /// A database of `entries`, in order. The search index is built on
-    /// the first query.
-    #[must_use]
-    pub(crate) fn from_entries(entries: &[TileEntry]) -> TileDatabase {
-        let mut rows = TileRows::default();
-        for e in entries {
-            rows.push(
-                e.class,
-                &e.output_dims,
-                e.gemm_k,
-                e.num_sms,
-                e.l2_bytes,
-                e.tile.dims(),
-                e.split_k,
-            );
-        }
-        TileDatabase::from_rows(rows)
-    }
-
-    /// A database of `rows`. The search index is built on the first
-    /// query.
-    #[must_use]
-    pub(crate) fn from_rows(rows: TileRows) -> TileDatabase {
-        TileDatabase {
-            rows,
-            index: OnceLock::new(),
-        }
-    }
-
-    /// The rows, as columns.
-    #[must_use]
-    pub(crate) fn rows(&self) -> &TileRows {
-        &self.rows
+    /// A database of `entries`, in order; a row the index cannot hold
+    /// (see [`Builder`]) is refused.
+    pub(crate) fn from_entries(entries: &[TileEntry]) -> Result<TileDatabase, String> {
+        let mut builder = Builder::default();
+        entries.iter().try_for_each(|e| builder.push(e))?;
+        Ok(builder.finish())
     }
 
     /// The rows, in recorded order, one [`TileEntry`] each.
     #[must_use]
     pub(crate) fn entries(&self) -> Vec<TileEntry> {
-        (0..self.len()).map(|i| self.rows.entry(i)).collect()
+        let mut entries = vec![None; self.len()];
+        for g in &self.groups {
+            for (shape, &k) in g.shape_k.iter().enumerate() {
+                let at = &g.shape_dims[shape * g.rank..(shape + 1) * g.rank];
+                let output_dims: Vec<u64> = at.iter().map(|&p| g.values[p as usize]).collect();
+                let gemm_k = (k != NO_K).then(|| g.values[k as usize]);
+                for &(entry, slot, launch) in &g.rows[g.row_starts[shape]..g.row_starts[shape + 1]]
+                {
+                    let (num_sms, l2_bytes) = g.gpus[usize::from(slot)];
+                    let (tile, split_k) = self.launches[usize::from(launch)].clone();
+                    entries[entry as usize] = Some(TileEntry {
+                        class: g.class,
+                        output_dims: output_dims.clone(),
+                        gemm_k,
+                        num_sms,
+                        l2_bytes,
+                        tile,
+                        split_k,
+                    });
+                }
+            }
+        }
+        entries
+            .into_iter()
+            .map(|e| e.expect("every entry index names one row"))
+            .collect()
     }
 
     /// Number of rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.groups.iter().map(|g| g.rows.len()).sum()
     }
 
     /// Whether the database is empty.
@@ -795,24 +867,22 @@ impl TileDatabase {
         self.len() == 0
     }
 
-    fn groups(&self) -> &[TileGroup] {
-        self.index.get_or_init(|| TileGroup::index(&self.rows))
-    }
-
-    /// `(distance, entry index)` of the closest row of `class` and rank
-    /// `dims.len()`, by log-space distance over output dims, GEMM depth
-    /// `k`, SM count and L2 size.
+    /// `(distance, entry index, launch)` of the closest row of `class`
+    /// and rank `dims.len()`, by log-space distance over output dims,
+    /// GEMM depth `k`, SM count and L2 size.
     fn nearest(
         &self,
         class: OpClass,
         dims: &[u64],
         k: Option<u64>,
         spec: &GpuSpec,
-    ) -> Option<(f64, usize)> {
-        self.groups()
+    ) -> Option<(f64, usize, &(TileShape, u64))> {
+        let group = self
+            .groups
             .iter()
-            .find(|g| g.class == class && g.rank == dims.len())?
-            .nearest(dims, k, spec)
+            .find(|g| (g.class, g.rank) == (class, dims.len()))?;
+        let (dist, entry, launch) = group.nearest(dims, k, spec)?;
+        Some((dist, entry, &self.launches[usize::from(launch)]))
     }
 
     /// Finds the tile of the closest recorded kernel (log-space distance
@@ -822,8 +892,8 @@ impl TileDatabase {
     #[must_use]
     pub fn lookup(&self, op: &OpDesc, spec: &GpuSpec) -> Option<TileShape> {
         let dims = op.output_dims();
-        let (_, row) = self.nearest(op.op_class(), &dims, gemm_k_of(op), spec)?;
-        Some(TileShape::clamp(self.rows.tile(row), &dims))
+        let (_, _, (tile, _)) = self.nearest(op.op_class(), &dims, gemm_k_of(op), spec)?;
+        Some(TileShape::clamp(tile.dims(), &dims))
     }
 
     /// Like [`TileDatabase::lookup`] but also returns the nearest entry's
@@ -832,10 +902,9 @@ impl TileDatabase {
     pub fn launch_for(&self, op: &OpDesc, spec: &GpuSpec) -> (TileShape, u64) {
         let dims = op.output_dims();
         match self.nearest(op.op_class(), &dims, gemm_k_of(op), spec) {
-            Some((_, row)) => (
-                TileShape::clamp(self.rows.tile(row), &dims),
-                self.rows.split_k[row].max(1),
-            ),
+            Some((_, _, (tile, split_k))) => {
+                (TileShape::clamp(tile.dims(), &dims), (*split_k).max(1))
+            }
             None => (TileDatabase::default_tile(op), 1),
         }
     }
@@ -882,12 +951,6 @@ impl TileDatabase {
         };
         tile.clamped_to(&dims)
     }
-
-    /// Tile for a query: nearest match, or the family default.
-    #[must_use]
-    pub fn tile_for(&self, op: &OpDesc, spec: &GpuSpec) -> TileShape {
-        self.launch_for(op, spec).0
-    }
 }
 
 #[cfg(test)]
@@ -904,28 +967,26 @@ pub(crate) mod tests {
     /// with the strictly smallest distance. Returns `(distance, row)`.
     #[allow(clippy::cast_precision_loss)]
     fn brute_force(
-        db: &TileDatabase,
+        entries: &[TileEntry],
         class: OpClass,
         dims: &[u64],
         k: Option<u64>,
         spec: &GpuSpec,
     ) -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize)> = None;
-        let rows = &db.rows;
-        for i in 0..rows.len() {
-            let output_dims = rows.dims(i);
-            if rows.class[i] != class || output_dims.len() != dims.len() {
+        for (i, row) in entries.iter().enumerate() {
+            if row.class != class || row.output_dims.len() != dims.len() {
                 continue;
             }
             let mut dist = 0.0;
-            for (&a, &b) in dims.iter().zip(output_dims) {
+            for (&a, &b) in dims.iter().zip(&row.output_dims) {
                 dist += log_dist(a as f64, b as f64);
             }
-            if let (Some(ka), Some(kb)) = (k, rows.gemm_k[i]) {
+            if let (Some(ka), Some(kb)) = (k, row.gemm_k) {
                 dist += log_dist(ka as f64, kb as f64);
             }
-            dist += log_dist(f64::from(spec.num_sms()), f64::from(rows.num_sms[i]));
-            dist += log_dist(spec.l2_bytes(), rows.l2_bytes[i]);
+            dist += log_dist(f64::from(spec.num_sms()), f64::from(row.num_sms));
+            dist += log_dist(spec.l2_bytes(), row.l2_bytes);
             if best.as_ref().is_none_or(|(bd, _)| dist < *bd) {
                 best = Some((dist, i));
             }
@@ -934,17 +995,19 @@ pub(crate) mod tests {
     }
 
     /// Asserts the index picks the scan's row at a bitwise-equal distance.
+    /// `entries` are the database's.
     fn assert_row_matches_scan(
         db: &TileDatabase,
+        entries: &[TileEntry],
         class: OpClass,
         dims: &[u64],
         k: Option<u64>,
         spec: &GpuSpec,
     ) -> Option<(f64, usize)> {
         let got = db.nearest(class, dims, k, spec);
-        let want = brute_force(db, class, dims, k, spec);
+        let want = brute_force(entries, class, dims, k, spec);
         assert_eq!(
-            got.map(|(d, i)| (d.to_bits(), i)),
+            got.map(|(d, i, _)| (d.to_bits(), i)),
             want.map(|(d, i)| (d.to_bits(), i)),
             "{class:?} {dims:?} k={k:?} on {}",
             spec.name()
@@ -953,17 +1016,15 @@ pub(crate) mod tests {
     }
 
     /// Asserts every public query agrees with the scan for `op`.
-    fn assert_matches_scan(db: &TileDatabase, op: &OpDesc, spec: &GpuSpec) {
+    /// `entries` are the database's.
+    fn assert_matches_scan(db: &TileDatabase, entries: &[TileEntry], op: &OpDesc, spec: &GpuSpec) {
         let dims = op.output_dims();
-        let want = match assert_row_matches_scan(db, op.op_class(), &dims, gemm_k_of(op), spec) {
-            Some((_, i)) => (
-                TileShape::new(db.rows.tile(i).to_vec()).clamped_to(&dims),
-                db.rows.split_k[i].max(1),
-            ),
+        let (class, k) = (op.op_class(), gemm_k_of(op));
+        let want = match assert_row_matches_scan(db, entries, class, &dims, k, spec) {
+            Some((_, i)) => (entries[i].tile.clamped_to(&dims), entries[i].split_k.max(1)),
             None => (TileDatabase::default_tile(op), 1),
         };
         assert_eq!(db.launch_for(op, spec), want, "{op} on {}", spec.name());
-        assert_eq!(db.tile_for(op, spec), want.0);
         let launch = db.plan_launch(op, spec).expect("clamped tiles cover");
         assert_eq!((launch.tile, launch.split_k), want);
     }
@@ -988,9 +1049,9 @@ pub(crate) mod tests {
         ops
     }
 
-    /// The standard-scale database: the full sweep profiled on the five
-    /// training GPUs, as `collect_training_set` records it.
-    static STANDARD_DB: LazyLock<TileDatabase> = LazyLock::new(|| {
+    /// The full sweep's launches profiled on the five training GPUs, as
+    /// `collect_training_set` records them.
+    pub(crate) static STANDARD_RECORDS: LazyLock<KernelDataset> = LazyLock::new(|| {
         let ops = neusight_data::sweeps::full_sweep(neusight_data::SweepScale::Standard);
         let mut records = Vec::new();
         for gpu in neusight_data::training_gpus() {
@@ -1003,8 +1064,12 @@ pub(crate) mod tests {
                 });
             }
         }
-        TileDatabase::from_records(&KernelDataset::new(records))
+        KernelDataset::new(records)
     });
+
+    /// The standard-scale database, built from [`STANDARD_RECORDS`].
+    pub(crate) static STANDARD_DB: LazyLock<TileDatabase> =
+        LazyLock::new(|| TileDatabase::from_records(&STANDARD_RECORDS));
 
     pub(crate) fn all_gpus() -> Vec<GpuSpec> {
         catalog::all().into_iter().map(|entry| entry.spec).collect()
@@ -1081,7 +1146,7 @@ pub(crate) mod tests {
         let db = small_db();
         let v100 = catalog::gpu("V100").unwrap();
         let op = OpDesc::bmm(1, 16, 16, 16);
-        let tile = db.tile_for(&op, &v100);
+        let tile = db.launch_for(&op, &v100).0;
         assert!(tile.dims()[1] <= 16 && tile.dims()[2] <= 16);
     }
 
@@ -1108,7 +1173,7 @@ pub(crate) mod tests {
         assert!(db.is_empty());
         let v100 = catalog::gpu("V100").unwrap();
         let op = OpDesc::bmm(4, 512, 512, 512);
-        assert_eq!(db.tile_for(&op, &v100), TileDatabase::default_tile(&op));
+        assert_eq!(db.launch_for(&op, &v100).0, TileDatabase::default_tile(&op));
         // So does a family the database has no rows of.
         let embedding = OpDesc::embedding(128, 128, 1000);
         for (db, op) in [(&db, &op), (&db, &embedding), (&*TINY_DB, &embedding)] {
@@ -1117,7 +1182,7 @@ pub(crate) mod tests {
                 db.launch_for(op, &v100),
                 (TileDatabase::default_tile(op), 1)
             );
-            assert_matches_scan(db, op, &v100);
+            assert_matches_scan(db, &db.entries(), op, &v100);
         }
     }
 
@@ -1130,7 +1195,6 @@ pub(crate) mod tests {
     #[test]
     fn serde_round_trip() {
         let db = small_db();
-        assert!(db.index.get().is_some());
         let json = serde_json::to_string(&db).unwrap();
         let persisted = PersistedDatabase {
             entries: db.entries(),
@@ -1139,18 +1203,15 @@ pub(crate) mod tests {
         let back: TileDatabase = serde_json::from_str(&json).unwrap();
         assert_eq!(db, back);
 
-        // Deserialising leaves the index unbuilt; the first query builds it.
-        assert!(back.index.get().is_none());
         let v100 = catalog::gpu("V100").unwrap();
         for op in table4_kernels().iter().take(40) {
             assert_eq!(back.launch_for(op, &v100), db.launch_for(op, &v100));
         }
-        assert!(back.index.get().is_some());
     }
 
     /// The rows of `dataset` as a list of entries, built directly from
     /// the records: the reference the columns must serialize like.
-    fn entry_list(dataset: &KernelDataset) -> Vec<TileEntry> {
+    pub(crate) fn entry_list(dataset: &KernelDataset) -> Vec<TileEntry> {
         dataset
             .records()
             .iter()
@@ -1189,7 +1250,7 @@ pub(crate) mod tests {
             serde_json::to_string(&PersistedDatabase { entries }).unwrap()
         );
         let back: TileDatabase = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.rows, db.rows);
+        assert_eq!(back, db);
         // A row without a split-K still defaults to 1.
         let legacy = json.replace(",\"split_k\":1}", "}");
         assert_ne!(legacy, json);
@@ -1229,6 +1290,7 @@ pub(crate) mod tests {
     #[test]
     fn index_matches_scan_on_standard_database_for_table4_kernels() {
         let db = &*STANDARD_DB;
+        let entries = db.entries();
         let ops = zoo_kernels();
         assert!(ops.iter().any(|op| matches!(op, OpDesc::Fused(_))));
         assert!(table4_kernels().iter().all(|op| ops.contains(op)));
@@ -1236,19 +1298,20 @@ pub(crate) mod tests {
         assert_eq!(gpus.len(), 8);
         for spec in &gpus {
             for op in &ops {
-                assert_matches_scan(db, op, spec);
+                assert_matches_scan(db, &entries, op, spec);
             }
         }
     }
 
     /// The index builder [`TileGroup::build`] replaced, kept as its
     /// reference: a `Vec<u32>` key and a hash-map entry per row, and a
-    /// vector per shape.
+    /// vector per shape. `launch_of` is each entry's launch id.
     fn reference_build(
         class: OpClass,
         rank: usize,
-        table: &TileRows,
+        table: &[TileEntry],
         members: &[usize],
+        launch_of: &[u16],
     ) -> TileGroup {
         // Distinct values per axis (the GEMM depth is axis `rank`).
         let mut values = Vec::new();
@@ -1258,9 +1321,9 @@ pub(crate) mod tests {
                 .iter()
                 .filter_map(|&i| {
                     if axis < rank {
-                        Some(table.dims(i)[axis])
+                        Some(table[i].output_dims[axis])
                     } else {
-                        table.gemm_k[i]
+                        table[i].gemm_k
                     }
                 })
                 .collect();
@@ -1277,15 +1340,15 @@ pub(crate) mod tests {
 
         // Distinct shapes in order of first appearance: dims, depth, and
         // the rows under each.
-        type Shape = (Vec<u32>, u32, Vec<(u32, u32)>);
+        type Shape = (Vec<u32>, u32, Vec<(u32, u16, u16)>);
         let mut shape_of: HashMap<(Vec<u32>, u32), usize> = HashMap::new();
         let mut shapes: Vec<Shape> = Vec::new();
         let mut gpus: Vec<(u32, f64)> = Vec::new();
         for &i in members {
-            let output_dims = table.dims(i);
+            let output_dims = &table[i].output_dims;
             let dims: Vec<u32> = (0..rank).map(|a| position(a, output_dims[a])).collect();
-            let k = table.gemm_k[i].map_or(NO_K, |k| position(rank, k));
-            let gpu = (table.num_sms[i], table.l2_bytes[i]);
+            let k = table[i].gemm_k.map_or(NO_K, |k| position(rank, k));
+            let gpu = (table[i].num_sms, table[i].l2_bytes);
             let slot = match gpus
                 .iter()
                 .position(|g| g.0 == gpu.0 && g.1.to_bits() == gpu.1.to_bits())
@@ -1300,7 +1363,7 @@ pub(crate) mod tests {
                 shapes.push((dims.clone(), *k, Vec::new()));
                 shapes.len() - 1
             });
-            shapes[shape].2.push((pos(i), pos(slot)));
+            shapes[shape].2.push((pos(i), slot as u16, launch_of[i]));
         }
 
         // Bucket the shapes on the two output axes with the most distinct
@@ -1356,28 +1419,41 @@ pub(crate) mod tests {
         }
     }
 
-    /// [`TileGroup::index`] over [`reference_build`].
-    fn reference_index(rows: &TileRows) -> Vec<TileGroup> {
+    /// The index of `rows` by [`reference_build`]: one group per
+    /// `(family, rank)` and the launches, each in order of first
+    /// appearance, found by scanning those already listed.
+    fn reference_index(rows: &[TileEntry]) -> TileDatabase {
+        let mut launches = Vec::new();
+        let mut launch_of = Vec::new();
+        for row in rows {
+            let launch = (row.tile.clone(), row.split_k);
+            let found = launches.iter().position(|l| *l == launch);
+            let l = found.unwrap_or_else(|| {
+                launches.push(launch);
+                launches.len() - 1
+            });
+            launch_of.push(u16::try_from(l).unwrap());
+        }
         let mut members: Vec<((OpClass, usize), Vec<usize>)> = Vec::new();
-        for i in 0..rows.len() {
-            let key = (rows.class[i], rows.dims(i).len());
+        for (i, row) in rows.iter().enumerate() {
+            let key = (row.class, row.output_dims.len());
             match members.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, group)) => group.push(i),
                 None => members.push((key, vec![i])),
             }
         }
-        members
+        let groups = members
             .into_iter()
-            .map(|((class, rank), group)| reference_build(class, rank, rows, &group))
-            .collect()
+            .map(|((class, rank), group)| reference_build(class, rank, rows, &group, &launch_of))
+            .collect();
+        TileDatabase { groups, launches }
     }
 
     #[test]
     fn index_matches_the_reference_builder_on_the_standard_database() {
-        let rows = &STANDARD_DB.rows;
-        let groups = TileGroup::index(rows);
-        assert!(groups.len() > 1);
-        assert_eq!(groups, reference_index(rows));
+        let db = &*STANDARD_DB;
+        assert!(db.groups.len() > 1);
+        assert_eq!(*db, reference_index(&db.entries()));
     }
 
     proptest! {
@@ -1404,7 +1480,7 @@ pub(crate) mod tests {
                     .build()
                     .unwrap()
             });
-            assert_matches_scan(&TINY_DB, &op, &spec);
+            assert_matches_scan(&TINY_DB, &TINY_DB.entries(), &op, &spec);
         }
 
         /// Synthetic rows of ranks 1–4 drawn from a few values per axis
@@ -1417,10 +1493,10 @@ pub(crate) mod tests {
             k in prop::sample::select(vec![None, Some(1u64), Some(64), Some(9000)]),
             gpu in 0usize..8,
         ) {
-            let db = TileDatabase::from_entries(&rows);
+            let db = db_of(rows.clone());
             let spec = &all_gpus()[gpu];
             for class in [OpClass::Bmm, OpClass::FullyConnected] {
-                assert_row_matches_scan(&db, class, &dims, k, spec);
+                assert_row_matches_scan(&db, &rows, class, &dims, k, spec);
             }
         }
 
@@ -1429,8 +1505,7 @@ pub(crate) mod tests {
         fn index_matches_the_reference_builder_on_synthetic_rows(
             rows in prop::collection::vec(synthetic_row(), 1..40),
         ) {
-            let db = TileDatabase::from_entries(&rows);
-            prop_assert_eq!(TileGroup::index(&db.rows), reference_index(&db.rows));
+            prop_assert_eq!(db_of(rows.clone()), reference_index(&rows));
         }
     }
 
@@ -1502,7 +1577,7 @@ pub(crate) mod tests {
     }
 
     fn db_of(entries: Vec<TileEntry>) -> TileDatabase {
-        TileDatabase::from_entries(&entries)
+        TileDatabase::from_entries(&entries).expect("the index holds these rows")
     }
 
     #[test]
@@ -1522,14 +1597,14 @@ pub(crate) mod tests {
             row(vec![50], None, here, 4),
         ]);
         let op = OpDesc::elementwise(EwKind::Add, 100);
-        assert_matches_scan(&db, &op, &a100);
+        assert_matches_scan(&db, &db.entries(), &op, &a100);
         assert_eq!(
             db.nearest(OpClass::Elementwise, &[100], None, &a100)
                 .unwrap()
                 .1,
             1
         );
-        assert_eq!(db.tile_for(&op, &a100), TileShape::new(vec![2]));
+        assert_eq!(db.launch_for(&op, &a100).0, TileShape::new(vec![2]));
 
         // Identical rows: the first one recorded wins.
         let db = db_of(vec![
@@ -1537,8 +1612,8 @@ pub(crate) mod tests {
             row(vec![100], None, here, 5),
             row(vec![100], None, here, 6),
         ]);
-        assert_matches_scan(&db, &op, &a100);
-        assert_eq!(db.tile_for(&op, &a100), TileShape::new(vec![5]));
+        assert_matches_scan(&db, &db.entries(), &op, &a100);
+        assert_eq!(db.launch_for(&op, &a100).0, TileShape::new(vec![5]));
     }
 
     /// An exact three-way tie across buckets: the pruned search meets
@@ -1560,9 +1635,16 @@ pub(crate) mod tests {
         // Both axes have three values, so axis 0 is the outer one. The
         // search visits its value 100 (row 3), then 50 (row 2), then 200
         // (row 1); all three rows lie ln²2 away.
-        assert_row_matches_scan(&db, OpClass::Elementwise, &query, None, &a100);
+        assert_row_matches_scan(
+            &db,
+            &db.entries(),
+            OpClass::Elementwise,
+            &query,
+            None,
+            &a100,
+        );
         let nearest = db.nearest(OpClass::Elementwise, &query, None, &a100);
-        assert_eq!(nearest, Some((ln2_sq, 1)));
+        assert_eq!(nearest.map(|(d, i, _)| (d, i)), Some((ln2_sq, 1)));
     }
 
     #[test]
@@ -1577,7 +1659,7 @@ pub(crate) mod tests {
         ]);
         for k in [None, Some(64), Some(4096), Some(100)] {
             for dims in [[64u64, 64], [64, 96], [64, 80]] {
-                assert_row_matches_scan(&db, OpClass::Elementwise, &dims, k, &a100);
+                assert_row_matches_scan(&db, &db.entries(), OpClass::Elementwise, &dims, k, &a100);
             }
         }
         // A depth-less query ties both rows of a shape; a query with a
@@ -1591,15 +1673,14 @@ pub(crate) mod tests {
     #[test]
     fn clone_and_equality_follow_the_entries() {
         let db = small_db();
-        let unbuilt = db_of(db.entries());
-        assert!(db.index.get().is_some() && unbuilt.index.get().is_none());
-        assert_eq!(db, unbuilt);
+        let rebuilt = db_of(db.entries());
+        assert_eq!(db, rebuilt);
         let copy = db.clone();
         assert_eq!(copy, db);
         let h100 = catalog::gpu("H100").unwrap();
         for op in table4_kernels().iter().take(40) {
             assert_eq!(copy.plan_launch(op, &h100), db.plan_launch(op, &h100));
-            assert_eq!(unbuilt.plan_launch(op, &h100), db.plan_launch(op, &h100));
+            assert_eq!(rebuilt.plan_launch(op, &h100), db.plan_launch(op, &h100));
         }
         let mut fewer = db.entries();
         fewer.pop();
