@@ -1339,7 +1339,7 @@ fn verify_artifact(path: &Path) -> Verdict {
     // recompute the weight fingerprint against it (the envelope checksum
     // alone cannot catch a tamper sealed before wrapping).
     let payload = decoded.payload;
-    if payload.starts_with(&codec::MODEL_TAG) {
+    if codec::is_model(payload) {
         return match codec::decode(payload) {
             Ok(_) => Verdict::Sealed(None),
             Err(e) => Verdict::Failed(format!("predictor invalid: {e}")),
@@ -1391,8 +1391,9 @@ fn verify_registry_artifact(path: &Path) -> Verdict {
     }
 }
 
-/// Collects every `.json` file under `root` (or `root` itself when it is
-/// a file), depth-first, in sorted order for stable output.
+/// Collects every `.json` or `.nsg` (nsbench's fixture) file under
+/// `root` (or `root` itself when it is a file), depth-first, in sorted
+/// order for stable output.
 fn artifact_files(root: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
     if root.is_file() {
         return Ok(vec![root.to_path_buf()]);
@@ -1404,7 +1405,10 @@ fn artifact_files(root: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
             let path = entry?.path();
             if path.is_dir() {
                 dirs.push(path);
-            } else if path.extension().is_some_and(|ext| ext == "json") {
+            } else if matches!(
+                path.extension().and_then(|e| e.to_str()),
+                Some("json" | "nsg")
+            ) {
                 files.push(path);
             }
         }
@@ -1454,7 +1458,7 @@ fn cmd_publish(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Verifies every `.json` artifact under a directory (default
+/// Verifies every `.json` or `.nsg` artifact under a directory (default
 /// `artifacts/`): envelope checksums must match, and payloads must decode
 /// by their leading tag (a binary predictor or registry artifact) or
 /// else parse as JSON. Exits non-zero naming each corrupt file
@@ -1466,7 +1470,7 @@ fn cmd_verify_artifacts(args: &Args) -> CliResult {
     }
     let files = artifact_files(root)?;
     if files.is_empty() {
-        println!("no .json artifacts under {}", root.display());
+        println!("no .json or .nsg artifacts under {}", root.display());
         return Ok(());
     }
     let mut failed: Vec<String> = Vec::new();

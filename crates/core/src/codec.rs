@@ -8,10 +8,12 @@
 //! artifact written before this layout was, and still loads through
 //! serde.
 //!
-//! Model payload (`u64` counts, raw IEEE-754 bits for floats):
+//! Model payload, version 2 (raw IEEE-754 bits for floats). The tile
+//! section is the database's search index itself (see
+//! [`crate::tiledb`]), every field fixed-width:
 //!
 //! ```text
-//! tag       4 bytes  b"NSM1"
+//! tag       4 bytes  b"NSM2"
 //! dtype     u8       element type used for traffic accounting
 //! families  u64      then per family, in name order:
 //!   class             u8
@@ -22,7 +24,40 @@
 //!     relu            u8 (0 or 1)
 //!     weights         in × out f32, row-major
 //!     biases          out f32
-//! tile rows n u64, then the tile database as columns of n rows each:
+//! tile rows n u64
+//! groups    u32, then per (family, rank) group, each table a u32 count
+//! and its items:
+//!   class             u8
+//!   rank              u32
+//!   values            u64 each: each output axis's distinct values
+//!                     ascending, then the GEMM depths'
+//!   starts            u32 each (rank + 2): where each axis's values start
+//!   split             u32 each: the bucketed output axes
+//!   outer_starts      u32 each: each outer bucket's first cell
+//!   cells             (u32 position on the second split axis, u32
+//!                     first shape) each, and a closing (u32::MAX, shapes)
+//!   shape_dims        u32 each: rank value positions per shape
+//!   shape_k           u32 each: the GEMM depth's position, or u32::MAX
+//!   row_starts        u32 each: each shape's first row, and the row count
+//!   rows              (u32 entry index, u16 GPU slot, u16 launch) each
+//!   gpus              (u32 SM count, f64 L2 bytes) each
+//! launches  u32, then per launch: tile rank u32, tile dims u64 each,
+//!           split-K u64
+//! ```
+//!
+//! The decoder only checks and copies: it does no hashing, sorting or
+//! interning of rows. [`TileDatabase::from_index`] checks every invariant
+//! the search relies on and that the index is in canonical order, so a
+//! decoded database equals the one built from its rows, and encoding it
+//! again writes the same bytes.
+//!
+//! Version 1 (`b"NSM1"`), written by earlier builds, still loads. Its
+//! weights are laid out as above; its tile section is the rows as
+//! columns, read into rows and indexed as [`TileDatabase::from_entries`]
+//! does:
+//!
+//! ```text
+//! tile rows n u64, then columns of n rows each:
 //!   class             n × u8
 //!   output rank       n × varint, then every row's output dims, varint
 //!   has GEMM depth    n × u8 (0 or 1), then each present depth, varint
@@ -33,11 +68,8 @@
 //! ```
 //!
 //! A varint is unsigned LEB128: seven bits per byte, low bits first, the
-//! top bit set on every byte but the last. Tile-database integers are
-//! small, so the ~16.7k-row standard database takes a few hundred KB.
-//! The decoder hands each value to the database's index as it reads it
-//! (see [`crate::tiledb`]), so no column is held; the columns are written
-//! back from the index in row order, the same bytes as were read.
+//! top bit set on every byte but the last. Any other version is refused
+//! as an unsupported model payload version.
 //!
 //! A registry payload is `b"NSR1"`, the manifest's JSON length as `u64`,
 //! the manifest JSON, then a model payload.
@@ -46,22 +78,32 @@
 //! that remain before allocating, checks that layer and scaler shapes fit
 //! together, refuses what the index's narrowed ids cannot hold (more than
 //! 2³² tile rows, 2¹⁶ distinct launches, or 2¹⁶ distinct GPUs in one
-//! family and rank), rejects trailing bytes, and reports every failure as
-//! [`CoreError::Format`] without panicking.
+//! family and rank, or an output rank above 255), rejects trailing bytes,
+//! and reports every failure as [`CoreError::Format`] without panicking.
 
 use crate::error::{CoreError, Result};
 use crate::framework::NeuSight;
 use crate::predictor::KernelPredictor;
-use crate::tiledb::{Builder, TileEntry};
-use neusight_gpu::{DType, OpClass};
+use crate::tiledb::{check_tile, TileDatabase, TileEntry, TileGroup};
+use neusight_gpu::{DType, OpClass, TileShape};
 use neusight_nn::{Matrix, Mlp, StandardScaler};
 use std::collections::BTreeMap;
 
-/// Leading tag of a binary model payload.
-pub const MODEL_TAG: [u8; 4] = *b"NSM1";
+/// Leading tag of a binary model payload, as this build writes it.
+pub const MODEL_TAG: [u8; 4] = *b"NSM2";
+
+/// Leading tag of a version-1 model payload, which still loads.
+const LEGACY_MODEL_TAG: [u8; 4] = *b"NSM1";
 
 /// Leading tag of a binary registry payload (manifest + model).
 pub const REGISTRY_TAG: [u8; 4] = *b"NSR1";
+
+/// Whether `payload` is a binary model payload of any version: its tag
+/// starts `NSM`. [`decode`] reads versions 1 and 2 and refuses others.
+#[must_use]
+pub fn is_model(payload: &[u8]) -> bool {
+    payload.starts_with(&MODEL_TAG[..3])
+}
 
 /// Wire codes of [`OpClass`]: a class is stored as its index here.
 const CLASSES: [OpClass; 6] = [
@@ -103,6 +145,15 @@ impl Writer {
         self.0.push(v);
     }
 
+    fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// An index-table position or count, as a `u32`.
+    fn position(&mut self, v: usize) {
+        self.u32(u32::try_from(v).expect("index tables hold fewer than 2^32 items"));
+    }
+
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
@@ -118,22 +169,15 @@ impl Writer {
         }
     }
 
-    fn varint(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.0.push((v as u8) | 0x80);
-            v >>= 7;
-        }
-        self.0.push(v as u8);
-    }
-
-    fn varints(&mut self, values: impl Iterator<Item = u64>) {
-        values.for_each(|v| self.varint(v));
+    /// A `u32` count, then each item, written by `item`.
+    fn table<T>(&mut self, items: &[T], item: impl Fn(&mut Writer, &T)) {
+        self.position(items.len());
+        items.iter().for_each(|v| item(self, v));
     }
 }
 
 /// Reads little-endian fields from a byte slice, checking every length
 /// against what remains.
-#[derive(Clone, Copy)]
 struct Reader<'a> {
     bytes: &'a [u8],
 }
@@ -159,6 +203,10 @@ impl<'a> Reader<'a> {
 
     fn u8(&mut self, what: &str) -> Result<u8> {
         Ok(self.array::<1>(what)?[0])
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     fn u64(&mut self, what: &str) -> Result<u64> {
@@ -202,141 +250,80 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    /// One varint. A one-byte varint takes one comparison; a longer one
-    /// up to eight bytes is read from one 8-byte window without a branch
-    /// per byte.
-    #[inline(always)]
+    /// A `u32` count, then that many `N`-byte items, each read by `item`.
+    fn table<const N: usize, T>(
+        &mut self,
+        what: &str,
+        item: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>> {
+        let n = self.u32(what)?;
+        let n = self.fits(u64::from(n), N, what)?;
+        let items = self.take(n * N, what)?.chunks_exact(N);
+        Ok(items
+            .map(|c| item(c.try_into().expect("N-byte chunks")))
+            .collect())
+    }
+
+    /// One unsigned LEB128 varint: at most ten bytes and 64 bits.
     fn varint(&mut self, what: &str) -> Result<u64> {
-        let rest = self.bytes;
-        let (v, len) = match rest.first() {
-            Some(&byte) if byte < 0x80 => (u64::from(byte), 1),
-            _ => match rest.first_chunk().and_then(|&window| leb128_word(window)) {
-                Some(read) => read,
-                None => leb128(rest).ok_or_else(|| bad_varint(rest, what))?,
-            },
-        };
-        self.bytes = &rest[len..];
-        Ok(v)
-    }
-
-    /// A reader of the next `n` varints, past which this one moves: a
-    /// column read alongside a later one. A varint ends at each byte
-    /// below 0x80, so this only counts those; reading the column checks
-    /// the values.
-    fn varints(&mut self, n: usize, what: &str) -> Result<Reader<'a>> {
-        let mut ends = (self.bytes.iter().enumerate()).filter(|&(_, &byte)| byte < 0x80);
-        let len = n
-            .checked_sub(1)
-            .map_or(Some(0), |last| ends.nth(last).map(|(at, _)| at + 1));
-        let len = len.ok_or_else(|| too_long(n as u64, what, self.bytes.len()))?;
-        let (column, rest) = self.bytes.split_at(len);
-        self.bytes = rest;
-        Ok(Reader { bytes: column })
-    }
-}
-
-/// The unsigned LEB128 varint at the start of `bytes`, and its length;
-/// `None` when it runs past `bytes` or past 64 bits.
-#[inline]
-fn leb128(bytes: &[u8]) -> Option<(u64, usize)> {
-    let mut v = 0u64;
-    for (i, &byte) in bytes.iter().take(10).enumerate() {
-        let bits = u64::from(byte & 0x7f);
-        if i == 9 && bits > 1 {
-            return None;
+        let mut v = 0u64;
+        for (i, &byte) in self.bytes.iter().take(10).enumerate() {
+            let bits = u64::from(byte & 0x7f);
+            if i == 9 && bits > 1 {
+                break;
+            }
+            v |= bits << (7 * i);
+            if byte & 0x80 == 0 {
+                self.bytes = &self.bytes[i + 1..];
+                return Ok(v);
+            }
         }
-        v |= bits << (7 * i);
-        if byte & 0x80 == 0 {
-            return Some((v, i + 1));
-        }
+        Err(format_error(format!(
+            "{what} runs past the bytes that remain or past 64 bits"
+        )))
     }
-    None
-}
 
-/// The varint at the start of an 8-byte window, and its length, without
-/// a branch per byte; `None` when it is longer than the window.
-#[inline(always)]
-fn leb128_word(window: [u8; 8]) -> Option<(u64, usize)> {
-    let w = u64::from_le_bytes(window);
-    // A clear top bit ends the varint: the lowest one marks its last byte.
-    let stops = !w & 0x8080_8080_8080_8080;
-    if stops == 0 {
-        return None;
+    /// `n` varints. Each takes a byte or more, so a count the bytes
+    /// cannot hold fails before it allocates much.
+    fn varints(&mut self, n: u64, what: &str) -> Result<Vec<u64>> {
+        (0..n).map(|_| self.varint(what)).collect()
     }
-    let len = (stops.trailing_zeros() as usize + 1) / 8;
-    // Keep the varint's bytes, drop their top bits, and close the gaps:
-    // pairs of 7-bit groups, then of 14, then of 28.
-    let x = w & (stops ^ (stops - 1)) & 0x7f7f_7f7f_7f7f_7f7f;
-    let x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
-    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
-    let x = (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4);
-    Some((x, len))
-}
-
-/// The failure of [`leb128`] on `rest`. Fewer than ten bytes cannot
-/// overflow, so they ran out.
-#[cold]
-#[inline(never)]
-fn bad_varint(rest: &[u8], what: &str) -> CoreError {
-    if rest.len() < 10 {
-        format_error(format!(
-            "{what} runs past the {} bytes that remain",
-            rest.len()
-        ))
-    } else {
-        format_error(format!("{what} overflows 64 bits"))
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn too_long(n: u64, what: &str, remain: usize) -> CoreError {
-    format_error(format!(
-        "{n} {what} do not fit in the {remain} bytes that remain"
-    ))
 }
 
 /// A 0-or-1 flag byte.
-#[inline]
 fn flag_of(code: u8, what: &str) -> Result<bool> {
-    #[cold]
-    #[inline(never)]
-    fn not_a_flag(code: u8, what: &str) -> CoreError {
-        format_error(format!("{what} is {code}, not 0 or 1"))
-    }
     match code {
         0 => Ok(false),
         1 => Ok(true),
-        _ => Err(not_a_flag(code, what)),
+        _ => Err(format_error(format!("{what} is {code}, not 0 or 1"))),
     }
 }
 
 /// The family with wire code `code`.
-#[inline]
 fn class_of(code: u8, what: &str) -> Result<OpClass> {
-    #[cold]
-    #[inline(never)]
-    fn unknown(code: u8, what: &str) -> CoreError {
-        format_error(format!("{what}: unknown family code {code}"))
-    }
     CLASSES
         .get(usize::from(code))
         .copied()
-        .ok_or_else(|| unknown(code, what))
+        .ok_or_else(|| format_error(format!("{what}: unknown family code {code}")))
 }
 
 /// Encodes a trained framework as a model payload.
 #[must_use]
 pub fn encode(ns: &NeuSight) -> Vec<u8> {
-    let mut w = Writer(Vec::new());
-    w.0.extend_from_slice(&MODEL_TAG);
+    let mut w = encode_weights(ns, MODEL_TAG);
+    encode_index(&mut w, ns.tile_database());
+    w.0
+}
+
+/// The tag, dtype and family predictors of a model payload.
+fn encode_weights(ns: &NeuSight, tag: [u8; 4]) -> Writer {
+    let mut w = Writer(tag.to_vec());
     w.u8(code_of(&DTYPES, &ns.dtype()));
     w.len(ns.predictors().len());
     for predictor in ns.predictors().values() {
         encode_predictor(&mut w, predictor);
     }
-    encode_tiledb(&mut w, &ns.tile_database().entries());
-    w.0
+    w
 }
 
 fn encode_predictor(w: &mut Writer, predictor: &KernelPredictor) {
@@ -357,39 +344,63 @@ fn encode_predictor(w: &mut Writer, predictor: &KernelPredictor) {
     }
 }
 
-fn encode_tiledb(w: &mut Writer, rows: &[TileEntry]) {
-    w.len(rows.len());
-    w.0.extend(rows.iter().map(|row| code_of(&CLASSES, &row.class)));
-    w.varints(rows.iter().map(|row| row.output_dims.len() as u64));
-    w.varints(rows.iter().flat_map(|row| row.output_dims.iter().copied()));
-    w.0.extend(rows.iter().map(|row| u8::from(row.gemm_k.is_some())));
-    w.varints(rows.iter().filter_map(|row| row.gemm_k));
-    w.varints(rows.iter().map(|row| u64::from(row.num_sms)));
-    w.0.extend(rows.iter().flat_map(|row| row.l2_bytes.to_le_bytes()));
-    w.varints(rows.iter().map(|row| row.tile.dims().len() as u64));
-    w.varints(rows.iter().flat_map(|row| row.tile.dims().iter().copied()));
-    w.varints(rows.iter().map(|row| row.split_k));
+/// The tile section of a version-2 payload: the index as it is held.
+fn encode_index(w: &mut Writer, db: &TileDatabase) {
+    w.len(db.len());
+    w.position(db.groups.len());
+    for g in &db.groups {
+        w.u8(code_of(&CLASSES, &g.class));
+        w.position(g.rank);
+        w.table(&g.values, |w, &v| w.u64(v));
+        w.table(&g.starts, |w, &p| w.position(p));
+        w.table(&g.split, |w, &a| w.position(a));
+        w.table(&g.outer_starts, |w, &c| w.position(c));
+        w.table(&g.cells, |w, &(p, s)| {
+            w.u32(p);
+            w.u32(s);
+        });
+        w.table(&g.shape_dims, |w, &p| w.u32(p));
+        w.table(&g.shape_k, |w, &p| w.u32(p));
+        w.table(&g.row_starts, |w, &r| w.position(r));
+        w.table(&g.rows, |w, &(entry, slot, launch)| {
+            w.u32(entry);
+            w.0.extend_from_slice(&slot.to_le_bytes());
+            w.0.extend_from_slice(&launch.to_le_bytes());
+        });
+        w.table(&g.gpus, |w, &(sms, l2)| {
+            w.u32(sms);
+            w.u64(l2.to_bits());
+        });
+    }
+    w.table(&db.launches, |w, (tile, split_k)| {
+        w.table(tile.dims(), |w, &d| w.u64(d));
+        w.u64(*split_k);
+    });
 }
 
 /// Decodes an artifact payload into a framework: a binary model payload
-/// when it starts with [`MODEL_TAG`], JSON otherwise.
+/// when it starts with a model tag (see [`is_model`]), JSON otherwise.
 ///
 /// # Errors
 ///
 /// [`CoreError::Format`] for payloads that are neither a well-formed
-/// model payload nor a serialized framework.
+/// model payload of version 1 or 2 nor a serialized framework.
 pub fn decode(payload: &[u8]) -> Result<NeuSight> {
-    decode_unindexed(payload).map(|index| index())
-}
-
-/// [`decode`] but for the tile index, which the returned closure builds
-/// from what was read: the caller may free the payload first.
-pub(crate) fn decode_unindexed(payload: &[u8]) -> Result<Box<dyn FnOnce() -> NeuSight>> {
-    let Some(body) = payload.strip_prefix(&MODEL_TAG) else {
+    if !is_model(payload) {
         let json = std::str::from_utf8(payload)
             .map_err(|e| CoreError::Format(format!("artifact payload is not UTF-8: {e}")))?;
-        let ns = serde_json::from_str(json).map_err(|e| CoreError::Format(e.to_string()))?;
-        return Ok(Box::new(move || ns));
+        return serde_json::from_str(json).map_err(|e| CoreError::Format(e.to_string()));
+    }
+    let (tag, body) = payload.split_at(payload.len().min(MODEL_TAG.len()));
+    let tiles = match <[u8; 4]>::try_from(tag) {
+        Ok(MODEL_TAG) => decode_index,
+        Ok(LEGACY_MODEL_TAG) => decode_columns,
+        _ => {
+            return Err(format_error(format!(
+                "unsupported model payload version `{}`",
+                tag.escape_ascii()
+            )))
+        }
     };
     let mut r = Reader { bytes: body };
     let code = r.u8("dtype")?;
@@ -406,16 +417,14 @@ pub(crate) fn decode_unindexed(payload: &[u8]) -> Result<Box<dyn FnOnce() -> Neu
             return Err(format_error(format!("family `{name}` appears twice")));
         }
     }
-    let tiledb = decode_tiledb(&mut r)?;
+    let tiledb = tiles(&mut r)?;
     if !r.bytes.is_empty() {
         return Err(format_error(format!(
             "{} trailing bytes after the tile database",
             r.bytes.len()
         )));
     }
-    Ok(Box::new(move || {
-        NeuSight::from_parts(predictors, tiledb.finish(), dtype)
-    }))
+    Ok(NeuSight::from_parts(predictors, tiledb, dtype))
 }
 
 fn decode_predictor(r: &mut Reader<'_>) -> Result<KernelPredictor> {
@@ -444,66 +453,103 @@ fn decode_predictor(r: &mut Reader<'_>) -> Result<KernelPredictor> {
     KernelPredictor::from_parts(class, mlp, scaler, validation_smape)
 }
 
-fn decode_tiledb(r: &mut Reader<'_>) -> Result<Builder> {
-    // Each row takes at least 14 bytes: class, rank, has-k, SM count, L2
-    // bytes, tile rank, split-K. Each value goes to the index as it is
-    // read; a column needed alongside a later one is read again.
+/// The tile row count that opens either version's tile section; each row
+/// takes at least `min_row_bytes`.
+fn row_count(r: &mut Reader<'_>, min_row_bytes: usize) -> Result<usize> {
     let rows = r.u64("tile row count")?;
     if rows > u64::from(u32::MAX) {
-        return Err(exceeds_u32(rows, "tile row count"));
+        return Err(format_error(format!("tile row count {rows} exceeds u32")));
     }
-    let n = r.fits(rows, 14, "tile row count")?;
-    let mut b = Builder::default();
-    let classes = r.take(n, "tile family")?;
-    // Each output dim takes a byte or more: check before indexing a row.
-    let mut dims = 0u64;
-    for &code in classes {
-        let rank = r.varint("output rank")?;
-        dims = dims.saturating_add(rank);
-        if dims > r.bytes.len() as u64 {
-            return Err(too_long(dims, "output dims", r.bytes.len()));
-        }
-        b.row(class_of(code, "tile family")?, rank)
-            .map_err(format_error)?;
-    }
-    b.rows_added();
-    for row in 0..n {
-        b.dims(row, std::iter::repeat_with(|| r.varint("output dims")))?;
-    }
-    for (row, &flag) in r.take(n, "GEMM depth flag")?.iter().enumerate() {
-        if flag_of(flag, "GEMM depth flag")? {
-            b.depth(row, r.varint("GEMM depths")?);
-        }
-    }
-    let mut sms = r.varints(n, "SM count")?;
-    for (row, l2) in r.take(8 * n, "L2 bytes")?.chunks_exact(8).enumerate() {
-        let v = sms.varint("SM count")?;
-        let num_sms = u32::try_from(v).map_err(|_| exceeds_u32(v, "SM count"))?;
-        let l2_bytes = f64::from_le_bytes(l2.try_into().expect("8-byte chunks"));
-        b.gpu(row, num_sms, l2_bytes).map_err(format_error)?;
-    }
-    let mut ranks = r.varints(n, "tile rank")?;
-    let (mut count, mut dims) = (ranks, 0usize);
-    for _ in 0..n {
-        dims = dims.saturating_add(count.varint("tile rank")? as usize);
-    }
-    let mut extents = r.varints(dims, "tile dims")?;
-    let mut tile = Vec::new();
-    for row in 0..n {
-        tile.clear();
-        for _ in 0..ranks.varint("tile rank")? {
-            tile.push(extents.varint("tile dims")?);
-        }
-        b.launch(row, &tile, r.varint("split-K")?)
-            .map_err(format_error)?;
-    }
-    Ok(b)
+    r.fits(rows, min_row_bytes, "tile row count")
 }
 
-#[cold]
-#[inline(never)]
-fn exceeds_u32(v: u64, what: &str) -> CoreError {
-    format_error(format!("{what} {v} exceeds u32"))
+/// The tile section of a version-2 payload: the index, copied and
+/// checked (see [`TileDatabase::from_index`]).
+fn decode_index(r: &mut Reader<'_>) -> Result<TileDatabase> {
+    fn positions(b: [u8; 4]) -> usize {
+        u32::from_le_bytes(b) as usize
+    }
+    fn pair(b: [u8; 8]) -> (u32, u32) {
+        let v = u64::from_le_bytes(b);
+        (v as u32, (v >> 32) as u32)
+    }
+    let rows = row_count(r, 8)?;
+    // A group takes at least a class byte, its rank and ten table counts.
+    let groups = r.u32("group count")?;
+    let mut groups = Vec::with_capacity(r.fits(u64::from(groups), 45, "group count")?);
+    for _ in 0..groups.capacity() {
+        groups.push(TileGroup {
+            class: class_of(r.u8("tile family")?, "tile family")?,
+            rank: r.u32("output rank")? as usize,
+            values: r.table("axis values", u64::from_le_bytes)?,
+            starts: r.table("axis starts", positions)?,
+            split: r.table("split axes", positions)?,
+            outer_starts: r.table("outer buckets", positions)?,
+            cells: r.table("cells", pair)?,
+            shape_dims: r.table("shape dims", u32::from_le_bytes)?,
+            shape_k: r.table("shape depths", u32::from_le_bytes)?,
+            row_starts: r.table("row starts", positions)?,
+            rows: r.table("tile rows", |b: [u8; 8]| {
+                let (entry, ids) = pair(b);
+                (entry, ids as u16, (ids >> 16) as u16)
+            })?,
+            gpus: r.table("GPUs", |[a, b, c, d, l2 @ ..]: [u8; 12]| {
+                (u32::from_le_bytes([a, b, c, d]), f64::from_le_bytes(l2))
+            })?,
+        });
+    }
+    // A launch takes at least its tile rank and its split-K.
+    let launches = r.u32("launch count")?;
+    let mut launches = Vec::with_capacity(r.fits(u64::from(launches), 12, "launch count")?);
+    for l in 0..launches.capacity() {
+        let tile = r.table("tile dims", u64::from_le_bytes)?;
+        check_tile(&tile).map_err(|e| format_error(format!("launch {l}: {e}")))?;
+        launches.push((TileShape::new(tile), r.u64("split-K")?));
+    }
+    TileDatabase::from_index(rows, groups, launches)
+        .map_err(|e| format_error(format!("tile index: {e}")))
+}
+
+/// The tile section of a version-1 payload: the rows as columns, read
+/// into rows and indexed.
+fn decode_columns(r: &mut Reader<'_>) -> Result<TileDatabase> {
+    // Each row takes at least 14 bytes: class, rank, has-k, SM count, L2
+    // bytes, tile rank, split-K.
+    let n = row_count(r, 14)?;
+    let classes = r.take(n, "tile family")?;
+    let ranks = r.varints(n as u64, "output rank")?;
+    let dims: Vec<Vec<u64>> = (ranks.iter())
+        .map(|&rank| r.varints(rank, "output dims"))
+        .collect::<Result<_>>()?;
+    let flags = r.take(n, "GEMM depth flag")?.iter();
+    let depths = (flags.map(|&flag| flag_of(flag, "GEMM depth flag")))
+        .map(|has| has?.then(|| r.varint("GEMM depths")).transpose())
+        .collect::<Result<Vec<_>>>()?;
+    let sms = r.varints(n as u64, "SM count")?;
+    let l2 = r.take(8 * n, "L2 bytes")?.chunks_exact(8);
+    let tile_ranks = r.varints(n as u64, "tile rank")?;
+    let tiles: Vec<Vec<u64>> = (tile_ranks.iter())
+        .map(|&rank| r.varints(rank, "tile dims"))
+        .collect::<Result<_>>()?;
+    let split_ks = r.varints(n as u64, "split-K")?;
+    let columns = (classes.iter().zip(dims).zip(depths).zip(sms).zip(l2))
+        .zip(tiles.into_iter().zip(split_ks));
+    let mut entries = Vec::with_capacity(n);
+    for (row, (((((&code, output_dims), gemm_k), sms), l2), (tile, split_k))) in columns.enumerate()
+    {
+        check_tile(&tile).map_err(|e| format_error(format!("tile row {row}: {e}")))?;
+        entries.push(TileEntry {
+            class: class_of(code, "tile family")?,
+            output_dims,
+            gemm_k,
+            num_sms: u32::try_from(sms)
+                .map_err(|_| format_error(format!("SM count {sms} exceeds u32")))?,
+            l2_bytes: f64::from_le_bytes(l2.try_into().expect("8-byte chunks")),
+            tile: TileShape::new(tile),
+            split_k,
+        });
+    }
+    TileDatabase::from_entries(&entries).map_err(format_error)
 }
 
 /// Encodes a registry payload: the manifest JSON, length-prefixed, ahead
@@ -519,7 +565,7 @@ pub(crate) fn encode_registry(manifest_json: &[u8], model: &NeuSight) -> Vec<u8>
 }
 
 /// Splits a registry payload into its manifest JSON and its binary model
-/// payload.
+/// payload, of any version (see [`is_model`]).
 ///
 /// # Errors
 ///
@@ -532,7 +578,7 @@ pub(crate) fn split_registry(payload: &[u8]) -> Result<(&[u8], &[u8])> {
     let mut r = Reader { bytes: body };
     let len = r.count(1, "manifest length")?;
     let manifest = r.take(len, "manifest")?;
-    if !r.bytes.starts_with(&MODEL_TAG) {
+    if !is_model(r.bytes) {
         return Err(format_error(
             "registry payload does not hold a binary model",
         ));
@@ -545,9 +591,9 @@ mod tests {
     use super::*;
     use crate::framework::NeuSightConfig;
     use crate::registry::model_fingerprint;
-    use crate::tiledb::tests::{all_gpus, entry_list, table4_kernels};
-    use crate::tiledb::tests::{STANDARD_DB, STANDARD_RECORDS};
-    use crate::tiledb::{MAX_IDS, MAX_RANK};
+    use crate::tiledb::tests::{all_gpus, assert_row_matches_scan, synthetic_row};
+    use crate::tiledb::tests::{table4_kernels, STANDARD_DB, STANDARD_RECORDS};
+    use crate::tiledb::{MAX_IDS, MAX_RANK, NO_K};
     use neusight_data::{collect_training_set, training_gpus, SweepScale};
     use proptest::prelude::*;
     use std::path::PathBuf;
@@ -565,6 +611,42 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("neusight-codec-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    impl Writer {
+        fn varint(&mut self, mut v: u64) {
+            while v >= 0x80 {
+                self.0.push((v as u8) | 0x80);
+                v >>= 7;
+            }
+            self.0.push(v as u8);
+        }
+
+        fn varints(&mut self, values: impl Iterator<Item = u64>) {
+            values.for_each(|v| self.varint(v));
+        }
+    }
+
+    /// The version-1 encoding of `ns`, as earlier builds wrote it.
+    fn encode_v1(ns: &NeuSight) -> Vec<u8> {
+        let mut w = encode_weights(ns, LEGACY_MODEL_TAG);
+        encode_columns(&mut w, &ns.tile_database().entries());
+        w.0
+    }
+
+    /// The version-1 tile section: the rows as columns.
+    fn encode_columns(w: &mut Writer, rows: &[TileEntry]) {
+        w.len(rows.len());
+        w.0.extend(rows.iter().map(|row| code_of(&CLASSES, &row.class)));
+        w.varints(rows.iter().map(|row| row.output_dims.len() as u64));
+        w.varints(rows.iter().flat_map(|row| row.output_dims.iter().copied()));
+        w.0.extend(rows.iter().map(|row| u8::from(row.gemm_k.is_some())));
+        w.varints(rows.iter().filter_map(|row| row.gemm_k));
+        w.varints(rows.iter().map(|row| u64::from(row.num_sms)));
+        w.0.extend(rows.iter().flat_map(|row| row.l2_bytes.to_le_bytes()));
+        w.varints(rows.iter().map(|row| row.tile.dims().len() as u64));
+        w.varints(rows.iter().flat_map(|row| row.tile.dims().iter().copied()));
+        w.varints(rows.iter().map(|row| row.split_k));
     }
 
     /// Asserts `back` forecasts every kernel of the Table 4 inference,
@@ -614,6 +696,44 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A version-1 payload written by an earlier build loads to the model
+    /// its version-2 twin loads to: the standard database with the tiny
+    /// model's predictors, the same fingerprint and Table 4 forecasts.
+    #[test]
+    fn legacy_and_current_payloads_decode_to_the_same_model() {
+        let predictors = trained().predictors().clone();
+        let ns = NeuSight::from_parts(predictors, STANDARD_DB.clone(), DType::F32);
+        let legacy = decode(&encode_v1(&ns)).unwrap();
+        let current = decode(&encode(&ns)).unwrap();
+        assert!(*legacy.tile_database() == *STANDARD_DB);
+        assert!(*current.tile_database() == *STANDARD_DB);
+        assert_same_model(&legacy, &current);
+        assert_same_model(&ns, &current);
+        // A legacy model saves as version 2.
+        assert_eq!(encode(&legacy), encode(&ns));
+    }
+
+    #[test]
+    fn unknown_model_versions_are_refused_by_name() {
+        let mut payload = encode(trained());
+        for tag in [*b"NSM0", *b"NSM3", *b"NSM\xff"] {
+            payload[..4].copy_from_slice(&tag);
+            assert!(is_model(&payload));
+            let msg = decode_err(&payload);
+            let want = format!("unsupported model payload version `{}`", tag.escape_ascii());
+            assert!(msg.contains(&want), "{msg}");
+        }
+        assert!(decode_err(b"NSM").contains("unsupported model payload version `NSM`"));
+        // A registry holds a model of either version.
+        for model in [encode(trained()), encode_v1(trained())] {
+            let mut payload = REGISTRY_TAG.to_vec();
+            payload.extend_from_slice(&2u64.to_le_bytes());
+            payload.extend_from_slice(b"{}");
+            payload.extend_from_slice(&model);
+            assert_eq!(split_registry(&payload).unwrap(), (&b"{}"[..], &model[..]));
+        }
+    }
+
     /// Offset of the first family's layer count in a model payload.
     fn first_layer_count_offset(ns: &NeuSight) -> usize {
         let p = ns.predictors().values().next().unwrap();
@@ -629,13 +749,20 @@ mod tests {
         }
     }
 
+    /// Bytes of the encoded tile section of `ns`.
+    fn tile_section_len(ns: &NeuSight) -> usize {
+        let mut w = Writer(Vec::new());
+        encode_index(&mut w, ns.tile_database());
+        w.0.len()
+    }
+
     #[test]
     fn huge_length_fields_are_rejected_before_allocating() {
         let ns = trained();
         let good = encode(ns);
-        let patch = |at: usize, v: u64| {
+        let patch = |at: usize, bytes: &[u8]| {
             let mut bad = good.clone();
-            bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
             bad
         };
         let layers = first_layer_count_offset(ns);
@@ -645,23 +772,24 @@ mod tests {
             (layers, "layer count"),
         ] {
             for v in [u64::MAX, u64::MAX / 4, good.len() as u64] {
-                let msg = decode_err(&patch(at, v));
+                let msg = decode_err(&patch(at, &v.to_le_bytes()));
                 assert!(msg.contains(what), "{what} = {v}: {msg}");
             }
         }
-        // The first layer's input width, and the tile row count.
-        let msg = decode_err(&patch(layers + 8, u64::MAX));
+        // The first layer's input width, the tile row count, the group
+        // count and the first group's value count.
+        let msg = decode_err(&patch(layers + 8, &u64::MAX.to_le_bytes()));
         assert!(msg.contains("layer inputs"), "{msg}");
-        let rows_at = good.len() - tiledb_len(ns) - 8;
-        let msg = decode_err(&patch(rows_at, u64::MAX));
+        let rows_at = good.len() - tile_section_len(ns);
+        let msg = decode_err(&patch(rows_at, &(u64::from(u32::MAX)).to_le_bytes()));
         assert!(msg.contains("tile row count"), "{msg}");
-    }
-
-    /// Bytes of the encoded tile database after its row count.
-    fn tiledb_len(ns: &NeuSight) -> usize {
-        let mut w = Writer(Vec::new());
-        encode_tiledb(&mut w, &ns.tile_database().entries());
-        w.0.len() - 8
+        for (at, what) in [(rows_at + 8, "group count"), (rows_at + 17, "axis values")] {
+            let msg = decode_err(&patch(at, &u32::MAX.to_le_bytes()));
+            assert!(
+                msg.contains(&format!("{what} 4294967295 does not fit")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]
@@ -703,106 +831,148 @@ mod tests {
         assert!(decode_err(&bad).contains("unknown family code"));
     }
 
-    /// A model payload with no families and one tile row whose tile is
-    /// `tile`.
-    fn one_row_payload(tile: &[u64]) -> Vec<u8> {
-        let mut w = Writer(MODEL_TAG.to_vec());
-        w.u8(code_of(&DTYPES, &DType::F32));
-        w.len(0);
-        w.len(1);
-        w.u8(code_of(&CLASSES, &OpClass::FullyConnected));
-        w.varint(2);
-        w.varint(64);
-        w.varint(64);
-        w.u8(1);
-        w.varint(32);
-        w.varint(80);
-        w.0.extend_from_slice(&6e6f64.to_le_bytes());
-        w.varint(tile.len() as u64);
-        for &d in tile {
-            w.varint(d);
+    /// One FC row, observed on a GPU of `num_sms` SMs and 6 MB of L2 with
+    /// `tile` on every axis.
+    fn fc_row(output_dims: Vec<u64>, gemm_k: Option<u64>, num_sms: u32, tile: u64) -> TileEntry {
+        TileEntry {
+            class: OpClass::FullyConnected,
+            tile: TileShape::new(vec![tile; output_dims.len()]),
+            output_dims,
+            gemm_k,
+            num_sms,
+            l2_bytes: 6e6,
+            split_k: 1,
         }
-        w.varint(1);
-        w.0
-    }
-
-    #[test]
-    fn empty_or_zero_tile_extents_are_rejected() {
-        let ns = decode(&one_row_payload(&[32, 64])).unwrap();
-        let entry = &ns.tile_database().entries()[0];
-        assert_eq!(entry.output_dims, [64, 64]);
-        assert_eq!(entry.gemm_k, Some(32));
-        assert_eq!(entry.tile.dims(), [32, 64]);
-        for tile in [&[][..], &[32, 0][..]] {
-            assert!(decode_err(&one_row_payload(tile)).contains("zero extent"));
-        }
-    }
-
-    /// A model payload with no families and the tile rows `rows`.
-    fn rows_payload(rows: &[TileEntry]) -> Vec<u8> {
-        let mut w = Writer(MODEL_TAG.to_vec());
-        w.u8(code_of(&DTYPES, &DType::F32));
-        w.len(0);
-        encode_tiledb(&mut w, rows);
-        w.0
     }
 
     /// `n` FC rows, row `i` observed on `gpu(i)` with tile `[tile(i)]`.
     fn fc_rows(n: u64, gpu: impl Fn(u64) -> u32, tile: impl Fn(u64) -> u64) -> Vec<TileEntry> {
         (0..n)
-            .map(|i| TileEntry {
-                class: OpClass::FullyConnected,
-                output_dims: vec![64, 64],
-                gemm_k: Some(32),
-                num_sms: gpu(i),
-                l2_bytes: 6e6,
-                tile: neusight_gpu::TileShape::new(vec![tile(i)]),
-                split_k: 1,
-            })
+            .map(|i| fc_row(vec![64], Some(32), gpu(i), tile(i)))
             .collect()
     }
 
+    /// A version-1 model payload with no families and the tile rows
+    /// `rows`.
+    fn rows_payload_v1(rows: &[TileEntry]) -> Vec<u8> {
+        let mut w = Writer(LEGACY_MODEL_TAG.to_vec());
+        w.u8(code_of(&DTYPES, &DType::F32));
+        w.len(0);
+        encode_columns(&mut w, rows);
+        w.0
+    }
+
+    /// A model payload with no families and the tile database `db`, which
+    /// need not be well formed.
+    fn db_payload(db: &TileDatabase) -> Vec<u8> {
+        let mut w = Writer(MODEL_TAG.to_vec());
+        w.u8(code_of(&DTYPES, &DType::F32));
+        w.len(0);
+        encode_index(&mut w, db);
+        w.0
+    }
+
+    fn db_of(rows: &[TileEntry]) -> TileDatabase {
+        TileDatabase::from_entries(rows).expect("the index holds these rows")
+    }
+
+    /// A tile with no extent, or a zero one, is refused in either
+    /// version: as the row's tile in version 1, as a launch's in 2.
+    #[test]
+    fn empty_or_zero_tile_extents_are_rejected() {
+        let row = fc_row(vec![64, 64], Some(32), 80, 32);
+        let v1 = rows_payload_v1(std::slice::from_ref(&row));
+        let ns = decode(&v1).unwrap();
+        assert_eq!(ns.tile_database().entries(), std::slice::from_ref(&row));
+        // The last row's tile rank, then its dims and split-K, one byte each.
+        let (rank_at, end) = (v1.len() - 4, v1.len());
+        let empty = [&v1[..rank_at], &[0, 1][..]].concat();
+        let zero = [&v1[..end - 2], &[0, 1][..]].concat();
+        for bad in [empty, zero] {
+            let msg = decode_err(&bad);
+            assert!(
+                msg.contains("tile row 0: ") && msg.contains("zero extent"),
+                "{msg}"
+            );
+        }
+
+        let v2 = db_payload(&db_of(&[row]));
+        assert!(decode(&v2).is_ok());
+        // The launch table closes the payload: tile rank, dims, split-K.
+        let end = v2.len();
+        let empty = [&v2[..end - 28], &0u32.to_le_bytes(), &v2[end - 8..]].concat();
+        let mut zero = v2.clone();
+        zero[end - 16..end - 8].fill(0);
+        for bad in [empty, zero] {
+            let msg = decode_err(&bad);
+            assert!(
+                msg.contains("launch 0: ") && msg.contains("zero extent"),
+                "{msg}"
+            );
+        }
+    }
+
     /// Values the index narrows are refused, at one past what the
-    /// narrowed type holds, as format errors.
+    /// narrowed type holds, as format errors: in version 1 as the rows
+    /// are indexed, in version 2 as the index is read.
     #[test]
     fn values_beyond_the_narrowed_types_are_refused() {
         let ids = MAX_IDS as u64;
-        // Launch ids are u16: 2^16 distinct launches fit, one more does not.
-        assert!(decode(&rows_payload(&fc_rows(ids, |_| 80, |i| i + 1))).is_ok());
-        let msg = decode_err(&rows_payload(&fc_rows(ids + 1, |_| 80, |i| i + 1)));
-        assert!(msg.contains("distinct launches"), "{msg}");
-        // GPU slots are u16 per group.
         let sms = |i: u64| u32::try_from(i + 1).unwrap();
-        assert!(decode(&rows_payload(&fc_rows(ids, sms, |_| 8))).is_ok());
-        let msg = decode_err(&rows_payload(&fc_rows(ids + 1, sms, |_| 8)));
+        let launches = fc_rows(ids, |_| 80, |i| i + 1);
+        let gpus = fc_rows(ids, sms, |_| 8);
+        // Launch ids are u16: 2^16 distinct launches fit, one more does not.
+        assert!(decode(&rows_payload_v1(&launches)).is_ok());
+        let msg = decode_err(&rows_payload_v1(&fc_rows(ids + 1, |_| 80, |i| i + 1)));
+        assert!(msg.contains("distinct launches"), "{msg}");
+        let mut db = db_of(&launches);
+        assert!(decode(&db_payload(&db)).is_ok());
+        db.launches.push((TileShape::new(vec![ids + 1]), 1));
+        let msg = decode_err(&db_payload(&db));
+        assert!(msg.contains("more than 65536 distinct launches"), "{msg}");
+        // GPU slots are u16 per group.
+        assert!(decode(&rows_payload_v1(&gpus)).is_ok());
+        let msg = decode_err(&rows_payload_v1(&fc_rows(ids + 1, sms, |_| 8)));
         assert!(msg.contains("distinct GPUs"), "{msg}");
+        let mut db = db_of(&gpus);
+        assert!(decode(&db_payload(&db)).is_ok());
+        db.groups[0].gpus.push((sms(ids), 6e6));
+        let msg = decode_err(&db_payload(&db));
+        assert!(msg.contains("more than 65536 distinct GPUs"), "{msg}");
         // Row indices are u32: the count is refused before the bytes it
-        // would need are looked for.
-        let mut rows = rows_payload(&fc_rows(1, |_| 80, |_| 8));
-        rows[13..21].copy_from_slice(&(1u64 << 32).to_le_bytes());
-        let msg = decode_err(&rows);
-        assert!(
-            msg.contains("tile row count 4294967296 exceeds u32"),
-            "{msg}"
-        );
+        // would need are looked for. It sits after the tag, the dtype and
+        // the family count in both versions.
+        let one = [fc_row(vec![64], Some(32), 80, 8)];
+        for mut payload in [rows_payload_v1(&one), db_payload(&db_of(&one))] {
+            payload[13..21].copy_from_slice(&(1u64 << 32).to_le_bytes());
+            let msg = decode_err(&payload);
+            let want = "tile row count 4294967296 exceeds u32";
+            assert!(msg.contains(want), "{msg}");
+        }
         // An output rank beyond `MAX_RANK`.
-        let mut row = fc_rows(1, |_| 80, |_| 8);
-        row[0].output_dims = vec![1; MAX_RANK as usize + 1];
-        let msg = decode_err(&rows_payload(&row));
+        let mut row = fc_row(vec![64], Some(32), 80, 8);
+        row.output_dims = vec![1; MAX_RANK as usize + 1];
+        let msg = decode_err(&rows_payload_v1(&[row]));
+        assert!(msg.contains("output rank 256 exceeds 255"), "{msg}");
+        let mut db = db_of(&one);
+        db.groups[0].rank = MAX_RANK as usize + 1;
+        let msg = decode_err(&db_payload(&db));
         assert!(msg.contains("output rank 256 exceeds 255"), "{msg}");
     }
 
-    /// The standard-sweep database reads back to the same rows, and
-    /// writes the same bytes again.
+    /// The standard-sweep database reads back to the same rows in either
+    /// version, and writes the same bytes again.
     #[test]
     fn standard_database_round_trips_byte_identically() {
         let entries = STANDARD_DB.entries();
-        assert_eq!(entries, entry_list(&STANDARD_RECORDS));
-        let payload = rows_payload(&entries);
+        assert_eq!(entries, crate::tiledb::rows_of(&STANDARD_RECORDS));
+        let payload = db_payload(&STANDARD_DB);
         let back = decode(&payload).unwrap();
         assert!(*back.tile_database() == *STANDARD_DB);
         assert!(back.tile_database().entries() == entries);
         assert_eq!(encode(&back), payload);
+        let legacy = decode(&rows_payload_v1(&entries)).unwrap();
+        assert_eq!(encode(&legacy), payload);
     }
 
     #[test]
@@ -822,9 +992,7 @@ mod tests {
             w.varint(v);
         }
         let mut r = Reader { bytes: &w.0 };
-        for &v in &values {
-            assert_eq!(r.varint("v").unwrap(), v);
-        }
+        assert_eq!(r.varints(values.len() as u64, "v").unwrap(), values);
         assert!(r.bytes.is_empty());
         let too_long = [0xffu8; 11];
         assert!(Reader { bytes: &too_long }.varint("v").is_err());
@@ -833,52 +1001,230 @@ mod tests {
         assert!(Reader { bytes: &past_64 }.varint("v").is_err());
     }
 
+    /// Rows of two FC groups (ranks 2 and 3) and a softmax group over
+    /// three GPUs and four launches. Rows 0 and 1 share a cell of the
+    /// rank-2 group with different depths; rows 0 and 3 share a shape.
+    fn broken_base() -> TileDatabase {
+        let row = |dims: &[u64], k, sms, tile| fc_row(dims.to_vec(), k, sms, tile);
+        let mut softmax = row(&[8, 1024], None, 80, 1);
+        softmax.class = OpClass::Softmax;
+        db_of(&[
+            row(&[64, 64], Some(32), 80, 32),
+            row(&[64, 64], Some(64), 108, 64),
+            row(&[128, 64], Some(32), 80, 32),
+            row(&[64, 64], Some(32), 108, 32),
+            softmax,
+            row(&[128, 256], None, 56, 64),
+            row(&[2, 64, 64], Some(32), 80, 16),
+        ])
+    }
+
+    /// A hand-broken index is refused, one case per invariant the search
+    /// and `entries()` rely on or that keeps the index canonical.
+    #[test]
+    fn hand_broken_indices_are_refused() {
+        type Edit = fn(&mut TileDatabase);
+        let base = broken_base();
+        let fc = &base.groups[0];
+        assert_eq!(
+            (fc.rank, fc.split.as_slice(), fc.values.len()),
+            (2, &[0, 1][..], 6)
+        );
+        assert_eq!(fc.cells, [(2, 0), (2, 2), (3, 3), (NO_K, 4)]);
+        assert_eq!(
+            fc.rows.iter().map(|r| r.0).collect::<Vec<_>>(),
+            [0, 3, 1, 2, 5]
+        );
+        assert!(decode(&db_payload(&base)).unwrap().tile_database() == &base);
+        let cases: [(&str, Edit); 24] = [
+            // Positions lie on their axes.
+            ("shape 0 lies off its axes", |db| {
+                db.groups[0].shape_dims[1] = 0
+            }),
+            ("shape 0 lies off its axes", |db| {
+                db.groups[0].shape_k[0] = 0
+            }),
+            // Each axis's values strictly ascend.
+            ("axis 0's values are not strictly ascending", |db| {
+                db.groups[0].values.swap(0, 1);
+            }),
+            ("axis 2's values are not strictly ascending", |db| {
+                db.groups[0].values[5] = 32;
+            }),
+            // Runs are monotone and close at their table's length.
+            ("axis starts", |db| db.groups[0].starts[1] = 5),
+            ("outer buckets do not split the cells", |db| {
+                db.groups[0].outer_starts[1] = 3;
+            }),
+            ("cells do not split the shapes", |db| {
+                db.groups[0].cells[3].1 = 5
+            }),
+            ("cells do not split the shapes", |db| {
+                db.groups[0].cells[1].1 = 0
+            }),
+            ("shapes do not split the rows", |db| {
+                db.groups[0].row_starts[1] = 0
+            }),
+            ("shapes do not split the rows", |db| {
+                db.groups[0].row_starts[4] = 4
+            }),
+            // Each shape sits in the bucket and cell it names.
+            ("shape 2 lies off its axes or outside cell 1", |db| {
+                db.groups[0].shape_dims[4] = 0;
+            }),
+            ("shape 3 lies off its axes or outside cell 2", |db| {
+                db.groups[0].shape_dims[7] = 2;
+            }),
+            ("cell 1 is out of place in outer bucket 1", |db| {
+                db.groups[0].cells[1].0 = NO_K;
+            }),
+            // GPU slots and launch ids are in range.
+            ("names GPU slot 3", |db| db.groups[0].rows[0].1 = 3),
+            ("launch 4, out of range", |db| db.groups[0].rows[0].2 = 4),
+            // The entries form a permutation of 0..n.
+            ("entry 7 is out of range", |db| db.groups[2].rows[0].0 = 7),
+            ("entry 0 is out of range or repeated", |db| {
+                db.groups[1].rows[0].0 = 0
+            }),
+            // Canonical order: rows, shapes, groups, GPUs and launches.
+            ("rows of shape 0 are not in entry order", |db| {
+                db.groups[0].rows.swap(0, 1);
+            }),
+            ("shapes of cell 0 are not in order of first entry", |db| {
+                db.groups[0].rows[0].0 = 1;
+                db.groups[0].rows[2].0 = 0;
+            }),
+            ("groups are not in order of first appearance", |db| {
+                db.groups.swap(1, 2);
+            }),
+            ("GPUs are not distinct", |db| {
+                let g = &mut db.groups[0];
+                g.gpus.swap(0, 1);
+                g.rows
+                    .iter_mut()
+                    .for_each(|r| r.1 = [1, 0, 2][usize::from(r.1)]);
+            }),
+            ("launches are not distinct", |db| {
+                db.launches.swap(0, 1);
+                for g in &mut db.groups {
+                    g.rows
+                        .iter_mut()
+                        .for_each(|r| r.2 = [1, 0, 2, 3][usize::from(r.2)]);
+                }
+            }),
+            // The split axes are the canonical ones.
+            ("split axes [1, 0]", |db| db.groups[0].split = vec![1, 0]),
+            // Every value is used.
+            ("no shape uses value 6", |db| {
+                let g = &mut db.groups[0];
+                g.values.push(9000);
+                g.starts[3] += 1;
+            }),
+        ];
+        for (want, edit) in cases {
+            let mut db = base.clone();
+            edit(&mut db);
+            let msg = decode_err(&db_payload(&db));
+            assert!(
+                msg.contains("tile index: ") && msg.contains(want),
+                "{want}: {msg}"
+            );
+        }
+        // Distinct groups, shapes, GPUs and launches: what the builder
+        // would merge.
+        let cases: [(&str, Edit); 6] = [
+            ("group 2 repeats family fc of rank 2", |db| {
+                db.groups[2].class = OpClass::FullyConnected;
+                db.groups[2].rank = 2;
+            }),
+            ("cell 0 holds a shape twice", |db| {
+                db.groups[0].shape_k[1] = 4
+            }),
+            ("GPUs are not distinct", |db| {
+                db.groups[0].gpus[1] = db.groups[0].gpus[0]
+            }),
+            ("GPUs are not distinct, finite", |db| {
+                db.groups[0].gpus[0].1 = f64::NAN
+            }),
+            ("launches are not distinct", |db| {
+                db.launches[1] = db.launches[0].clone()
+            }),
+            ("group 0: the group holds no shape", |db| {
+                let g = &mut db.groups[0];
+                (g.values, g.starts, g.shape_k) = (vec![], vec![0; 4], vec![]);
+            }),
+        ];
+        for (want, edit) in cases {
+            let mut db = base.clone();
+            edit(&mut db);
+            let msg = decode_err(&db_payload(&db));
+            assert!(
+                msg.contains("tile index: ") && msg.contains(want),
+                "{want}: {msg}"
+            );
+        }
+        // A row count the rows do not fill.
+        let mut payload = db_payload(&base);
+        payload[13..21].copy_from_slice(&8u64.to_le_bytes());
+        assert!(decode_err(&payload).contains("no row holds entry 7"));
+    }
+
+    /// The version-2 payload of the tiny model's database, and where its
+    /// tile section starts.
+    fn tiny_payload() -> &'static (Vec<u8>, usize) {
+        static PAYLOAD: OnceLock<(Vec<u8>, usize)> = OnceLock::new();
+        PAYLOAD.get_or_init(|| (db_payload(trained().tile_database()), 13))
+    }
+
     proptest! {
-        /// The windowed varint read takes what byte-by-byte LEB128 takes,
-        /// on any bytes: the same values, the same bytes left, the same
-        /// failure; and a column of `n` of them reads the same values.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Synthetic rows round-trip through version 2: the same
+        /// database, the same bytes again, and queries that match the
+        /// scan over the rows.
         #[test]
-        fn varint_columns_match_varint_by_varint(
-            bytes in prop::collection::vec(
-                prop::sample::select(vec![0u8, 1, 0x7f, 0x80, 0x81, 0xff]),
-                0..40,
-            ),
-            n in 0usize..24,
+        fn synthetic_rows_round_trip_and_match_the_scan(
+            rows in prop::collection::vec(synthetic_row(), 1..40),
+            dims in prop::collection::vec(prop::sample::select(vec![1u64, 7, 16, 100, 4096]), 1..5),
+            k in prop::sample::select(vec![None, Some(1u64), Some(64), Some(9000)]),
+            gpu in 0usize..8,
         ) {
-            let mut fast = Reader { bytes: &bytes };
-            let mut rest: &[u8] = &bytes;
-            let mut got = Vec::new();
-            let mut want = Vec::new();
-            for _ in 0..n {
-                got.push(fast.varint("v").map_err(|e| e.to_string()));
-                want.push(match leb128(rest) {
-                    Some((v, len)) => {
-                        rest = &rest[len..];
-                        Ok(v)
-                    }
-                    None => Err(bad_varint(rest, "v").to_string()),
-                });
-                if want.last().is_some_and(|v| v.is_err()) {
-                    break;
-                }
-                prop_assert_eq!(fast.bytes, rest);
+            let db = db_of(&rows);
+            let payload = db_payload(&db);
+            let back = decode(&payload).unwrap();
+            prop_assert!(back.tile_database() == &db);
+            prop_assert_eq!(encode(&back), payload);
+            let spec = &all_gpus()[gpu];
+            for class in [OpClass::Bmm, OpClass::FullyConnected] {
+                assert_row_matches_scan(back.tile_database(), &rows, class, &dims, k, spec);
             }
-            prop_assert_eq!(&got, &want);
-            let mut whole = Reader { bytes: &bytes };
-            match whole.varints(n, "v") {
-                Ok(mut column) => {
-                    for v in &want {
-                        prop_assert_eq!(column.varint("v").ok(), v.clone().ok());
-                    }
-                    if want.iter().all(|v| v.is_ok()) {
-                        prop_assert!(column.bytes.is_empty());
-                        prop_assert_eq!(whole.bytes, rest);
-                    }
+        }
+
+        /// A byte flipped in, or a cut through, the tile section is an
+        /// error or decodes to the database its own rows build.
+        #[test]
+        fn damaged_tile_sections_fail_or_stay_canonical(
+            at in 0.0f64..1.0,
+            mask in 1u8..=255,
+            cut in prop::sample::select(vec![false, true]),
+        ) {
+            let (good, start) = tiny_payload();
+            let at = start + (at * (good.len() - start) as f64) as usize;
+            let bad = if cut {
+                good[..at].to_vec()
+            } else {
+                let mut bad = good.clone();
+                bad[at] ^= mask;
+                bad
+            };
+            match decode(&bad) {
+                Ok(ns) => {
+                    let db = ns.tile_database();
+                    prop_assert!(!cut);
+                    prop_assert!(*db == TileDatabase::from_entries(&db.entries()).unwrap());
                 }
-                Err(_) => {
-                    prop_assert!(want.last().is_some_and(|v| v.is_err()));
-                    prop_assert!(bytes.iter().filter(|&&byte| byte < 0x80).count() < n);
-                }
+                Err(CoreError::Format(_)) => {}
+                Err(other) => prop_assert!(false, "expected a format error, got {}", other),
             }
         }
     }

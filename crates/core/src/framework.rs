@@ -1000,10 +1000,7 @@ impl NeuSight {
                 neusight_guard::GuardError::Io(io) => CoreError::Io(io),
                 other => CoreError::Format(other.to_string()),
             })?;
-        // The tile index is built after the file's bytes are freed.
-        let index = crate::codec::decode_unindexed(decoded.payload)?;
-        drop(bytes);
-        Ok(index())
+        crate::codec::decode(decoded.payload)
     }
 
     /// Applies `f` to every weight and bias of every family predictor's

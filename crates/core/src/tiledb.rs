@@ -13,8 +13,8 @@
 //! then the GEMM depth (when both sides have one), then the SM count, then
 //! the L2 size, and keeping the first row with the strictly smallest sum.
 //! Scanning the rows directly costs one `ln` per term per row. Instead, a
-//! [`TileDatabase`] holds its rows only as a search index, built as they
-//! are read (the binary decoder interns each value as it reads it):
+//! [`TileDatabase`] holds its rows only as a search index, which the
+//! binary artifact stores as it is held (see [`crate::codec`]):
 //!
 //! - rows are grouped by `(family, rank)`;
 //! - each group keeps the distinct values of each output axis and of the
@@ -27,8 +27,10 @@
 //!   distinct values (the split axes): an outer bucket per value of the
 //!   first, a cell per value pair present.
 //!
-//! The entry indices give back the row order, so the JSON view and the
-//! binary encoding of [`TileDatabase::entries`] are the bytes read.
+//! Ids, groups, shapes and rows are numbered in order of first
+//! appearance, so the index is a function of the rows. The entry indices
+//! give back the row order, so the JSON view of [`TileDatabase::entries`]
+//! is the rows read.
 //!
 //! A query takes one `ln` per distinct axis value and per GPU slot, then
 //! scores shapes and their rows by adding table entries only. It does
@@ -60,6 +62,7 @@
 use neusight_gpu::{num_tiles, num_waves, GpuError, GpuSpec, KernelDataset, KernelLaunch};
 use neusight_gpu::{OpClass, OpDesc, TileShape};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// One database row, as it is serialized and as the encoder and tests
 /// see it. The database itself holds its rows only as its search index.
@@ -93,10 +96,10 @@ fn default_split_k() -> u64 {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TileDatabase {
     /// One group per `(family, rank)`, in order of first appearance.
-    groups: Vec<TileGroup>,
+    pub(crate) groups: Vec<TileGroup>,
     /// The distinct `(tile, split_k)` pairs, or launches, that the
-    /// groups' rows name by id.
-    launches: Vec<(TileShape, u64)>,
+    /// groups' rows name by id, in order of first appearance.
+    pub(crate) launches: Vec<(TileShape, u64)>,
 }
 
 /// The persisted form of a database: its rows and nothing else. Named
@@ -144,6 +147,23 @@ fn gemm_k_of(op: &OpDesc) -> Option<u64> {
     }
 }
 
+/// The rows `dataset` records, in order: one per record on a catalog GPU.
+pub(crate) fn rows_of(dataset: &KernelDataset) -> Vec<TileEntry> {
+    let rows = dataset.records().iter().filter_map(|record| {
+        let spec = neusight_gpu::catalog::gpu(&record.gpu).ok()?;
+        Some(TileEntry {
+            class: record.op.op_class(),
+            output_dims: record.op.output_dims(),
+            gemm_k: gemm_k_of(&record.op),
+            num_sms: spec.num_sms(),
+            l2_bytes: spec.l2_bytes(),
+            tile: record.launch.tile.clone(),
+            split_k: record.launch.split_k,
+        })
+    });
+    rows.collect()
+}
+
 /// Squared log-distance between two positive values.
 fn log_dist(a: f64, b: f64) -> f64 {
     let d = (a.max(1e-12) / b.max(1e-12)).ln();
@@ -157,7 +177,7 @@ fn pos(i: usize) -> u32 {
 
 /// Marks an absent position: a shape without a GEMM depth, or a cell of
 /// a group with fewer than two split axes.
-const NO_K: u32 = u32::MAX;
+pub(crate) const NO_K: u32 = u32::MAX;
 
 /// Rows name a launch, and a GPU of their group, by a `u16` id.
 pub(crate) const MAX_IDS: usize = 1 << 16;
@@ -165,358 +185,145 @@ pub(crate) const MAX_IDS: usize = 1 << 16;
 /// Most output dims a row may have (kernel outputs have at most four).
 pub(crate) const MAX_RANK: u64 = 255;
 
-/// Collects rows, interning each value as it arrives, then indexes them.
-/// A row is added with its family and rank; its values follow row by row,
-/// or column by column as the binary decoder reads them.
-#[derive(Default)]
-pub(crate) struct Builder {
-    groups: Vec<Members>,
-    /// Each row's group.
-    group_of: Vec<u16>,
-    /// Where the last row lookup stopped: a row, and per group how many
-    /// of its members come before that row.
-    cursor: (usize, Vec<u32>),
-    launches: Vec<(TileShape, u64)>,
-    launch_ids: Interner,
-}
-
-/// The rows of one `(family, rank)` while they are added.
-struct Members {
-    class: OpClass,
-    rank: usize,
-    /// Per member, the value ids of its output axes, then its GEMM
-    /// depth's ([`NO_K`] for none): `ids[j * (rank + 1) + axis]`.
-    ids: Vec<u32>,
-    /// One interner per output axis, then one for the GEMM depths.
-    values: Vec<Interner>,
-    /// The distinct `(num_sms, l2_bytes)` pairs, by slot.
-    gpus: Vec<(u32, f64)>,
-    gpu_ids: Interner,
-    /// Per member, its GPU slot and launch id.
-    slots: Vec<(u16, u16)>,
-}
-
-impl Builder {
-    /// Adds a row of `class` and `rank` and returns its index, counting
-    /// from 0; a rank above [`MAX_RANK`] is refused.
-    pub(crate) fn row(&mut self, class: OpClass, rank: u64) -> Result<usize, String> {
-        if rank > MAX_RANK {
-            return Err(format!("output rank {rank} exceeds {MAX_RANK}"));
-        }
-        let rank = rank as usize;
-        let groups = &mut self.groups;
-        // Rows in sweep order come family after family: try the last row's
-        // group first.
-        let last = self.group_of.last().map(|&g| usize::from(g));
-        let found = (last.into_iter().chain(0..groups.len()))
-            .find(|&g| (groups[g].class, groups[g].rank) == (class, rank));
-        let g = found.unwrap_or_else(|| {
-            groups.push(Members {
-                class,
-                rank,
-                ids: Vec::new(),
-                values: (0..=rank).map(|_| Interner::default()).collect(),
-                gpus: Vec::new(),
-                gpu_ids: Interner::default(),
-                slots: Vec::new(),
-            });
-            self.cursor.1.push(0);
-            groups.len() - 1
-        });
-        let (row, m) = (self.group_of.len(), &mut groups[g]);
-        self.group_of
-            .push(u16::try_from(g).expect("6 families of 256 ranks"));
-        m.ids.resize(m.ids.len() + rank + 1, NO_K);
-        m.slots.push((0, 0));
-        Ok(row)
+/// Refuses a tile with no extent or a zero one: it covers no output.
+pub(crate) fn check_tile(tile: &[u64]) -> Result<(), String> {
+    if tile.is_empty() || tile.contains(&0) {
+        return Err(format!("{tile:?} has an empty or zero extent"));
     }
-
-    /// Trims the per-row tables, for a reader that adds every row first.
-    pub(crate) fn rows_added(&mut self) {
-        self.group_of.shrink_to_fit();
-        for m in &mut self.groups {
-            m.ids.shrink_to_fit();
-            m.slots.shrink_to_fit();
-        }
-    }
-
-    /// Row `row`'s group and its place there. Rows are looked up in
-    /// order, column after column: a lookup counts the rows since the
-    /// last, and one of an earlier row starts the count again.
-    fn member(&mut self, row: usize) -> (&mut Members, usize) {
-        let (at, before) = &mut self.cursor;
-        if row < *at {
-            before.fill(0);
-            *at = 0;
-        }
-        for &g in &self.group_of[*at..row] {
-            before[usize::from(g)] += 1;
-        }
-        *at = row;
-        let g = usize::from(self.group_of[row]);
-        (&mut self.groups[g], before[g] as usize)
-    }
-
-    /// Sets `row`'s output dims, taking one from `dims` per axis.
-    pub(crate) fn dims<E>(
-        &mut self,
-        row: usize,
-        mut dims: impl Iterator<Item = Result<u64, E>>,
-    ) -> Result<(), E> {
-        let (m, j) = self.member(row);
-        let ids = &mut m.ids[j * (m.rank + 1)..][..m.rank];
-        for ((id, values), dim) in ids.iter_mut().zip(&mut m.values).zip(&mut dims) {
-            *id = values.id(dim?);
-        }
-        Ok(())
-    }
-
-    /// Sets `row`'s GEMM depth.
-    pub(crate) fn depth(&mut self, row: usize, k: u64) {
-        let (m, j) = self.member(row);
-        m.ids[j * (m.rank + 1) + m.rank] = m.values[m.rank].id(k);
-    }
-
-    /// Sets the GPU `row` was observed on; more than [`MAX_IDS`] distinct
-    /// GPUs in one group are refused.
-    pub(crate) fn gpu(&mut self, row: usize, num_sms: u32, l2_bytes: f64) -> Result<(), String> {
-        let (m, j) = self.member(row);
-        let gpus = &mut m.gpus;
-        let bits = (num_sms, l2_bytes.to_bits());
-        let same = |s: u32| (gpus[s as usize].0, gpus[s as usize].1.to_bits()) == bits;
-        let slot = m.gpu_ids.find(bits.1 ^ u64::from(num_sms), same);
-        if slot as usize == MAX_IDS {
-            return Err(format!("more than {MAX_IDS} distinct GPUs in a group"));
-        } else if slot as usize == gpus.len() {
-            gpus.push((num_sms, l2_bytes));
-        }
-        m.slots[j].0 = slot as u16;
-        Ok(())
-    }
-
-    /// Sets `row`'s launch: `tile`, split `split_k` ways. A tile with an
-    /// empty or zero extent covers no output and is refused, and so are
-    /// more than [`MAX_IDS`] distinct launches.
-    pub(crate) fn launch(&mut self, row: usize, tile: &[u64], split_k: u64) -> Result<(), String> {
-        if tile.is_empty() || tile.contains(&0) {
-            return Err(format!(
-                "tile row {row}: {tile:?} has an empty or zero extent"
-            ));
-        }
-        let launches = &mut self.launches;
-        let hash = tile.iter().fold(split_k, |h, &e| h.rotate_left(21) ^ e);
-        let same =
-            |l: u32| launches[l as usize].0.dims() == tile && launches[l as usize].1 == split_k;
-        let l = self.launch_ids.find(hash, same);
-        if l as usize == MAX_IDS {
-            return Err(format!("more than {MAX_IDS} distinct launches"));
-        } else if l as usize == launches.len() {
-            launches.push((TileShape::new(tile.to_vec()), split_k));
-        }
-        let (m, j) = self.member(row);
-        m.slots[j].1 = l as u16;
-        Ok(())
-    }
-
-    /// Adds the row `e`.
-    fn push(&mut self, e: &TileEntry) -> Result<(), String> {
-        let row = self.row(e.class, e.output_dims.len() as u64)?;
-        self.dims(row, e.output_dims.iter().map(|&d| Ok::<_, String>(d)))?;
-        if let Some(k) = e.gemm_k {
-            self.depth(row, k);
-        }
-        self.gpu(row, e.num_sms, e.l2_bytes)?;
-        self.launch(row, e.tile.dims(), e.split_k)
-    }
-
-    /// Indexes the rows.
-    pub(crate) fn finish(self) -> TileDatabase {
-        let mut entries = vec![Vec::new(); self.groups.len()];
-        for (row, &g) in self.group_of.iter().enumerate() {
-            entries[usize::from(g)].push(pos(row));
-        }
-        let groups = self.groups.into_iter().zip(&entries);
-        TileDatabase {
-            groups: groups.map(|(m, rows)| TileGroup::build(m, rows)).collect(),
-            launches: self.launches,
-        }
-    }
+    Ok(())
 }
 
 /// The rows of one `(family, rank)`, deduplicated by shape and GPU.
 #[derive(Debug, Clone, PartialEq)]
-struct TileGroup {
-    class: OpClass,
-    rank: usize,
+pub(crate) struct TileGroup {
+    pub(crate) class: OpClass,
+    pub(crate) rank: usize,
     /// Distinct values of output axis 0, then axis 1, …, then the distinct
     /// GEMM depths; axis `a` owns `values[starts[a]..starts[a + 1]]` and
     /// the depths own `values[starts[rank]..]`.
-    values: Vec<u64>,
-    starts: Vec<usize>,
+    pub(crate) values: Vec<u64>,
+    pub(crate) starts: Vec<usize>,
     /// The output axes the shapes are bucketed on: the two with the most
     /// distinct values, most first (one for rank 1, none for rank 0).
-    split: Vec<usize>,
+    pub(crate) split: Vec<usize>,
     /// Outer bucket `i` (the shapes at the `i`-th value of `split[0]`)
     /// owns cells `outer_starts[i]..outer_starts[i + 1]`. A group with no
     /// split axis has one outer bucket.
-    outer_starts: Vec<usize>,
+    pub(crate) outer_starts: Vec<usize>,
     /// One cell per distinct pair of values on the split axes, in value
     /// order: the position in `values` of the value on `split[1]` (or
     /// [`NO_K`] with no second split axis), and the cell's first shape.
     /// A cell's shapes run to the next cell's first shape; a last, empty
     /// cell closes the list.
-    cells: Vec<(u32, u32)>,
+    pub(crate) cells: Vec<(u32, u32)>,
     /// `rank` positions into `values` per shape, shape after shape.
-    shape_dims: Vec<u32>,
+    pub(crate) shape_dims: Vec<u32>,
     /// Position of each shape's GEMM depth in `values`, or [`NO_K`].
-    shape_k: Vec<u32>,
+    pub(crate) shape_k: Vec<u32>,
     /// Shape `s` owns `rows[row_starts[s]..row_starts[s + 1]]`.
-    row_starts: Vec<usize>,
+    pub(crate) row_starts: Vec<usize>,
     /// `(entry index, GPU slot, launch id)` of every row, in entry order
     /// per shape.
-    rows: Vec<(u32, u16, u16)>,
+    pub(crate) rows: Vec<(u32, u16, u16)>,
     /// The distinct `(num_sms, l2_bytes)` pairs; a slot indexes this.
-    gpus: Vec<(u32, f64)>,
+    pub(crate) gpus: Vec<(u32, f64)>,
 }
 
 impl TileGroup {
-    /// Indexes the members of a group, rows `entries`.
-    ///
-    /// No per-row key or map entry is allocated, and nothing is sorted but
-    /// each axis's few distinct values. The members' values were numbered
-    /// in order of first appearance as they were added; a pass per axis
-    /// folds a member's numbers into one mixed-radix key, and its shapes
-    /// are numbered the same way. Counting sorts place each shape's rows,
-    /// in row order, and order the shapes by cell.
-    fn build(members: Members, entries: &[u32]) -> TileGroup {
-        let Members {
-            class,
-            rank,
-            ids,
-            values: distinct,
-            gpus,
-            slots,
-            ..
-        } = members;
-        let width = rank + 1;
-        // Each axis's distinct values in order (the value tables), and
-        // each id's position among them.
-        let mut values = Vec::with_capacity(distinct.iter().map(|axis| axis.keys.len()).sum());
-        let mut starts = Vec::with_capacity(rank + 2);
-        let mut position: Vec<Vec<u32>> = Vec::with_capacity(width);
-        for axis in distinct {
-            let found = axis.keys;
-            let mut sorted: Vec<u32> = (0..pos(found.len())).collect();
-            sorted.sort_unstable_by_key(|&id| found[id as usize]);
-            let mut at = vec![0; found.len()];
-            for (p, &id) in sorted.iter().enumerate() {
-                at[id as usize] = pos(values.len() + p);
-            }
-            starts.push(values.len());
-            values.extend(sorted.iter().map(|&id| found[id as usize]));
-            position.push(at);
-        }
-        starts.push(values.len());
-        let position_of = |axis: usize, id: u32| match id {
-            NO_K => NO_K,
-            id => position[axis][id as usize],
-        };
-
-        // Each member's shape, numbered in order of first appearance: its
-        // ids as the digits of one mixed-radix key (the depth's digit 0 for
-        // none), renumbered densely whenever the next axis would overflow
-        // the key.
-        let mut shape_of = vec![0u64; entries.len()];
-        let mut span = 1u64;
-        for axis in 0..width {
-            let has_none = axis == rank;
-            let radix = position[axis].len() as u64 + u64::from(has_none);
-            span = match span.checked_mul(radix) {
-                Some(span) => span,
-                None => Interner::number(&mut shape_of) * radix,
+    /// Indexes `members`, the rows of `entries` of `class` and rank
+    /// `rank`, given each entry's launch id. More than [`MAX_IDS`]
+    /// distinct GPUs are refused.
+    fn build(
+        (class, rank): (OpClass, usize),
+        entries: &[TileEntry],
+        members: &[u32],
+        launch_of: &[u16],
+    ) -> Result<TileGroup, String> {
+        // Each axis's distinct values in order, the GEMM depths last.
+        let mut values = Vec::new();
+        let mut starts = vec![0];
+        for axis in 0..=rank {
+            let value = |e: &TileEntry| {
+                if axis < rank {
+                    Some(e.output_dims[axis])
+                } else {
+                    e.gemm_k
+                }
             };
-            for (key, row) in shape_of.iter_mut().zip(ids.chunks_exact(width)) {
-                let digit = match row[axis] {
-                    NO_K => 0,
-                    id => u64::from(id) + u64::from(has_none),
-                };
-                *key = *key * radix + digit;
-            }
+            let mut run: Vec<u64> = members
+                .iter()
+                .filter_map(|&i| value(&entries[i as usize]))
+                .collect();
+            run.sort_unstable();
+            run.dedup();
+            values.extend(run);
+            starts.push(values.len());
         }
-        let shapes = Interner::number(&mut shape_of) as usize;
-
-        // The members by shape, in member order within each: the first is
-        // the one a shape's positions are read from.
-        let (by_shape, member_starts) =
-            counting_sort(entries.len(), shapes, |j| shape_of[j] as usize);
-        let shape_row = |s: usize| {
-            let j = by_shape[member_starts[s]] as usize;
-            &ids[j * width..(j + 1) * width]
+        let position = |axis: usize, v: u64| {
+            let run = &values[starts[axis]..starts[axis + 1]];
+            pos(starts[axis] + run.binary_search(&v).expect("every value is tabled"))
         };
 
-        // Bucket the shapes on the two output axes with the most distinct
-        // values (the first such axes), in value order on each; ties in a
-        // cell keep first appearance. A counting sort by the second axis,
-        // then a stable one by the first.
-        let mut split: Vec<usize> = (0..rank).collect();
-        split.sort_by_key(|&a| std::cmp::Reverse(starts[a + 1] - starts[a]));
-        split.truncate(2);
-        let level = |l: usize, s: usize| split.get(l).map(|&a| (a, shape_row(s)[a]));
-        let mut order: Vec<u32> = (0..pos(shapes)).collect();
-        for l in [1, 0] {
-            let range = split.get(l).map_or(1, |&a| position[a].len());
-            let sorted = counting_sort(shapes, range, |at| {
-                let s = order[at] as usize;
-                level(l, s).map_or(0, |(a, id)| (position_of(a, id) as usize) - starts[a])
-            })
-            .0;
-            order = sorted.into_iter().map(|at| order[at as usize]).collect();
+        // The distinct shapes and GPUs in order of first appearance, and
+        // each shape's rows.
+        type Shape = (Vec<u32>, u32, Vec<(u32, u16, u16)>);
+        let (mut shape_of, mut shapes) = (HashMap::new(), Vec::<Shape>::new());
+        let (mut gpu_of, mut gpus) = (HashMap::new(), Vec::new());
+        for &i in members {
+            let e = &entries[i as usize];
+            let slot = *gpu_of
+                .entry((e.num_sms, e.l2_bytes.to_bits()))
+                .or_insert_with(|| {
+                    gpus.push((e.num_sms, e.l2_bytes));
+                    gpus.len() - 1
+                });
+            if slot == MAX_IDS {
+                return Err(format!("more than {MAX_IDS} distinct GPUs in a group"));
+            }
+            let dims: Vec<u32> = (0..rank).map(|a| position(a, e.output_dims[a])).collect();
+            let k = e.gemm_k.map_or(NO_K, |k| position(rank, k));
+            let shape = *shape_of.entry((dims, k)).or_insert_with_key(|(dims, k)| {
+                shapes.push((dims.clone(), *k, Vec::new()));
+                shapes.len() - 1
+            });
+            shapes[shape]
+                .2
+                .push((i, slot as u16, launch_of[i as usize]));
         }
-        let cell_of = |s: usize| {
-            let at = |l: usize| level(l, s).map_or(NO_K, |(a, id)| position_of(a, id));
+
+        // Bucket the shapes on the split axes; a stable sort keeps first
+        // appearance within each cell.
+        let split = split_axes(&starts);
+        let cell_of = |dims: &[u32]| {
+            let at = |level: usize| split.get(level).map_or(NO_K, |&a| dims[a]);
             (at(0), at(1))
         };
-
+        shapes.sort_by_key(|(dims, _, _)| cell_of(dims));
         let outer_values = split.first().map_or(1, |&a| starts[a + 1] - starts[a]);
         let mut outer_starts = Vec::with_capacity(outer_values + 1);
-        let mut cells: Vec<(u32, u32)> = Vec::new();
-        let mut shape_dims = Vec::with_capacity(shapes * rank);
-        let mut shape_k = Vec::with_capacity(shapes);
-        let mut row_starts = Vec::with_capacity(shapes + 1);
-        let mut rows = Vec::with_capacity(entries.len());
+        let mut cells = Vec::new();
+        let mut shape_dims = Vec::with_capacity(shapes.len() * rank);
+        let mut shape_k = Vec::with_capacity(shapes.len());
+        let mut row_starts = Vec::with_capacity(shapes.len() + 1);
+        let mut rows = Vec::with_capacity(members.len());
         let mut last_cell = None;
-        for (at, &s) in order.iter().enumerate() {
-            let s = s as usize;
-            let cell = cell_of(s);
+        for (s, (dims, k, shape_rows)) in shapes.into_iter().enumerate() {
+            let cell = cell_of(&dims);
             if last_cell != Some(cell) {
                 let outer = split.first().map_or(0, |&a| cell.0 as usize - starts[a]);
-                while outer_starts.len() <= outer {
-                    outer_starts.push(cells.len());
-                }
-                cells.push((cell.1, pos(at)));
+                outer_starts.resize(outer + 1, cells.len());
+                cells.push((cell.1, pos(s)));
                 last_cell = Some(cell);
             }
-            let row = shape_row(s);
-            shape_dims.extend((0..rank).map(|a| position_of(a, row[a])));
-            shape_k.push(position_of(rank, row[rank]));
+            shape_dims.extend(dims);
+            shape_k.push(k);
             row_starts.push(rows.len());
-            rows.extend(
-                by_shape[member_starts[s]..member_starts[s + 1]]
-                    .iter()
-                    .map(|&j| {
-                        (
-                            entries[j as usize],
-                            slots[j as usize].0,
-                            slots[j as usize].1,
-                        )
-                    }),
-            );
+            rows.extend(shape_rows);
         }
         outer_starts.resize(outer_values + 1, cells.len());
         cells.push((NO_K, pos(shape_k.len())));
-        cells.shrink_to_fit();
         row_starts.push(rows.len());
-        TileGroup {
+        Ok(TileGroup {
             class,
             rank,
             values,
@@ -529,7 +336,7 @@ impl TileGroup {
             row_starts,
             rows,
             gpus,
-        }
+        })
     }
 
     /// `(distance, entry index, launch)` of the nearest entry: the lowest
@@ -646,122 +453,176 @@ impl TileGroup {
             }
         }
     }
-}
 
-/// `0..n` ordered by `key`, a value below `range`, keeping the order of
-/// equal keys; and where each key's run starts (`range + 1` entries).
-fn counting_sort(n: usize, range: usize, key: impl Fn(usize) -> usize) -> (Vec<u32>, Vec<usize>) {
-    let mut starts = vec![0usize; range + 1];
-    for item in 0..n {
-        starts[key(item) + 1] += 1;
-    }
-    for k in 0..range {
-        starts[k + 1] += starts[k];
-    }
-    let mut next = starts.clone();
-    let mut sorted = vec![0u32; n];
-    for item in 0..n {
-        let k = key(item);
-        sorted[next[k]] = pos(item);
-        next[k] += 1;
-    }
-    (sorted, starts)
-}
-
-/// Dense ids for keys, in order of first appearance: an open-addressing
-/// table over the keys' 64-bit hashes with Fibonacci hashing and linear
-/// probing, kept at most half full, in front of which the last key looked
-/// up is remembered (rows in sweep order repeat values). A `u64` key is
-/// its own hash; the caller tells a wider key from others of its hash.
-struct Interner {
-    /// Per table slot, the hash there and its key's id (`u32::MAX` if
-    /// empty).
-    slots: Vec<(u64, u32)>,
-    /// 64 less log₂ of the slot count: a hash's top bits pick a slot.
-    shift: u32,
-    /// The hashes, by id: for `u64` keys, the keys.
-    keys: Vec<u64>,
-    /// The last hash looked up and its id (`u32::MAX` before the first).
-    last: (u64, u32),
-}
-
-/// An empty table slot.
-const EMPTY: (u64, u32) = (0, u32::MAX);
-
-impl Default for Interner {
-    fn default() -> Interner {
-        Interner {
-            slots: vec![EMPTY; 4],
-            shift: 64 - 2,
-            keys: Vec::new(),
-            last: EMPTY,
+    /// Checks, in one pass, that this group as stored is the one
+    /// [`TileGroup::build`] makes of its rows: every position lies on its
+    /// axis, every run closes at its table's end, every shape sits in the
+    /// bucket and cell its positions name, every value and GPU is used,
+    /// and shapes, rows and GPUs are in canonical order. Only the shapes
+    /// of a cell, and the GPUs, are sorted, to find repeats. Marks the
+    /// group's entries in `seen`, refusing one out of range or seen
+    /// before, and lowers `launch_first[l]` to the first entry naming
+    /// launch `l`. Returns the group's first entry.
+    fn check(&self, seen: &mut [bool], launch_first: &mut [u32]) -> Result<u32, String> {
+        let (rank, starts, values) = (self.rank, &self.starts, &self.values);
+        if rank as u64 > MAX_RANK {
+            return Err(format!("output rank {rank} exceeds {MAX_RANK}"));
         }
-    }
-}
-
-impl Interner {
-    /// `key`'s id, giving it the next one if it is new.
-    #[inline]
-    fn id(&mut self, key: u64) -> u32 {
-        self.find(key, |_| true)
-    }
-
-    /// The id of the key with `hash` that `same` accepts (given its id),
-    /// or the next id if there is none: a new key's.
-    #[inline]
-    fn find(&mut self, hash: u64, same: impl Fn(u32) -> bool) -> u32 {
-        if self.last.0 == hash && self.last.1 != u32::MAX && same(self.last.1) {
-            return self.last.1;
+        if self.gpus.len() > MAX_IDS {
+            return Err(format!("more than {MAX_IDS} distinct GPUs in a group"));
         }
-        let mask = self.slots.len() - 1;
-        let mut at = self.home(hash);
-        let id = loop {
-            match self.slots[at] {
-                (_, u32::MAX) => break self.insert(hash, at),
-                (h, id) if h == hash && same(id) => break id,
-                _ => at = (at + 1) & mask,
-            }
-        };
-        self.last = (hash, id);
-        id
-    }
+        if starts.len() != rank + 2 || !splits(starts, values.len(), false) {
+            return Err(format!(
+                "axis starts {starts:?} do not split {} values into {} axes",
+                values.len(),
+                rank + 1
+            ));
+        }
+        let axis = |a: usize| starts[a]..starts[a + 1];
+        if let Some(a) = (0..=rank).find(|&a| values[axis(a)].windows(2).any(|w| w[0] >= w[1])) {
+            return Err(format!("axis {a}'s values are not strictly ascending"));
+        }
+        if self.split != split_axes(starts) {
+            return Err(format!(
+                "split axes {:?} are not the two with the most values",
+                self.split
+            ));
+        }
+        let shapes = self.shape_k.len();
+        let cells = self.cells.len().saturating_sub(1);
+        let outer_values = self.split.first().map_or(1, |&a| axis(a).len());
+        if shapes == 0 {
+            return Err("the group holds no shape".into());
+        }
+        if self.outer_starts.len() != outer_values + 1 || !splits(&self.outer_starts, cells, true) {
+            return Err("outer buckets do not split the cells".into());
+        }
+        let last = self.cells.last().map(|&(p, s)| (p, s as usize));
+        if self.cells.first().map(|c| c.1) != Some(0)
+            || last != Some((NO_K, shapes))
+            || self.cells.windows(2).any(|w| w[0].1 >= w[1].1)
+        {
+            return Err("cells do not split the shapes".into());
+        }
+        if self.shape_dims.len() != rank * shapes
+            || self.row_starts.len() != shapes + 1
+            || !splits(&self.row_starts, self.rows.len(), true)
+        {
+            return Err("shapes do not split the rows".into());
+        }
 
-    /// The slot a key's probe starts at.
-    #[inline]
-    fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// Gives the key with `hash`, found missing at empty slot `at`, the
-    /// next id.
-    fn insert(&mut self, hash: u64, at: usize) -> u32 {
-        let id = pos(self.keys.len());
-        self.slots[at] = (hash, id);
-        self.keys.push(hash);
-        if 2 * self.keys.len() > self.slots.len() {
-            self.slots = vec![EMPTY; 2 * self.slots.len()];
-            self.shift -= 1;
-            let mask = self.slots.len() - 1;
-            for (id, &key) in self.keys.iter().enumerate() {
-                let mut at = self.home(key);
-                while self.slots[at].1 != u32::MAX {
-                    at = (at + 1) & mask;
+        let mut used = vec![false; values.len()];
+        let mut gpu_first = vec![u32::MAX; self.gpus.len()];
+        let mut first = u32::MAX;
+        let mut keys: Vec<(&[u32], u32)> = Vec::new();
+        let (outer_axis, inner_axis) = (self.split.first(), self.split.get(1));
+        for i in 0..outer_values {
+            let mut last_inner = None;
+            for c in self.outer_starts[i]..self.outer_starts[i + 1] {
+                let (inner, from) = self.cells[c];
+                let placed =
+                    inner_axis.map_or(inner == NO_K, |&a| axis(a).contains(&(inner as usize)));
+                if !placed || last_inner.is_some_and(|l| inner <= l) {
+                    return Err(format!("cell {c} is out of place in outer bucket {i}"));
                 }
-                self.slots[at] = (key, pos(id));
+                last_inner = Some(inner);
+                keys.clear();
+                let mut prev_first = None;
+                for s in from as usize..self.cells[c + 1].1 as usize {
+                    let dims = &self.shape_dims[s * rank..(s + 1) * rank];
+                    let k = self.shape_k[s];
+                    let on_axes = (dims.iter().enumerate())
+                        .all(|(a, &p)| axis(a).contains(&(p as usize)))
+                        && (k == NO_K || axis(rank).contains(&(k as usize)));
+                    let in_cell = outer_axis.is_none_or(|&a| dims[a] as usize == starts[a] + i)
+                        && inner_axis.is_none_or(|&a| dims[a] == inner);
+                    if !on_axes || !in_cell {
+                        return Err(format!("shape {s} lies off its axes or outside cell {c}"));
+                    }
+                    for &p in dims.iter().chain((k != NO_K).then_some(&k)) {
+                        used[p as usize] = true;
+                    }
+                    let rows = &self.rows[self.row_starts[s]..self.row_starts[s + 1]];
+                    if prev_first.is_some_and(|f| rows[0].0 <= f) {
+                        return Err(format!(
+                            "shapes of cell {c} are not in order of first entry"
+                        ));
+                    }
+                    prev_first = Some(rows[0].0);
+                    keys.push((dims, k));
+                    if rows.windows(2).any(|w| w[0].0 >= w[1].0) {
+                        return Err(format!("rows of shape {s} are not in entry order"));
+                    }
+                    first = first.min(rows[0].0);
+                    for &(entry, slot, launch) in rows {
+                        match seen.get_mut(entry as usize) {
+                            Some(seen @ false) => *seen = true,
+                            _ => return Err(format!("entry {entry} is out of range or repeated")),
+                        }
+                        let gpu = gpu_first.get_mut(usize::from(slot));
+                        let (Some(gpu), Some(l)) = (gpu, launch_first.get_mut(usize::from(launch)))
+                        else {
+                            return Err(format!(
+                                "entry {entry} names GPU slot {slot} or launch {launch}, \
+                                 out of range"
+                            ));
+                        };
+                        *gpu = (*gpu).min(entry);
+                        *l = (*l).min(entry);
+                    }
+                }
+                if !distinct(&mut keys) {
+                    return Err(format!("cell {c} holds a shape twice"));
+                }
             }
         }
-        id
-    }
-
-    /// Replaces each key by its id, and returns how many distinct keys
-    /// there were.
-    fn number(keys: &mut [u64]) -> u64 {
-        let mut interner = Interner::default();
-        for key in keys.iter_mut() {
-            *key = u64::from(interner.id(*key));
+        if let Some(p) = used.iter().position(|&u| !u) {
+            return Err(format!("no shape uses value {p}"));
         }
-        interner.keys.len() as u64
+        let mut gpus: Vec<_> = (self.gpus.iter())
+            .map(|&(sms, l2)| (sms, l2.to_bits()))
+            .collect();
+        if !first_appearance(&gpu_first)
+            || !distinct(&mut gpus)
+            || self.gpus.iter().any(|&(_, l2)| !l2.is_finite())
+        {
+            return Err(
+                "GPUs are not distinct, finite, each used, in order of first appearance".into(),
+            );
+        }
+        Ok(first)
     }
+}
+
+/// The output axes shapes are bucketed on: of the axes whose values
+/// start at `starts` (the GEMM depths last), the two with the most
+/// distinct values, most first, the lower axis first on a tie.
+fn split_axes(starts: &[usize]) -> Vec<usize> {
+    let mut split: Vec<usize> = (0..starts.len() - 2).collect();
+    split.sort_by_key(|&a| std::cmp::Reverse(starts[a + 1] - starts[a]));
+    split.truncate(2);
+    split
+}
+
+/// Whether `starts` runs from 0 to `total` without falling; `strict`
+/// also refuses an empty run.
+fn splits(starts: &[usize], total: usize, strict: bool) -> bool {
+    starts.first() == Some(&0)
+        && starts.last() == Some(&total)
+        && (starts.windows(2)).all(|w| w[0] < w[1] || (!strict && w[0] == w[1]))
+}
+
+/// Whether no two of `items` are equal.
+fn distinct<T: Ord>(items: &mut [T]) -> bool {
+    items.sort_unstable();
+    items.windows(2).all(|w| w[0] != w[1])
+}
+
+/// Whether ids were numbered in order of first appearance, given the
+/// first entry naming each (`u32::MAX` for none): every id is named, and
+/// an id's first entry comes after the one before it.
+fn first_appearance(first: &[u32]) -> bool {
+    first.last().is_none_or(|&f| f != u32::MAX) && first.windows(2).all(|w| w[0] < w[1])
 }
 
 /// The nearest row so far: `(distance, entry index, launch)`.
@@ -797,31 +658,94 @@ impl TileDatabase {
     /// Builds the database from profiled kernel records.
     #[must_use]
     pub fn from_records(dataset: &KernelDataset) -> TileDatabase {
-        let mut builder = Builder::default();
-        for record in dataset.records() {
-            let Ok(spec) = neusight_gpu::catalog::gpu(&record.gpu) else {
-                continue;
-            };
-            let row = TileEntry {
-                class: record.op.op_class(),
-                output_dims: record.op.output_dims(),
-                gemm_k: gemm_k_of(&record.op),
-                num_sms: spec.num_sms(),
-                l2_bytes: spec.l2_bytes(),
-                tile: record.launch.tile.clone(),
-                split_k: record.launch.split_k,
-            };
-            builder.push(&row).expect("profiled launches fit the index");
-        }
-        builder.finish()
+        TileDatabase::from_entries(&rows_of(dataset)).expect("profiled launches fit the index")
     }
 
-    /// A database of `entries`, in order; a row the index cannot hold
-    /// (see [`Builder`]) is refused.
+    /// A database of `entries`, in order. A row the index cannot hold is
+    /// refused: an output rank above [`MAX_RANK`], a tile with an empty
+    /// or zero extent, an L2 size that is not finite, or more than
+    /// [`MAX_IDS`] distinct launches, or distinct GPUs in one group.
     pub(crate) fn from_entries(entries: &[TileEntry]) -> Result<TileDatabase, String> {
-        let mut builder = Builder::default();
-        entries.iter().try_for_each(|e| builder.push(e))?;
-        Ok(builder.finish())
+        let (mut launch_ids, mut launches) = (HashMap::new(), Vec::new());
+        let mut launch_of = Vec::with_capacity(entries.len());
+        let mut members: Vec<((OpClass, usize), Vec<u32>)> = Vec::new();
+        for (row, e) in entries.iter().enumerate() {
+            let rank = e.output_dims.len();
+            if rank as u64 > MAX_RANK {
+                return Err(format!("output rank {rank} exceeds {MAX_RANK}"));
+            }
+            check_tile(e.tile.dims()).map_err(|err| format!("tile row {row}: {err}"))?;
+            if !e.l2_bytes.is_finite() {
+                return Err(format!(
+                    "tile row {row}: L2 size {} is not finite",
+                    e.l2_bytes
+                ));
+            }
+            let launch = *launch_ids.entry((&e.tile, e.split_k)).or_insert_with(|| {
+                launches.push((e.tile.clone(), e.split_k));
+                launches.len() - 1
+            });
+            if launch == MAX_IDS {
+                return Err(format!("more than {MAX_IDS} distinct launches"));
+            }
+            launch_of.push(launch as u16);
+            match members.iter_mut().find(|(key, _)| *key == (e.class, rank)) {
+                Some((_, rows)) => rows.push(pos(row)),
+                None => members.push(((e.class, rank), vec![pos(row)])),
+            }
+        }
+        let groups = (members.iter())
+            .map(|(key, rows)| TileGroup::build(*key, entries, rows, &launch_of))
+            .collect::<Result<_, _>>()?;
+        Ok(TileDatabase { groups, launches })
+    }
+
+    /// The database whose index is `groups` over `launches`, as stored,
+    /// holding `rows` rows. It is refused unless it is exactly the index
+    /// [`TileDatabase::from_entries`] builds of its own entries: the
+    /// entry indices form a permutation of `0..rows`, and groups and
+    /// launches are distinct and in order of first appearance (see
+    /// [`TileGroup::check`] for the rest).
+    pub(crate) fn from_index(
+        rows: usize,
+        groups: Vec<TileGroup>,
+        launches: Vec<(TileShape, u64)>,
+    ) -> Result<TileDatabase, String> {
+        if launches.len() > MAX_IDS {
+            return Err(format!("more than {MAX_IDS} distinct launches"));
+        }
+        let mut seen = vec![false; rows];
+        let mut launch_first = vec![u32::MAX; launches.len()];
+        let mut last_first = None;
+        for (i, g) in groups.iter().enumerate() {
+            // The groups before this one are distinct, so there are no
+            // more of them than family and rank pairs.
+            if groups[..i]
+                .iter()
+                .any(|h| (h.class, h.rank) == (g.class, g.rank))
+            {
+                let (class, rank) = (g.class.name(), g.rank);
+                return Err(format!("group {i} repeats family {class} of rank {rank}"));
+            }
+            let first =
+                (g.check(&mut seen, &mut launch_first)).map_err(|e| format!("group {i}: {e}"))?;
+            if last_first.is_some_and(|f| first <= f) {
+                return Err("groups are not in order of first appearance".into());
+            }
+            last_first = Some(first);
+        }
+        if let Some(entry) = seen.iter().position(|&s| !s) {
+            return Err(format!("no row holds entry {entry}"));
+        }
+        let mut keys: Vec<_> = (launches.iter())
+            .map(|(tile, k)| (tile.dims(), *k))
+            .collect();
+        if !first_appearance(&launch_first) || !distinct(&mut keys) {
+            return Err(
+                "launches are not distinct, each used, in order of first appearance".into(),
+            );
+        }
+        Ok(TileDatabase { groups, launches })
     }
 
     /// The rows, in recorded order, one [`TileEntry`] each.
@@ -959,7 +883,7 @@ pub(crate) mod tests {
     use neusight_gpu::{catalog, DType, EwKind};
     use neusight_sim::SimulatedGpu;
     use proptest::prelude::*;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashSet;
     use std::sync::LazyLock;
 
     /// The linear scan the index replaces, kept as the reference: sums the
@@ -996,7 +920,7 @@ pub(crate) mod tests {
 
     /// Asserts the index picks the scan's row at a bitwise-equal distance.
     /// `entries` are the database's.
-    fn assert_row_matches_scan(
+    pub(crate) fn assert_row_matches_scan(
         db: &TileDatabase,
         entries: &[TileEntry],
         class: OpClass,
@@ -1209,27 +1133,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The rows of `dataset` as a list of entries, built directly from
-    /// the records: the reference the columns must serialize like.
-    pub(crate) fn entry_list(dataset: &KernelDataset) -> Vec<TileEntry> {
-        dataset
-            .records()
-            .iter()
-            .filter_map(|record| {
-                let spec = catalog::gpu(&record.gpu).ok()?;
-                Some(TileEntry {
-                    class: record.op.op_class(),
-                    output_dims: record.op.output_dims(),
-                    gemm_k: gemm_k_of(&record.op),
-                    num_sms: spec.num_sms(),
-                    l2_bytes: spec.l2_bytes(),
-                    tile: record.launch.tile.clone(),
-                    split_k: record.launch.split_k,
-                })
-            })
-            .collect()
-    }
-
     /// The columns serialize to exactly the JSON of the entry list, which
     /// is what `model_fingerprint` hashes, and read back to the same
     /// columns.
@@ -1240,7 +1143,7 @@ pub(crate) mod tests {
             neusight_data::SweepScale::Tiny,
             DType::F32,
         );
-        let entries = entry_list(&ds);
+        let entries = rows_of(&ds);
         let db = TileDatabase::from_records(&ds);
         assert_eq!(db.len(), entries.len());
         assert_eq!(db.entries(), entries);
@@ -1303,157 +1206,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// The index builder [`TileGroup::build`] replaced, kept as its
-    /// reference: a `Vec<u32>` key and a hash-map entry per row, and a
-    /// vector per shape. `launch_of` is each entry's launch id.
-    fn reference_build(
-        class: OpClass,
-        rank: usize,
-        table: &[TileEntry],
-        members: &[usize],
-        launch_of: &[u16],
-    ) -> TileGroup {
-        // Distinct values per axis (the GEMM depth is axis `rank`).
-        let mut values = Vec::new();
-        let mut starts = Vec::with_capacity(rank + 2);
-        for axis in 0..=rank {
-            let mut axis_values: Vec<u64> = members
-                .iter()
-                .filter_map(|&i| {
-                    if axis < rank {
-                        Some(table[i].output_dims[axis])
-                    } else {
-                        table[i].gemm_k
-                    }
-                })
-                .collect();
-            axis_values.sort_unstable();
-            axis_values.dedup();
-            starts.push(values.len());
-            values.extend(axis_values);
-        }
-        starts.push(values.len());
-        let position = |axis: usize, v: u64| {
-            let run = &values[starts[axis]..starts[axis + 1]];
-            pos(starts[axis] + run.binary_search(&v).expect("value was tabled"))
-        };
-
-        // Distinct shapes in order of first appearance: dims, depth, and
-        // the rows under each.
-        type Shape = (Vec<u32>, u32, Vec<(u32, u16, u16)>);
-        let mut shape_of: HashMap<(Vec<u32>, u32), usize> = HashMap::new();
-        let mut shapes: Vec<Shape> = Vec::new();
-        let mut gpus: Vec<(u32, f64)> = Vec::new();
-        for &i in members {
-            let output_dims = &table[i].output_dims;
-            let dims: Vec<u32> = (0..rank).map(|a| position(a, output_dims[a])).collect();
-            let k = table[i].gemm_k.map_or(NO_K, |k| position(rank, k));
-            let gpu = (table[i].num_sms, table[i].l2_bytes);
-            let slot = match gpus
-                .iter()
-                .position(|g| g.0 == gpu.0 && g.1.to_bits() == gpu.1.to_bits())
-            {
-                Some(slot) => slot,
-                None => {
-                    gpus.push(gpu);
-                    gpus.len() - 1
-                }
-            };
-            let shape = *shape_of.entry((dims, k)).or_insert_with_key(|(dims, k)| {
-                shapes.push((dims.clone(), *k, Vec::new()));
-                shapes.len() - 1
-            });
-            shapes[shape].2.push((pos(i), slot as u16, launch_of[i]));
-        }
-
-        // Bucket the shapes on the two output axes with the most distinct
-        // values (the first such axes); a stable sort keeps first
-        // appearance within each cell.
-        let mut split: Vec<usize> = (0..rank).collect();
-        split.sort_by_key(|&a| std::cmp::Reverse(starts[a + 1] - starts[a]));
-        split.truncate(2);
-        let cell_of = |dims: &[u32]| {
-            let at = |level: usize| split.get(level).map_or(NO_K, |&a| dims[a]);
-            (at(0), at(1))
-        };
-        shapes.sort_by_key(|(dims, _, _)| cell_of(dims));
-        let outer_values = split.first().map_or(1, |&a| starts[a + 1] - starts[a]);
-        let mut outer_starts = Vec::with_capacity(outer_values + 1);
-        let mut cells: Vec<(u32, u32)> = Vec::new();
-        let mut shape_dims = Vec::with_capacity(shapes.len() * rank);
-        let mut shape_k = Vec::with_capacity(shapes.len());
-        let mut row_starts = Vec::with_capacity(shapes.len() + 1);
-        let mut rows = Vec::with_capacity(members.len());
-        let mut last_cell = None;
-        for (s, (dims, k, shape_rows)) in shapes.into_iter().enumerate() {
-            let cell = cell_of(&dims);
-            if last_cell != Some(cell) {
-                let outer = split.first().map_or(0, |&a| cell.0 as usize - starts[a]);
-                while outer_starts.len() <= outer {
-                    outer_starts.push(cells.len());
-                }
-                cells.push((cell.1, pos(s)));
-                last_cell = Some(cell);
-            }
-            shape_dims.extend(dims);
-            shape_k.push(k);
-            row_starts.push(rows.len());
-            rows.extend(shape_rows);
-        }
-        outer_starts.resize(outer_values + 1, cells.len());
-        cells.push((NO_K, pos(shape_k.len())));
-        row_starts.push(rows.len());
-        TileGroup {
-            class,
-            rank,
-            values,
-            starts,
-            split,
-            outer_starts,
-            cells,
-            shape_dims,
-            shape_k,
-            row_starts,
-            rows,
-            gpus,
-        }
-    }
-
-    /// The index of `rows` by [`reference_build`]: one group per
-    /// `(family, rank)` and the launches, each in order of first
-    /// appearance, found by scanning those already listed.
-    fn reference_index(rows: &[TileEntry]) -> TileDatabase {
-        let mut launches = Vec::new();
-        let mut launch_of = Vec::new();
-        for row in rows {
-            let launch = (row.tile.clone(), row.split_k);
-            let found = launches.iter().position(|l| *l == launch);
-            let l = found.unwrap_or_else(|| {
-                launches.push(launch);
-                launches.len() - 1
-            });
-            launch_of.push(u16::try_from(l).unwrap());
-        }
-        let mut members: Vec<((OpClass, usize), Vec<usize>)> = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let key = (row.class, row.output_dims.len());
-            match members.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, group)) => group.push(i),
-                None => members.push((key, vec![i])),
-            }
-        }
-        let groups = members
-            .into_iter()
-            .map(|((class, rank), group)| reference_build(class, rank, rows, &group, &launch_of))
-            .collect();
-        TileDatabase { groups, launches }
-    }
-
+    /// The built index is the canonical one that a stored index is
+    /// checked against.
     #[test]
-    fn index_matches_the_reference_builder_on_the_standard_database() {
+    fn built_index_passes_the_stored_index_checks() {
         let db = &*STANDARD_DB;
         assert!(db.groups.len() > 1);
-        assert_eq!(*db, reference_index(&db.entries()));
+        let back = TileDatabase::from_index(db.len(), db.groups.clone(), db.launches.clone());
+        assert_eq!(back.as_ref(), Ok(db));
     }
 
     proptest! {
@@ -1500,13 +1260,6 @@ pub(crate) mod tests {
             }
         }
 
-        /// The same rows, indexed by the builder and by its reference.
-        #[test]
-        fn index_matches_the_reference_builder_on_synthetic_rows(
-            rows in prop::collection::vec(synthetic_row(), 1..40),
-        ) {
-            prop_assert_eq!(db_of(rows.clone()), reference_index(&rows));
-        }
     }
 
     static TINY_DB: LazyLock<TileDatabase> = LazyLock::new(|| {
@@ -1539,7 +1292,7 @@ pub(crate) mod tests {
         ]
     }
 
-    fn synthetic_row() -> impl Strategy<Value = TileEntry> {
+    pub(crate) fn synthetic_row() -> impl Strategy<Value = TileEntry> {
         let value = || prop::sample::select(vec![1u64, 16, 64, 4096]);
         (
             prop::sample::select(vec![OpClass::Bmm, OpClass::FullyConnected]),
