@@ -112,6 +112,9 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(e) => return fail(&e.to_string()),
     };
+    if !matches!(args.positional(0), Some("serve" | "router" | "chaos")) {
+        end_quietly_on_broken_pipe();
+    }
     let profiling = args.positional(0) == Some("profile");
     if profiling || observability_requested(&args) {
         obs::set_enabled(true);
@@ -145,6 +148,26 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => fail(&e.to_string()),
+    }
+}
+
+/// Lets a report end the way Unix filters do when their reader goes away
+/// (`neusight verify-artifacts DIR | head -1`): the next write raises
+/// `SIGPIPE`, whose default action ends the process without a word. The
+/// Rust runtime ignores `SIGPIPE`, so without this the write fails with
+/// `EPIPE` and `println!` panics. The servers keep the runtime's choice:
+/// a client that hangs up must cost them a connection, not the process.
+fn end_quietly_on_broken_pipe() {
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: restores one signal's default disposition at start-up,
+        // before any other thread exists.
+        unsafe { signal(SIGPIPE, SIG_DFL) };
     }
 }
 

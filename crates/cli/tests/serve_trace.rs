@@ -1,7 +1,8 @@
-//! End-to-end checks of the `neusight` binary's option handling: a
-//! server or router asked for `--trace` still writes its spans at drain,
-//! and a misspelled option is an error rather than a silently ignored
-//! flag.
+//! End-to-end checks of the `neusight` binary's option handling and
+//! output: a server or router asked for `--trace` still writes its spans
+//! at drain, a misspelled option is an error rather than a silently
+//! ignored flag, and a report piped into a reader that has gone away
+//! ends quietly.
 
 use neusight_serve::Client;
 use std::io::{BufRead, BufReader};
@@ -184,4 +185,38 @@ fn a_misspelled_option_is_an_error() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown option `--trcae`"), "{stderr}");
+}
+
+/// `neusight verify-artifacts DIR | head -1`: once the reader has gone,
+/// the report ends on `SIGPIPE`, quietly, not with a panic on the broken
+/// pipe.
+#[test]
+fn a_report_into_a_closed_pipe_ends_quietly() {
+    let dir = scratch("closed-pipe");
+    // More report lines than a pipe buffers, so the report must write
+    // after the reader has gone.
+    for i in 0..2_000 {
+        std::fs::write(dir.join(format!("legacy-{i:04}.json")), "{}").expect("write artifact");
+    }
+    let mut child = neusight()
+        .arg("verify-artifacts")
+        .arg(&dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn verify-artifacts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+        "{stderr}"
+    );
+    #[cfg(unix)]
+    {
+        use std::os::unix::process::ExitStatusExt;
+        assert_eq!(out.status.signal(), Some(13), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,11 +15,11 @@ use crate::proxy::{self, RouterShared};
 use crate::ring::RouteKey;
 use crate::upstream::Upstream;
 use neusight_obs as obs;
-use neusight_serve::client::render_request;
+use neusight_serve::client::{render_request, render_request_with};
 use neusight_serve::deadline::{effective_budget_ms, shrink_ms};
-use neusight_serve::http::Response;
-use neusight_serve::reactor::{self, Event, Io, Request, Service, Step};
-use neusight_serve::{ClientResponse, PredictRequest};
+use neusight_serve::http::{push_decimal, Response};
+use neusight_serve::reactor::{self, Event, Io, Request, Service, Step, TimerId};
+use neusight_serve::PredictRequest;
 use std::io;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -63,13 +63,13 @@ struct Leg {
 
 /// An attempt's outcome, the replica that gave it, and whether it came
 /// from the hedge copy.
-type Verdict = (io::Result<ClientResponse>, Arc<Upstream>, bool);
+type Verdict = (io::Result<Response>, Arc<Upstream>, bool);
 
-/// What a ring-routed predict carries between attempts.
+/// What a ring-routed predict carries between attempts. The request id
+/// is the request's trace, which every event hands back.
 struct Predict {
     key: RouteKey,
-    body: String,
-    request_id: String,
+    body: Vec<u8>,
     arrival: Instant,
     budget_ms: u64,
     /// Budget left when the current attempt started.
@@ -94,6 +94,9 @@ struct Forward {
     wait_started: Instant,
     /// Tag of the one live timer; bumping it disarms older timers.
     timer: u64,
+    /// The live timer, taken out of the wheel once it is superseded or
+    /// the forward settles.
+    armed: Option<TimerId>,
 }
 
 impl Forward {
@@ -108,34 +111,34 @@ impl Forward {
             hedge: None,
             wait_started: Instant::now(),
             timer: 0,
+            armed: None,
         }
     }
 
-    /// Sends this request to `upstream` as one more leg.
+    /// Sends this request to `upstream` as one more leg, rendered straight
+    /// into the upstream socket's write buffer.
     fn send(
         &mut self,
         io: &mut Io<Response>,
         ticket: u64,
         upstream: Arc<Upstream>,
         is_hedge: bool,
+        trace: &obs::TraceContext,
     ) {
-        let addr = upstream.addr();
-        let mut request = Vec::new();
-        match &self.predict {
-            Some(p) => render_request(
-                &mut request,
-                "POST",
-                self.path,
-                addr,
-                Some(("application/json", p.body.as_bytes())),
-                &[
-                    ("X-Request-Id", &p.request_id),
-                    ("X-Deadline-Ms", &p.remaining_ms.to_string()),
-                ],
-            ),
-            None => render_request(&mut request, "GET", self.path, addr, None, &[]),
-        }
-        let exchange = io.exchange(ticket, addr, request);
+        let (addr, path) = (upstream.addr(), self.path);
+        let exchange = io.exchange(ticket, addr, |out| match &self.predict {
+            Some(p) => {
+                let body = Some(("application/json", p.body.as_slice()));
+                render_request_with(out, "POST", path, addr, body, |out| {
+                    out.extend_from_slice(b"X-Request-Id: ");
+                    trace.write_id(out);
+                    out.extend_from_slice(b"\r\nX-Deadline-Ms: ");
+                    push_decimal(out, p.remaining_ms);
+                    out.extend_from_slice(b"\r\n");
+                });
+            }
+            None => render_request(out, "GET", path, addr, None, &[]),
+        });
         self.legs.push(Leg {
             exchange,
             upstream,
@@ -145,8 +148,17 @@ impl Forward {
 
     /// Re-arms the one live timer.
     fn arm(&mut self, io: &mut Io<Response>, ticket: u64, after: Duration) {
+        self.disarm(io);
+        self.armed = Some(io.schedule(ticket, Instant::now() + after, self.timer));
+    }
+
+    /// Takes the live timer out of the wheel; its tag no longer matches,
+    /// should it already have fired this turn.
+    fn disarm(&mut self, io: &mut Io<Response>) {
+        if let Some(timer) = self.armed.take() {
+            io.cancel(timer);
+        }
         self.timer += 1;
-        io.schedule(ticket, Instant::now() + after, self.timer);
     }
 
     /// How long a hedged pair waits once the hedge delay has passed: the
@@ -160,7 +172,7 @@ impl Forward {
     }
 }
 
-fn is_good(result: &io::Result<ClientResponse>) -> bool {
+fn is_good(result: &io::Result<Response>) -> bool {
     matches!(result, Ok(reply) if reply.status < 500)
 }
 
@@ -184,14 +196,9 @@ impl Front {
         if let Some(shed) = shed_check(shared) {
             return Step::Respond(shed);
         }
-        let Ok(body) = std::str::from_utf8(request.body) else {
-            return Step::Respond(Response::error(400, "body is not UTF-8"));
-        };
-        let parsed: PredictRequest = match serde_json::from_str(body) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                return Step::Respond(Response::error(400, &format!("bad predict request: {e}")))
-            }
+        let key = match route_key(request.body) {
+            Ok(key) => key,
+            Err(rejection) => return Step::Respond(rejection),
         };
         let budget_ms = effective_budget_ms(shared.config.upstream_timeout, request.deadline_ms);
         if budget_ms == 0 {
@@ -200,15 +207,14 @@ impl Front {
         }
         shared.hedger.on_request();
         let predict = Predict {
-            key: RouteKey::from_predict(&parsed.model, &parsed.gpu),
-            body: body.to_owned(),
-            request_id: trace.id_string(),
+            key,
+            body: request.body.to_vec(),
             arrival,
             budget_ms,
             remaining_ms: budget_ms,
         };
         let forward = Forward::new(Some(predict), "/v1/predict", shared.fleet.upstreams().len());
-        self.start(io, ticket, forward)
+        self.start(io, ticket, forward, trace)
     }
 
     fn start(
@@ -216,8 +222,9 @@ impl Front {
         io: &mut Io<Response>,
         ticket: u64,
         mut forward: Forward,
+        trace: &obs::TraceContext,
     ) -> Step<Option<Forward>> {
-        match self.attempt(io, ticket, &mut forward) {
+        match self.attempt(io, ticket, &mut forward, trace) {
             Some(response) => Step::Respond(response),
             None => Step::Wait(Some(forward)),
         }
@@ -226,7 +233,13 @@ impl Front {
     /// Starts the next attempt, or answers when no attempt can start.
     /// Each failed attempt drains its owner, so the ring shrinks
     /// monotonically within one request and this terminates.
-    fn attempt(&self, io: &mut Io<Response>, ticket: u64, f: &mut Forward) -> Option<Response> {
+    fn attempt(
+        &self,
+        io: &mut Io<Response>,
+        ticket: u64,
+        f: &mut Forward,
+        trace: &obs::TraceContext,
+    ) -> Option<Response> {
         let _span = obs::span!("router.route", path = f.path, attempt = f.attempt);
         let (shared, metrics) = (&*self.shared, &self.shared.metrics);
         while f.attempt < f.attempts {
@@ -265,7 +278,7 @@ impl Front {
                 }
             }
             f.wait_started = Instant::now();
-            f.send(io, ticket, upstream, false);
+            f.send(io, ticket, upstream, false, trace);
             f.arm(io, ticket, wait);
             return None;
         }
@@ -285,6 +298,7 @@ impl Front {
         ticket: u64,
         f: &mut Forward,
         event: Event<Response>,
+        trace: &obs::TraceContext,
     ) -> Option<Response> {
         let timeout = self.shared.config.upstream_timeout;
         match event {
@@ -293,7 +307,7 @@ impl Front {
                 let leg = f.legs.remove(index);
                 let verdict = (result, leg.upstream, leg.is_hedge);
                 if is_good(&verdict.0) {
-                    return self.settle(io, ticket, f, verdict);
+                    return self.settle(io, ticket, f, verdict, trace);
                 }
                 f.held.get_or_insert(verdict);
                 if !f.legs.is_empty() {
@@ -305,7 +319,7 @@ impl Front {
                 if let Some(target) = f.hedge.take() {
                     if self.shared.hedger.try_spend("hedge") {
                         self.shared.metrics.hedge_fired.inc();
-                        f.send(io, ticket, target, true);
+                        f.send(io, ticket, target, true, trace);
                     }
                     f.arm(io, ticket, f.pair_window(timeout));
                     return None;
@@ -320,7 +334,7 @@ impl Front {
             _ => return None,
         }
         let verdict = f.held.take()?;
-        self.settle(io, ticket, f, verdict)
+        self.settle(io, ticket, f, verdict, trace)
     }
 
     /// Ends the attempt on `verdict`: relays a good answer, or accounts
@@ -331,6 +345,7 @@ impl Front {
         ticket: u64,
         f: &mut Forward,
         (result, responder, is_hedge): Verdict,
+        trace: &obs::TraceContext,
     ) -> Option<Response> {
         let (shared, metrics) = (&*self.shared, &self.shared.metrics);
         // Losers are closed, never pooled: their sockets still have a
@@ -339,7 +354,7 @@ impl Front {
             io.abort(leg.exchange);
         }
         (f.held, f.hedge) = (None, None);
-        f.timer += 1;
+        f.disarm(io);
         let good = is_good(&result);
         if is_hedge && good {
             metrics.hedge_won.inc();
@@ -351,7 +366,7 @@ impl Front {
             responder.breaker.record_failure();
             shared.fleet.mark_down(&responder.name);
             f.attempt += 1;
-            return self.attempt(io, ticket, f);
+            return self.attempt(io, ticket, f, trace);
         };
         match result {
             Ok(reply) if good => {
@@ -382,7 +397,7 @@ impl Front {
         }
         metrics.retries.inc();
         f.attempt += 1;
-        self.attempt(io, ticket, f)
+        self.attempt(io, ticket, f, trace)
     }
 
     /// Runs a blocking operator fan-out on a short-lived thread that
@@ -453,10 +468,15 @@ impl Service for Front {
                     proxy::rolling_reload(shared, &body)
                 })
             }
-            ("GET", "/v1/models") => {
-                self.start(io, ticket, Forward::new(None, "/v1/models", attempts))
+            ("GET", "/v1/models") => self.start(
+                io,
+                ticket,
+                Forward::new(None, "/v1/models", attempts),
+                trace,
+            ),
+            ("GET", "/v1/gpus") => {
+                self.start(io, ticket, Forward::new(None, "/v1/gpus", attempts), trace)
             }
-            ("GET", "/v1/gpus") => self.start(io, ticket, Forward::new(None, "/v1/gpus", attempts)),
             (_, path) if ROUTES.contains(&path) => {
                 let allow = match path {
                     "/v1/predict" | "/v1/admin/reload" => "POST",
@@ -477,18 +497,21 @@ impl Service for Front {
         ticket: u64,
         pending: &mut Option<Forward>,
         event: Event<Response>,
-        _trace: &mut obs::TraceContext,
+        trace: &mut obs::TraceContext,
     ) -> Option<Response> {
         match (pending, event) {
             (_, Event::Completion(response)) => Some(response),
-            (Some(f), event) => self.on_event(io, ticket, f, event),
+            (Some(f), event) => self.on_event(io, ticket, f, event, trace),
             (None, _) => None,
         }
     }
 
     fn cancel(&mut self, io: &mut Io<Response>, pending: Option<Forward>) {
-        for leg in pending.into_iter().flat_map(|f| f.legs) {
-            io.abort(leg.exchange);
+        if let Some(mut f) = pending {
+            f.disarm(io);
+            for leg in f.legs {
+                io.abort(leg.exchange);
+            }
         }
     }
 }
@@ -511,27 +534,28 @@ fn shed_check(shared: &RouterShared) -> Option<Response> {
     )
 }
 
-/// Re-wraps an upstream reply for the downstream socket, preserving
-/// status and body bytes exactly (the bitwise-identity contract) and the
-/// replica's `X-Model-Version` stamp — clients observing a rolling model
-/// swap through the router see exactly which generation answered.
-fn relay(reply: ClientResponse) -> Response {
-    let _span = obs::span!("router.relay", status = reply.status);
-    let model_version = reply.header("x-model-version").map(str::to_owned);
-    let content_type = reply.header("content-type").unwrap_or("application/json");
-    let response = match content_type {
-        ct if ct.starts_with("application/json") => Response::json(
-            reply.status,
-            String::from_utf8_lossy(&reply.body).into_owned(),
-        ),
-        ct if ct.starts_with("text/plain") => Response::text(
-            reply.status,
-            String::from_utf8_lossy(&reply.body).into_owned(),
-        ),
-        _ => Response::octets(reply.status, reply.body),
+/// The ring key of a predict body: read in place from the flat form
+/// clients send, else from the full parse, which also words the 400 for
+/// a body that does not parse.
+fn route_key(body: &[u8]) -> Result<RouteKey, Response> {
+    let Ok(body) = std::str::from_utf8(body) else {
+        return Err(Response::error(400, "body is not UTF-8"));
     };
-    match model_version {
-        Some(version) => response.with_header("X-Model-Version", version),
-        None => response,
+    if let Some((model, gpu)) = PredictRequest::model_and_gpu(body) {
+        return Ok(RouteKey::from_predict(model, gpu));
     }
+    match serde_json::from_str::<PredictRequest>(body) {
+        Ok(parsed) => Ok(RouteKey::from_predict(&parsed.model, &parsed.gpu)),
+        Err(e) => Err(Response::error(400, &format!("bad predict request: {e}"))),
+    }
+}
+
+/// Hands an upstream answer to the downstream socket. The reactor decoded
+/// it as a relay needs it: status and body bytes exactly as the replica
+/// sent them (the bitwise-identity contract), and the replica's
+/// `X-Model-Version` stamp, so clients observing a rolling model swap
+/// through the router see exactly which generation answered.
+fn relay(reply: Response) -> Response {
+    let _span = obs::span!("router.relay", status = reply.status);
+    reply
 }

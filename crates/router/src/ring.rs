@@ -22,13 +22,18 @@ pub const VNODES: usize = 1024;
 
 /// FNV-1a — the same construction the fault and guard crates use, local
 /// because theirs are crate-private.
-fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
+    for b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// FNV-1a of `text` lower-cased (ASCII), without a lower-cased copy.
+fn fnv1a_folded(text: &str) -> u64 {
+    fnv1a(text.bytes().map(|b| b.to_ascii_lowercase()))
 }
 
 /// SplitMix64 finalizer: decorrelates the vnode points derived from one
@@ -48,23 +53,21 @@ fn splitmix64(mut x: u64) -> u64 {
 /// a *fixed* bundle of op families — so the (lower-cased) model name is
 /// the finest stable proxy for that bundle available without building
 /// the graph. Keys therefore hash `(gpu, family)` where `family` is the
-/// model name for predict traffic and an arbitrary label in tests.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// model name for predict traffic and an arbitrary label in tests. A key
+/// is its ring position alone: it is hashed from the borrowed names,
+/// lower-cased as it goes, and owns no string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteKey {
-    /// Catalog GPU name, lower-cased.
-    pub gpu: String,
-    /// Op-family bundle label (the model name for predict traffic),
-    /// lower-cased.
-    pub family: String,
+    point: u64,
 }
 
 impl RouteKey {
     /// Builds a key from raw strings (case-insensitive).
     #[must_use]
     pub fn new(gpu: &str, family: &str) -> RouteKey {
+        let hash = fnv1a_folded(gpu) ^ splitmix64(fnv1a_folded(family));
         RouteKey {
-            gpu: gpu.to_ascii_lowercase(),
-            family: family.to_ascii_lowercase(),
+            point: splitmix64(hash),
         }
     }
 
@@ -77,9 +80,7 @@ impl RouteKey {
     /// Position of this key on the ring.
     #[must_use]
     pub fn point(&self) -> u64 {
-        let mut hash = fnv1a(self.gpu.as_bytes());
-        hash ^= splitmix64(fnv1a(self.family.as_bytes()));
-        splitmix64(hash)
+        self.point
     }
 }
 
@@ -157,13 +158,18 @@ impl HashRing {
     /// clockwise (wrapping to the first point). `None` on an empty ring.
     #[must_use]
     pub fn route(&self, key: &RouteKey) -> Option<&str> {
+        self.owner(key).map(|member| self.members[member].as_str())
+    }
+
+    /// [`route`](Self::route) as an index into [`members`](Self::members).
+    #[must_use]
+    pub(crate) fn owner(&self, key: &RouteKey) -> Option<usize> {
         if self.points.is_empty() {
             return None;
         }
-        let point = key.point();
-        let at = self.points.partition_point(|&(p, _)| p < point);
+        let at = self.points.partition_point(|&(p, _)| p < key.point);
         let (_, member) = self.points[if at == self.points.len() { 0 } else { at }];
-        Some(&self.members[member as usize])
+        Some(member as usize)
     }
 
     /// The next *distinct* member clockwise from `key`'s owner — the
@@ -174,20 +180,24 @@ impl HashRing {
     /// shard next. `None` when fewer than two members exist.
     #[must_use]
     pub fn route_successor(&self, key: &RouteKey) -> Option<&str> {
+        self.successor(key)
+            .map(|member| self.members[member].as_str())
+    }
+
+    /// [`route_successor`](Self::route_successor) as an index into
+    /// [`members`](Self::members).
+    #[must_use]
+    pub(crate) fn successor(&self, key: &RouteKey) -> Option<usize> {
         if self.members.len() < 2 {
             return None;
         }
-        let point = key.point();
-        let start = self.points.partition_point(|&(p, _)| p < point);
+        let start = self.points.partition_point(|&(p, _)| p < key.point);
         let n = self.points.len();
         let (_, owner) = self.points[if start == n { 0 } else { start }];
-        for step in 1..n {
-            let (_, member) = self.points[(start + step) % n];
-            if member != owner {
-                return Some(&self.members[member as usize]);
-            }
-        }
-        None
+        (1..n)
+            .map(|step| self.points[(start + step) % n].1)
+            .find(|&member| member != owner)
+            .map(|member| member as usize)
     }
 
     /// Recomputes the point table from the member set alone. Ties on a
@@ -197,7 +207,7 @@ impl HashRing {
         self.points.clear();
         self.points.reserve(self.members.len() * VNODES);
         for (index, member) in self.members.iter().enumerate() {
-            let base = fnv1a(member.as_bytes());
+            let base = fnv1a(member.bytes());
             for vnode in 0..VNODES as u64 {
                 let point = splitmix64(base ^ vnode.wrapping_mul(0x9e37_79b9_7f4a_7c15));
                 #[allow(clippy::cast_possible_truncation)]
@@ -380,6 +390,22 @@ mod tests {
         assert_eq!(
             HashRing::default().route_successor(&RouteKey::new("V100", "gpt2")),
             None
+        );
+    }
+
+    #[test]
+    fn keys_hash_the_lower_cased_names_in_place() {
+        let reference = |gpu: &str, family: &str| {
+            let hash = fnv1a(gpu.to_ascii_lowercase().into_bytes())
+                ^ splitmix64(fnv1a(family.to_ascii_lowercase().into_bytes()));
+            splitmix64(hash)
+        };
+        for (gpu, family) in [("H100", "GPT2-Large"), ("a100-40gb", "bert"), ("T4", "é")] {
+            assert_eq!(RouteKey::new(gpu, family).point(), reference(gpu, family));
+        }
+        assert_eq!(
+            RouteKey::from_predict("GPT2", "h100"),
+            RouteKey::new("H100", "gpt2")
         );
     }
 

@@ -88,10 +88,26 @@ impl Upstream {
     }
 }
 
+/// The ring of live upstreams, with each member's upstream at the
+/// member's index, so a route is a lookup, not a name search.
+struct Live {
+    ring: HashRing,
+    owners: Vec<Arc<Upstream>>,
+}
+
+impl Live {
+    /// Re-aligns `owners` with the ring's members after a change.
+    fn align(&mut self, upstreams: &[Arc<Upstream>]) {
+        self.owners = (self.ring.members().iter())
+            .filter_map(|name| upstreams.iter().find(|u| u.name == *name).cloned())
+            .collect();
+    }
+}
+
 /// The fleet: every configured upstream plus the ring of live ones.
 pub struct Fleet {
     upstreams: Vec<Arc<Upstream>>,
-    ring: Mutex<HashRing>,
+    live: Mutex<Live>,
     /// Bumped on every address change so address-keyed caches (the
     /// prober's probe connections) know to rebuild.
     addr_generation: AtomicU64,
@@ -105,10 +121,14 @@ impl Fleet {
             .into_iter()
             .map(|(name, addr)| Arc::new(Upstream::new(name, addr)))
             .collect();
-        let ring = HashRing::new(upstreams.iter().map(|u| u.name.clone()));
+        let mut live = Live {
+            ring: HashRing::new(upstreams.iter().map(|u| u.name.clone())),
+            owners: Vec::new(),
+        };
+        live.align(&upstreams);
         Fleet {
             upstreams,
-            ring: Mutex::new(ring),
+            live: Mutex::new(live),
             addr_generation: AtomicU64::new(0),
         }
     }
@@ -128,28 +148,22 @@ impl Fleet {
     /// Number of upstreams currently in the ring.
     #[must_use]
     pub fn live_count(&self) -> usize {
-        neusight_guard::recover_poison(self.ring.lock()).len()
+        neusight_guard::recover_poison(self.live.lock()).ring.len()
     }
 
     /// Routes a key to its live owner.
     #[must_use]
     pub fn route(&self, key: &RouteKey) -> Option<Arc<Upstream>> {
-        let name = {
-            let ring = neusight_guard::recover_poison(self.ring.lock());
-            ring.route(key)?.to_owned()
-        };
-        self.get(&name)
+        let live = neusight_guard::recover_poison(self.live.lock());
+        Some(Arc::clone(&live.owners[live.ring.owner(key)?]))
     }
 
     /// The *hedge target* for a key: the next distinct live ring owner
     /// after the primary — where a duplicate of a slow request goes.
     #[must_use]
     pub fn route_successor(&self, key: &RouteKey) -> Option<Arc<Upstream>> {
-        let name = {
-            let ring = neusight_guard::recover_poison(self.ring.lock());
-            ring.route_successor(key)?.to_owned()
-        };
-        self.get(&name)
+        let live = neusight_guard::recover_poison(self.live.lock());
+        Some(Arc::clone(&live.owners[live.ring.successor(key)?]))
     }
 
     /// Any live upstream (for shard-agnostic passthrough routes).
@@ -189,9 +203,10 @@ impl Fleet {
             // flag and membership must never be observed out of sync (a
             // healthy-but-ringless replica would be skipped by the
             // prober's readmission check forever).
-            let mut ring = neusight_guard::recover_poison(self.ring.lock());
-            let removed = ring.remove(name);
+            let mut live = neusight_guard::recover_poison(self.live.lock());
+            let removed = live.ring.remove(name);
             if removed {
+                live.align(&self.upstreams);
                 if let Some(up) = self.get(name) {
                     up.healthy.store(false, Ordering::SeqCst);
                 }
@@ -207,16 +222,19 @@ impl Fleet {
     }
 
     /// Puts a replica back in the ring: its shard re-hashes back onto
-    /// it. Idempotent; counts a re-hash only on an actual transition.
+    /// it. Idempotent, and a no-op for a name outside the fleet; counts a
+    /// re-hash only on an actual transition.
     pub fn mark_up(&self, name: &str) -> bool {
         let inserted = {
             // Same atomicity contract as `mark_down`.
-            let mut ring = neusight_guard::recover_poison(self.ring.lock());
-            let inserted = ring.insert(name);
+            let Some(up) = self.get(name) else {
+                return false;
+            };
+            let mut live = neusight_guard::recover_poison(self.live.lock());
+            let inserted = live.ring.insert(name);
             if inserted {
-                if let Some(up) = self.get(name) {
-                    up.healthy.store(true, Ordering::SeqCst);
-                }
+                live.align(&self.upstreams);
+                up.healthy.store(true, Ordering::SeqCst);
             }
             inserted
         };

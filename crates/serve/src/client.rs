@@ -2,12 +2,13 @@
 //! drive the server from the load generator, integration tests, and the
 //! router's probes and operator fan-outs without external dependencies.
 //!
-//! The wire format lives in two functions, [`render_request`] and
-//! [`decode_response`], which the reactor's non-blocking upstream
-//! exchanges use too: the router's forwarding hop and this client send
-//! and parse the same bytes.
+//! The wire format lives in [`render_request_with`] and one response-head
+//! reader behind [`decode_response`] and the reactor's relay decoder;
+//! the reactor's non-blocking upstream exchanges use them too, so the
+//! router's forwarding hop and this client send and parse the same
+//! bytes.
 
-use crate::http::MAX_HEAD_BYTES;
+use crate::http::{push_decimal, Response, MAX_HEAD_BYTES};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -65,25 +66,126 @@ pub fn render_request(
     body: Option<(&str, &[u8])>,
     extra_headers: &[(&str, &str)],
 ) {
-    let _ = write!(out, "{method} {path} HTTP/1.1\r\nHost: {host}\r\n");
-    for (name, value) in extra_headers {
-        let _ = write!(out, "{name}: {value}\r\n");
+    render_request_with(out, method, path, host, body, |out| {
+        for (name, value) in extra_headers {
+            for part in [name, ": ", value, "\r\n"] {
+                out.extend_from_slice(part.as_bytes());
+            }
+        }
+    });
+}
+
+/// [`render_request`] whose extra header lines (`Name: value\r\n` each)
+/// are appended by `headers`, so a caller can write a value straight
+/// from where it lives. Appends bytes; nothing is formatted.
+pub fn render_request_with(
+    out: &mut Vec<u8>,
+    method: &str,
+    path: &str,
+    host: SocketAddr,
+    body: Option<(&str, &[u8])>,
+    headers: impl FnOnce(&mut Vec<u8>),
+) {
+    for part in [method, " ", path, " HTTP/1.1\r\nHost: "] {
+        out.extend_from_slice(part.as_bytes());
     }
-    if let Some((content_type, body)) = body {
-        let _ = write!(
-            out,
-            "Content-Type: {content_type}\r\nContent-Length: {}\r\n",
-            body.len()
-        );
+    match host {
+        SocketAddr::V4(v4) => {
+            for (index, octet) in v4.ip().octets().into_iter().enumerate() {
+                if index > 0 {
+                    out.push(b'.');
+                }
+                push_decimal(out, u64::from(octet));
+            }
+            out.push(b':');
+            push_decimal(out, u64::from(v4.port()));
+        }
+        SocketAddr::V6(_) => {
+            let _ = write!(out, "{host}");
+        }
     }
     out.extend_from_slice(b"\r\n");
-    if let Some((_, body)) = body {
+    headers(out);
+    if let Some((content_type, body)) = body {
+        out.extend_from_slice(b"Content-Type: ");
+        out.extend_from_slice(content_type.as_bytes());
+        out.extend_from_slice(b"\r\nContent-Length: ");
+        push_decimal(out, body.len() as u64);
+        out.extend_from_slice(b"\r\n\r\n");
         out.extend_from_slice(body);
+    } else {
+        out.extend_from_slice(b"\r\n");
     }
 }
 
 fn invalid(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
+}
+
+/// A response head read in place: what framing needs, the two headers a
+/// relay re-sends (first occurrence each), and the header lines.
+struct ResponseHead<'a> {
+    status: u16,
+    /// Bytes of the head and the body.
+    total_len: usize,
+    head_len: usize,
+    content_type: Option<&'a str>,
+    model_version: Option<&'a str>,
+    /// Whether the first `Connection` header says `close`.
+    closes: bool,
+    lines: &'a str,
+}
+
+/// `(name, value)` of every header line in `lines`, both trimmed.
+fn header_pairs(lines: &str) -> impl Iterator<Item = (&str, &str)> {
+    (lines.split("\r\n"))
+        .filter_map(|line| line.split_once(':'))
+        .map(|(name, value)| (name.trim(), value.trim()))
+}
+
+/// Reads the response head at the front of `buf` without copying it;
+/// `Ok(None)` until the head has arrived, and until the body has too.
+/// `InvalidData` for an unparsable status line, a bad `Content-Length`,
+/// or a head over [`MAX_HEAD_BYTES`].
+fn parse_response_head(buf: &[u8]) -> io::Result<Option<ResponseHead<'_>>> {
+    let Some(head_len) = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4) else {
+        if buf.len() > MAX_HEAD_BYTES {
+            return Err(invalid("response head too large"));
+        }
+        return Ok(None);
+    };
+    let head =
+        std::str::from_utf8(&buf[..head_len]).map_err(|_| invalid("response head is not UTF-8"))?;
+    let (status_line, lines) = head.split_once("\r\n").unwrap_or((head, ""));
+    let status: u16 = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .ok_or_else(|| invalid(format!("bad status line: {status_line:?}")))?;
+    let mut parsed = ResponseHead {
+        status,
+        total_len: head_len,
+        head_len,
+        content_type: None,
+        model_version: None,
+        closes: false,
+        lines,
+    };
+    let mut connection = None;
+    for (name, value) in header_pairs(lines) {
+        if name.eq_ignore_ascii_case("content-length") {
+            let length: usize = value.parse().map_err(|_| invalid("bad Content-Length"))?;
+            parsed.total_len = head_len + length;
+        } else if name.eq_ignore_ascii_case("content-type") {
+            parsed.content_type.get_or_insert(value);
+        } else if name.eq_ignore_ascii_case("x-model-version") {
+            parsed.model_version.get_or_insert(value);
+        } else if name.eq_ignore_ascii_case("connection") {
+            connection.get_or_insert(value);
+        }
+    }
+    parsed.closes = connection.is_some_and(|v| v.eq_ignore_ascii_case("close"));
+    Ok((buf.len() >= parsed.total_len).then_some(parsed))
 }
 
 /// Decodes one response from the front of `buf` and drains its bytes.
@@ -94,44 +196,43 @@ fn invalid(message: impl Into<String>) -> io::Error {
 /// `InvalidData` for an unparsable status line, a bad `Content-Length`,
 /// or a head over [`MAX_HEAD_BYTES`].
 pub fn decode_response(buf: &mut Vec<u8>) -> io::Result<Option<ClientResponse>> {
-    let Some(head_len) = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4) else {
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(invalid("response head too large"));
-        }
+    let Some(head) = parse_response_head(buf)? else {
         return Ok(None);
     };
-    let head =
-        std::str::from_utf8(&buf[..head_len]).map_err(|_| invalid("response head is not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or_default();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| invalid(format!("bad status line: {status_line:?}")))?;
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_owned();
-            if name == "content-length" {
-                content_length = value.parse().map_err(|_| invalid("bad Content-Length"))?;
-            }
-            headers.push((name, value));
-        }
-    }
-    let total = head_len + content_length;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let body = buf[head_len..total].to_vec();
+    let total = head.total_len;
+    let response = ClientResponse {
+        status: head.status,
+        headers: header_pairs(head.lines)
+            .map(|(name, value)| (name.to_ascii_lowercase(), value.to_owned()))
+            .collect(),
+        body: buf[head.head_len..total].to_vec(),
+    };
     buf.drain(..total);
-    Ok(Some(ClientResponse {
-        status,
-        headers,
-        body,
-    }))
+    Ok(Some(response))
+}
+
+/// Decodes one response from the front of `buf` into the [`Response`]
+/// a relay sends on, and drains its bytes: status and body as they are,
+/// the content type, and `X-Model-Version`; other headers are dropped.
+/// The flag tells whether the server closes the connection. `Ok(None)`
+/// means the response has not fully arrived yet.
+///
+/// # Errors
+///
+/// As [`decode_response`].
+pub(crate) fn decode_relayed(buf: &mut Vec<u8>) -> io::Result<Option<(Response, bool)>> {
+    let Some(head) = parse_response_head(buf)? else {
+        return Ok(None);
+    };
+    let total = head.total_len;
+    let body = buf[head.head_len..total].to_vec();
+    let mut response = Response::relayed(head.status, head.content_type, body);
+    if let Some(version) = head.model_version {
+        response = response.with_header("X-Model-Version", version.to_owned());
+    }
+    let closes = head.closes;
+    buf.drain(..total);
+    Ok(Some((response, closes)))
 }
 
 impl Client {
@@ -320,5 +421,38 @@ mod tests {
             ("/v1/predict", 2, Some(7))
         );
         assert_eq!(&out[head.head_len..], b"{}");
+        // Byte for byte what the formatted rendering sent, for both
+        // address families.
+        for host in ["10.0.0.255:65535", "[::1]:8080"] {
+            let mut out = Vec::new();
+            let addr: SocketAddr = host.parse().unwrap();
+            render_request(&mut out, "GET", "/v1/gpus", addr, None, &[("A", "b")]);
+            let want = format!("GET /v1/gpus HTTP/1.1\r\nHost: {addr}\r\nA: b\r\n\r\n");
+            assert_eq!(String::from_utf8(out).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn relayed_answers_keep_status_body_type_and_version() {
+        let wire = b"HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\n\
+                     Content-Length: 4\r\nX-Model-Version: v7\r\nX-Other: 1\r\n\r\n\xff{}\nHTTP";
+        let mut buf = wire.to_vec();
+        let (response, closes) = decode_relayed(&mut buf).unwrap().expect("complete");
+        assert!(!closes);
+        assert_eq!(
+            (response.status, response.body.as_slice()),
+            (404, &b"\xff{}\n"[..])
+        );
+        assert_eq!(response.content_type, "application/json");
+        assert_eq!(
+            response.headers,
+            [("X-Model-Version".to_owned(), "v7".to_owned())]
+        );
+        assert_eq!(buf, b"HTTP", "pipelined bytes stay buffered");
+        let mut bytes =
+            b"HTTP/1.1 200 OK\r\nContent-Type: image/png\r\nConnection: close\r\n\r\n".to_vec();
+        let (response, closes) = decode_relayed(&mut bytes).unwrap().expect("complete");
+        assert!(closes && response.body.is_empty());
+        assert_eq!(response.content_type, "application/octet-stream");
     }
 }

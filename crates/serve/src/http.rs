@@ -138,6 +138,22 @@ pub fn parse_head(buf: &[u8]) -> HeadParse<'_> {
     })
 }
 
+/// `Content-Type` of [`Response::json`].
+const JSON: &str = "application/json";
+/// `Content-Type` of [`Response::text`] (the Prometheus exposition).
+const TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
+/// `Content-Type` of [`Response::octets`].
+const OCTETS: &str = "application/octet-stream";
+
+/// Appends `n` in decimal, without the formatting machinery.
+pub fn push_decimal(out: &mut Vec<u8>, n: u64) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    #[allow(clippy::cast_possible_truncation)]
+    out.push(b'0' + (n % 10) as u8);
+}
+
 /// An HTTP response ready to serialize.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -158,7 +174,7 @@ impl Response {
         Response {
             status,
             headers: Vec::new(),
-            content_type: "application/json",
+            content_type: JSON,
             body: body.into_bytes(),
         }
     }
@@ -169,7 +185,7 @@ impl Response {
         Response {
             status,
             headers: Vec::new(),
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
+            content_type: TEXT,
             body: body.into_bytes(),
         }
     }
@@ -181,7 +197,26 @@ impl Response {
         Response {
             status,
             headers: Vec::new(),
-            content_type: "application/octet-stream",
+            content_type: OCTETS,
+            body,
+        }
+    }
+
+    /// A relayed upstream answer: its status and body bytes as they are,
+    /// under the one of [`json`](Self::json), [`text`](Self::text) or
+    /// [`octets`](Self::octets) that its `Content-Type` (JSON when absent)
+    /// names.
+    #[must_use]
+    pub(crate) fn relayed(status: u16, content_type: Option<&str>, body: Vec<u8>) -> Response {
+        let content_type = match content_type.unwrap_or(JSON) {
+            ct if ct.starts_with(JSON) => JSON,
+            ct if ct.starts_with("text/plain") => TEXT,
+            _ => OCTETS,
+        };
+        Response {
+            status,
+            headers: Vec::new(),
+            content_type,
             body,
         }
     }
@@ -218,16 +253,24 @@ impl Response {
         keep_alive: bool,
         trace: Option<&neusight_obs::TraceContext>,
     ) {
-        use std::io::Write as _;
-        let _ = write!(
-            out,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-            self.status,
+        out.extend_from_slice(b"HTTP/1.1 ");
+        push_decimal(out, u64::from(self.status));
+        for part in [
+            " ",
             status_reason(self.status),
+            "\r\nContent-Type: ",
             self.content_type,
-            self.body.len(),
-            if keep_alive { "keep-alive" } else { "close" },
-        );
+        ] {
+            out.extend_from_slice(part.as_bytes());
+        }
+        out.extend_from_slice(b"\r\nContent-Length: ");
+        push_decimal(out, self.body.len() as u64);
+        let connection: &[u8] = if keep_alive {
+            b"\r\nConnection: keep-alive\r\n"
+        } else {
+            b"\r\nConnection: close\r\n"
+        };
+        out.extend_from_slice(connection);
         if let Some(trace) = trace {
             out.extend_from_slice(b"X-Request-Id: ");
             trace.write_id(out);
@@ -387,6 +430,15 @@ mod tests {
         assert!(String::from_utf8(buf)
             .unwrap()
             .contains("Connection: close"));
+    }
+
+    #[test]
+    fn decimals_render_as_format_does() {
+        for n in [0, 7, 10, 404, 65_535, u64::MAX] {
+            let mut out = b"x".to_vec();
+            push_decimal(&mut out, n);
+            assert_eq!(out, format!("x{n}").into_bytes());
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!                      │ keep-alive, write drained         Respond / Wait
 //!                      │                                           │
 //!                   Writing ◀──── Service::event answers ── Waiting ◀┘
-//!                   (EPOLLOUT)                            (interest ∅)
+//!                   (EPOLLOUT)                              (EPOLLIN)
 //! ```
 //!
 //! What a request *means* lives behind the [`Service`] trait; the loop
@@ -19,27 +19,35 @@
 //!   epoll event and idle timer, so events for closed (possibly
 //!   recycled) sockets are dropped. Upstream sockets' tokens carry
 //!   `UPSTREAM_TAG`.
-//! - **Interest follows state**: `Reading` wants `EPOLLIN`, `Waiting`
-//!   nothing (a level-triggered fd with a buffered request would spin),
-//!   `Writing` `EPOLLOUT`.
+//! - **Interest follows state**: `Reading` and `Waiting` want `EPOLLIN`,
+//!   `Writing` `EPOLLOUT`. A waiting connection keeps reading (pipelined
+//!   bytes are buffered, not parsed) and drops `EPOLLIN` only at end of
+//!   stream, which a level-triggered fd would report on every turn, or
+//!   once its buffer passes [`MAX_HEAD_BYTES`] + [`MAX_BODY_BYTES`].
+//! - **Syscalls per request**: a read shorter than its buffer ends the
+//!   read (epoll reports the socket again if more arrives), and an
+//!   upstream exchange only writes until `EPOLLIN` says its answer is
+//!   there. A memo hit costs `epoll_wait`, `read`, `write`; a forward
+//!   adds the upstream `write`, an `epoll_wait` and the upstream `read`.
 //! - **Tickets** name waiting requests: mailbox completions (eventfd
 //!   wakeup), service timers, and upstream exchanges carry one. Once a
 //!   request is answered or its client is gone, later events for it are
 //!   dropped.
 //! - **Upstream exchanges** ([`Io::exchange`]) run over non-blocking
 //!   sockets pooled per address (an idle one that turns readable was
-//!   closed by its server), decoded by the blocking client's
-//!   [`decode_response`].
+//!   closed by its server); the answer's head is read in place by
+//!   [`decode_relayed`], which the blocking client's decoder shares.
 //! - **Names follow the service**: the loop's metrics, failpoints, and
 //!   panic guards carry [`Limits::name`] as prefix, so a router and its
 //!   replicas in one process never mix their counts.
 
 #![cfg(target_os = "linux")]
 
-use crate::client::{decode_response, ClientResponse};
+use crate::client::decode_relayed;
 use crate::dispatch::Completions;
-use crate::http::{self, HeadParse, Response};
+use crate::http::{self, HeadParse, Response, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use crate::sys::{self, Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+pub use crate::timer::TimerId;
 use crate::timer::{Timer, TimerKind, TimerWheel, TICK};
 use neusight_guard as guard;
 use neusight_obs as obs;
@@ -56,6 +64,9 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKEUP_TOKEN: u64 = u64::MAX - 1;
 /// Slab tag carried by upstream sockets' tokens (client connections: 0).
 const UPSTREAM_TAG: u64 = 1 << 31;
+/// Bytes a waiting connection buffers before it stops reading until its
+/// answer is written.
+const MAX_BUFFERED: usize = MAX_HEAD_BYTES + MAX_BODY_BYTES;
 
 /// One complete request, as the loop hands it to its service.
 pub struct Request<'a> {
@@ -88,8 +99,9 @@ pub enum Event<C> {
     Upstream {
         /// The id [`Io::exchange`] returned.
         exchange: u64,
-        /// The decoded response, or why there is none.
-        result: io::Result<ClientResponse>,
+        /// The answer as a relay sends it on (see [`decode_relayed`]),
+        /// or why there is none.
+        result: io::Result<Response>,
     },
 }
 
@@ -201,7 +213,10 @@ impl Sock {
         }
     }
 
-    /// Reads until the socket would block; `Ok(true)` at end of stream.
+    /// Reads what the socket holds; `Ok(true)` at end of stream. A read
+    /// shorter than the buffer took everything there was, so it ends the
+    /// read without a second syscall to see `EAGAIN`: level-triggered
+    /// epoll reports the socket again if more arrives.
     fn read_some(&mut self) -> io::Result<bool> {
         let mut scratch = [0u8; 8192];
         loop {
@@ -210,6 +225,9 @@ impl Sock {
                 Ok(n) => {
                     self.read_buf.extend_from_slice(&scratch[..n]);
                     self.last_activity = Instant::now();
+                    if n < scratch.len() {
+                        return Ok(false);
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() != ErrorKind::Interrupted => return Err(e),
@@ -351,7 +369,7 @@ pub struct Io<C> {
     /// In-flight exchange id → upstream socket token.
     busy: HashMap<u64, u64>,
     /// Finished exchanges not yet delivered: `(ticket, exchange, result)`.
-    finished: Vec<(u64, u64, io::Result<ClientResponse>)>,
+    finished: Vec<(u64, u64, io::Result<Response>)>,
     next_exchange: u64,
     /// Failpoints `<service>.upstream.{connect,slow,read}`.
     points: [String; 3],
@@ -378,20 +396,34 @@ impl<C> Io<C> {
     }
 
     /// Delivers [`Event::Timer`]`(tag)` to `ticket` at `at`, if it is
-    /// still waiting then.
-    pub fn schedule(&mut self, ticket: u64, at: Instant, tag: u64) {
+    /// still waiting then. A request settled before `at` should
+    /// [`cancel`](Self::cancel) the timer, or it stays in the wheel until
+    /// `at`.
+    pub fn schedule(&mut self, ticket: u64, at: Instant, tag: u64) -> TimerId {
         let kind = TimerKind::Service(tag);
         self.timers.schedule(Timer {
             deadline: at,
             key: ticket,
             kind,
-        });
+        })
     }
 
-    /// Sends `request` (rendered bytes) to `addr` over a pooled or fresh
-    /// connection. The outcome arrives as [`Event::Upstream`] with the
-    /// returned id, even when the exchange fails at once.
-    pub fn exchange(&mut self, ticket: u64, addr: SocketAddr, request: Vec<u8>) -> u64 {
+    /// Removes a timer set with [`schedule`](Self::schedule); a no-op
+    /// once it has fired.
+    pub fn cancel(&mut self, timer: TimerId) {
+        self.timers.cancel(timer);
+    }
+
+    /// Sends a request, which `render` appends to the socket's (reused)
+    /// write buffer, to `addr` over a pooled or fresh connection. The
+    /// outcome arrives as [`Event::Upstream`] with the returned id, even
+    /// when the exchange fails at once.
+    pub fn exchange(
+        &mut self,
+        ticket: u64,
+        addr: SocketAddr,
+        render: impl FnOnce(&mut Vec<u8>),
+    ) -> u64 {
         let exchange = self.next_exchange;
         self.next_exchange += 1;
         if let Some(injected) = neusight_fault::fail_point!(self.points[0].as_str()) {
@@ -414,7 +446,7 @@ impl<C> Io<C> {
             injected.sleep();
         }
         let peer = self.peers.get_mut(token).expect("pooled or just dialed");
-        peer.sock.stage(|buf| *buf = request);
+        peer.sock.stage(render);
         (peer.idle, peer.ticket, peer.exchange) = (false, ticket, exchange);
         self.busy.insert(exchange, token);
         self.drive(token);
@@ -449,8 +481,10 @@ impl<C> Io<C> {
         Ok(token)
     }
 
-    /// Moves the exchange on `token` as far as the socket allows: write
-    /// the request, then read until a whole response decodes.
+    /// Moves the exchange on `token` one step: write the request while
+    /// any of it is unsent, else read what of the answer has arrived.
+    /// The answer is read only on `EPOLLIN`: straight after the write it
+    /// is not there yet, and looking costs a syscall.
     fn drive(&mut self, token: u64) {
         let Some(peer) = self.peers.get_mut(token) else {
             return;
@@ -462,34 +496,37 @@ impl<C> Io<C> {
             return;
         }
         let sock = &mut peer.sock;
-        let outcome = match sock.write_some() {
-            // Sent: take whatever of the response has arrived.
-            Ok(true) => match sock.read_some() {
-                Ok(eof) => match decode_response(&mut sock.read_buf) {
-                    Ok(None) if !eof => None,
-                    Ok(None) => Some(Err(io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "upstream closed before a full response",
-                    ))),
-                    decoded => decoded.transpose(),
-                },
-                Err(e) => Some(Err(e)),
-            },
-            Ok(false) => None,
-            Err(e) => Some(Err(e)),
-        };
-        match outcome {
-            None => {
-                let sent = sock.write_pos == sock.write_buf.len();
-                sock.set_interest(&self.epoll, token, if sent { EPOLLIN } else { EPOLLOUT });
+        if sock.write_pos < sock.write_buf.len() {
+            match sock.write_some() {
+                Ok(sent) => {
+                    sock.set_interest(&self.epoll, token, if sent { EPOLLIN } else { EPOLLOUT });
+                }
+                Err(e) => self.finish_exchange(token, Err(e)),
             }
-            Some(result) => self.finish_exchange(token, result),
+            return;
         }
+        let decoded = match sock.read_some() {
+            Ok(eof) => match decode_relayed(&mut sock.read_buf) {
+                Ok(None) if !eof => return,
+                Ok(None) => Err(io::Error::new(
+                    ErrorKind::UnexpectedEof,
+                    "upstream closed before a full response",
+                )),
+                Ok(Some(decoded)) => Ok(decoded),
+                Err(e) => Err(e),
+            },
+            Err(e) => Err(e),
+        };
+        self.finish_exchange(token, decoded);
     }
 
     /// Pools the socket if the exchange left it clean, and queues the
     /// outcome for delivery.
-    fn finish_exchange(&mut self, token: u64, mut result: io::Result<ClientResponse>) {
+    fn finish_exchange(&mut self, token: u64, decoded: io::Result<(Response, bool)>) {
+        let (mut result, closes) = match decoded {
+            Ok((response, closes)) => (Ok(response), closes),
+            Err(e) => (Err(e), true),
+        };
         if let Some(injected) = neusight_fault::fail_point!(self.points[2].as_str()) {
             injected.sleep();
             if injected.fail {
@@ -501,7 +538,7 @@ impl<C> Io<C> {
         };
         let (ticket, exchange) = (peer.ticket, peer.exchange);
         self.busy.remove(&exchange);
-        if matches!(&result, Ok(response) if !response.closes()) && peer.sock.read_buf.is_empty() {
+        if result.is_ok() && !closes && peer.sock.read_buf.is_empty() {
             peer.idle = true;
             peer.sock.set_interest(&self.epoll, token, EPOLLIN);
             self.pool.entry(peer.addr).or_default().push(token);
@@ -625,7 +662,7 @@ fn event_loop<S: Service>(
             match token {
                 LISTENER_TOKEN => reactor.accept_ready(listener),
                 WAKEUP_TOKEN => {
-                    if let Some(injected) = neusight_fault::check(&reactor.points[2]) {
+                    if let Some(injected) = neusight_fault::fail_point!(&reactor.points[2]) {
                         // Delay-only failpoint: a slow wakeup must not
                         // lose completions, just defer them.
                         injected.sleep();
@@ -684,7 +721,7 @@ impl<S: Service> Reactor<'_, S> {
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            if let Some(injected) = neusight_fault::check(&self.points[0]) {
+            if let Some(injected) = neusight_fault::fail_point!(&self.points[0]) {
                 injected.sleep();
                 if injected.fail {
                     // Simulated accept failure: the client sees a closed
@@ -741,18 +778,20 @@ impl<S: Service> Reactor<'_, S> {
             return;
         };
         match conn.state {
-            ConnState::Reading if readiness & EPOLLIN != 0 => self.readable(token),
+            ConnState::Reading | ConnState::Waiting { .. } if readiness & EPOLLIN != 0 => {
+                self.readable(token);
+            }
             ConnState::Writing if readiness & EPOLLOUT != 0 => {
                 self.try_write(token);
                 self.process_requests(token);
             }
-            // Waiting registers no interest; anything else is spurious.
+            // Anything else is spurious.
             _ => {}
         }
     }
 
     fn readable(&mut self, token: u64) {
-        if let Some(injected) = neusight_fault::check(&self.points[1]) {
+        if let Some(injected) = neusight_fault::fail_point!(&self.points[1]) {
             injected.sleep();
             if injected.fail {
                 // Simulated read error — same handling as a peer reset.
@@ -768,15 +807,23 @@ impl<S: Service> Reactor<'_, S> {
             return;
         };
         self.process_requests(token);
-        if eof {
-            // The client finished sending. With nothing in flight the
-            // conversation is over; otherwise let the response drain
-            // first, then close.
-            match self.conns.get_mut(token) {
-                Some(conn) if matches!(conn.state, ConnState::Reading) => self.close_conn(token),
-                Some(conn) => conn.close_after_write = true,
-                None => {}
+        let Some(conn) = self.conns.get_mut(token) else {
+            return;
+        };
+        match conn.state {
+            // The client finished sending and nothing is in flight: the
+            // conversation is over.
+            ConnState::Reading if eof => self.close_conn(token),
+            // The answer is written first, then the connection closes.
+            ConnState::Writing if eof => conn.close_after_write = true,
+            // A waiting connection stops reading at end of stream (which
+            // would report readable on every turn) and once it has
+            // buffered enough; writing its answer resumes reading.
+            ConnState::Waiting { .. } if eof || conn.sock.read_buf.len() > MAX_BUFFERED => {
+                conn.close_after_write |= eof;
+                conn.sock.set_interest(&self.io.epoll, token, 0);
             }
+            _ => {}
         }
     }
 
@@ -837,9 +884,6 @@ impl<S: Service> Reactor<'_, S> {
                         trace,
                     };
                     conn.state = state;
-                    // No interest while waiting: a level-triggered fd
-                    // with buffered pipelined bytes would spin.
-                    conn.sock.set_interest(&self.io.epoll, token, 0);
                     self.waiting.insert(ticket, (token, pending));
                     return;
                 }

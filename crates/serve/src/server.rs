@@ -374,8 +374,8 @@ struct Front<'a> {
 
 #[cfg(target_os = "linux")]
 impl reactor::Service for Front<'_> {
-    /// An admitted predict owns nothing beyond its ticket.
-    type Pending = ();
+    /// An admitted predict's deadline timer.
+    type Pending = reactor::TimerId;
     type Completion = dispatch::Completed;
 
     fn stop_requested(&self) -> bool {
@@ -393,7 +393,7 @@ impl reactor::Service for Front<'_> {
         ticket: u64,
         request: &reactor::Request<'_>,
         trace: &mut obs::TraceContext,
-    ) -> reactor::Step<()> {
+    ) -> reactor::Step<reactor::TimerId> {
         use reactor::Step::{Respond, Wait};
         let shared = self.shared;
         shared.metrics.requests.inc();
@@ -429,8 +429,7 @@ impl reactor::Service for Front<'_> {
             Ok(()) => {
                 // The dispatcher's own 504 gets 250 ms to arrive before
                 // the reactor times out.
-                io.schedule(ticket, deadline + Duration::from_millis(250), 0);
-                Wait(())
+                Wait(io.schedule(ticket, deadline + Duration::from_millis(250), 0))
             }
             Err(rejection) => Respond(rejection),
         }
@@ -438,14 +437,15 @@ impl reactor::Service for Front<'_> {
 
     fn event(
         &mut self,
-        _io: &mut reactor::Io<dispatch::Completed>,
+        io: &mut reactor::Io<dispatch::Completed>,
         _ticket: u64,
-        _pending: &mut (),
+        deadline: &mut reactor::TimerId,
         event: reactor::Event<dispatch::Completed>,
         trace: &mut obs::TraceContext,
     ) -> Option<Response> {
         // Answered or timed out, the admitted request has left flight.
         self.shared.inflight_sub();
+        io.cancel(*deadline);
         Some(match event {
             reactor::Event::Completion(completed) => {
                 // The dispatcher's copy carries the queue, batch, and
@@ -463,10 +463,11 @@ impl reactor::Service for Front<'_> {
         })
     }
 
-    fn cancel(&mut self, _io: &mut reactor::Io<dispatch::Completed>, (): ()) {
+    fn cancel(&mut self, io: &mut reactor::Io<dispatch::Completed>, deadline: reactor::TimerId) {
         // Orphan the job: its completion (the prediction is memoized
-        // regardless) and its deadline timer both become no-ops.
+        // regardless) becomes a no-op.
         self.shared.inflight_sub();
+        io.cancel(deadline);
     }
 
     fn finish_trace(&self, trace: obs::TraceContext) {

@@ -50,6 +50,108 @@ pub struct PredictRequest {
     pub detail: bool,
 }
 
+impl PredictRequest {
+    /// The `model` and `gpu` of a predict body, borrowed from it, when the
+    /// body is a flat object whose strings hold no escapes, whose values
+    /// are strings, `true`/`false` or integers of at most 18 digits, and
+    /// whose known keys each appear once, with the type their field takes.
+    /// `None` means the body needs the full parse. Whatever this accepts,
+    /// `serde_json::from_str::<PredictRequest>` accepts too, with the same
+    /// two fields (it ignores unknown keys).
+    #[must_use]
+    pub fn model_and_gpu(body: &str) -> Option<(&str, &str)> {
+        let mut scan = Scan { body, at: 0 };
+        scan.byte(b'{')?;
+        let (mut model, mut gpu, mut seen) = (None, None, 0u8);
+        loop {
+            let key = scan.string()?;
+            scan.byte(b':')?;
+            let value = scan.value()?;
+            let (bit, fits) = match key {
+                "model" | "gpu" => (u8::from(key == "gpu") + 1, matches!(value, Token::Str(_))),
+                "batch" => (4, value == Token::Int),
+                "train" => (8, value == Token::Bool),
+                "fused" => (16, value == Token::Bool),
+                "detail" => (32, value == Token::Bool),
+                _ => (0, true),
+            };
+            if !fits || seen & bit != 0 {
+                return None;
+            }
+            seen |= bit;
+            match (bit, value) {
+                (1, Token::Str(text)) => model = Some(text),
+                (2, Token::Str(text)) => gpu = Some(text),
+                _ => {}
+            }
+            if scan.byte(b'}').is_some() {
+                break;
+            }
+            scan.byte(b',')?;
+        }
+        scan.skip_ws();
+        (scan.at == body.len()).then_some((model?, gpu?))
+    }
+}
+
+/// A value [`PredictRequest::model_and_gpu`] reads.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Token<'a> {
+    Str(&'a str),
+    Bool,
+    Int,
+}
+
+/// A cursor over a JSON text, for [`PredictRequest::model_and_gpu`].
+struct Scan<'a> {
+    body: &'a str,
+    at: usize,
+}
+
+impl<'a> Scan<'a> {
+    fn skip_ws(&mut self) {
+        let rest = &self.body.as_bytes()[self.at..];
+        self.at += rest
+            .iter()
+            .take_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .count();
+    }
+
+    /// Whitespace, then `byte`.
+    fn byte(&mut self, byte: u8) -> Option<()> {
+        self.skip_ws();
+        (self.body.as_bytes().get(self.at) == Some(&byte)).then(|| self.at += 1)
+    }
+
+    /// Whitespace, then a string without escapes.
+    fn string(&mut self) -> Option<&'a str> {
+        self.byte(b'"')?;
+        let rest = &self.body.as_bytes()[self.at..];
+        let len = rest.iter().position(|&b| b == b'"' || b == b'\\')?;
+        (rest[len] == b'"').then(|| {
+            let text = &self.body[self.at..self.at + len];
+            self.at += len + 1;
+            text
+        })
+    }
+
+    /// Whitespace, then a string, `true`, `false` or an integer.
+    fn value(&mut self) -> Option<Token<'a>> {
+        self.skip_ws();
+        let rest = &self.body[self.at..];
+        if rest.starts_with('"') {
+            return self.string().map(Token::Str);
+        }
+        if let Some(word) = ["true", "false"].into_iter().find(|w| rest.starts_with(w)) {
+            self.at += word.len();
+            return Some(Token::Bool);
+        }
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        self.at += digits;
+        (1..=18).contains(&digits).then_some(Token::Int)
+    }
+}
+
 /// Body of a `POST /v1/predict` response.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PredictResponse {
@@ -1002,6 +1104,79 @@ mod tests {
     fn service() -> &'static PredictService {
         static CELL: OnceLock<PredictService> = OnceLock::new();
         CELL.get_or_init(|| PredictService::new(trained()))
+    }
+
+    #[test]
+    fn model_and_gpu_accepts_only_what_the_full_parse_accepts() {
+        let accepted = [
+            (
+                r#"{"model":"gpt2","gpu":"H100","batch":2}"#,
+                ("gpt2", "H100"),
+            ),
+            (
+                " {\n\"gpu\" : \"T4\" ,\"model\":\"Bert\",\"train\":true,\"fused\":false,\
+                 \"detail\":false,\"batch\":007,\"note\":\"x\",\"n\":3} ",
+                ("Bert", "T4"),
+            ),
+            (r#"{"model":"é λ","gpu":"V100"}"#, ("é λ", "V100")),
+        ];
+        for (body, want) in accepted {
+            assert_eq!(PredictRequest::model_and_gpu(body), Some(want), "{body}");
+        }
+        // Left to the full parse, which accepts some and rejects others.
+        for body in [
+            "",
+            r#"["model"]"#,
+            r#"{"model":"gpt2"}"#,
+            r#"{"model":"gpt\"2","gpu":"H100"}"#,
+            r#"{"model":5,"gpu":"H100"}"#,
+            r#"{"model":"a","model":"b","gpu":"H100"}"#,
+            r#"{"model":"gpt2","gpu":"H100","batch":2.0}"#,
+            r#"{"model":"gpt2","gpu":"H100","batch":-1}"#,
+            r#"{"model":"gpt2","gpu":"H100","batch":1234567890123456789}"#,
+            r#"{"model":"gpt2","gpu":"H100","train":1}"#,
+            r#"{"model":"gpt2","gpu":"H100","batch":truex}"#,
+            r#"{"model":"gpt2","gpu":"H100","x":null}"#,
+            r#"{"model":"gpt2","gpu":"H100",}"#,
+            r#"{"model":"gpt2","gpu":"H100"} x"#,
+        ] {
+            assert_eq!(PredictRequest::model_and_gpu(body), None, "{body}");
+        }
+        // Mutants of a full body: whatever the scan reads, the parse
+        // reads the same.
+        let seed = r#"{"model":"gpt2","gpu":"H100","batch":12,"train":false,"fused":true}"#;
+        let alphabet = b"{}[]\":,\\ 0189-.etrufalsnmodgpubch";
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize % bound
+        };
+        for _ in 0..20_000 {
+            let mut bytes = seed.as_bytes().to_vec();
+            for _ in 0..=next(3) {
+                let at = next(bytes.len() + 1);
+                let byte = alphabet[next(alphabet.len())];
+                match next(3) {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => drop(bytes.remove(at)),
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            let Ok(body) = std::str::from_utf8(&bytes) else {
+                continue;
+            };
+            if let Some(fields) = PredictRequest::model_and_gpu(body) {
+                let parsed: PredictRequest = serde_json::from_str(body)
+                    .unwrap_or_else(|e| panic!("scan read {body} but the parse says {e}"));
+                assert_eq!(
+                    (parsed.model.as_str(), parsed.gpu.as_str()),
+                    fields,
+                    "{body}"
+                );
+            }
+        }
     }
 
     /// Serializes tests that arm the process-global fault registry.

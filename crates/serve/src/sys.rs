@@ -248,11 +248,11 @@ impl EventFd {
     }
 
     /// Consumes all pending wakeups so level-triggered epoll quiesces.
+    /// One read resets the counter to zero; a signal racing it leaves the
+    /// counter non-zero, which epoll reports on the next wait.
     pub fn drain(&self) {
         let mut value = [0u8; 8];
-        // One read resets an eventfd counter to zero; loop defensively in
-        // case of a race with a concurrent signal.
-        while unsafe { read(self.fd, value.as_mut_ptr(), 8) } == 8 {}
+        unsafe { read(self.fd, value.as_mut_ptr(), 8) };
     }
 }
 

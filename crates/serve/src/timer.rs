@@ -2,10 +2,12 @@
 //!
 //! Slots advance at a fixed tick; each slot holds the timers landing in
 //! that tick (mod one wheel revolution). Scheduling and firing are O(1)
-//! amortized, and cancellation is **lazy**: timers carry the connection's
-//! generation, and stale ones (connection since closed or recycled) are
-//! discarded when their slot comes around rather than searched for at
-//! cancel time.
+//! amortized. Idle timers are cancelled **lazily**: they carry the
+//! connection's generation, and stale ones (connection since closed or
+//! recycled) are discarded when their slot comes around. A service timer
+//! whose request is settled early is removed with [`TimerWheel::cancel`],
+//! so the wheel holds about one timer per request in flight, not one per
+//! request of the last timeout window.
 
 use std::time::{Duration, Instant};
 
@@ -41,6 +43,14 @@ pub struct Timer {
     pub kind: TimerKind,
 }
 
+/// Names a scheduled timer for [`TimerWheel::cancel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerId {
+    slot: usize,
+    key: u64,
+    kind: TimerKind,
+}
+
 /// The wheel itself.
 pub struct TimerWheel {
     slots: Vec<Vec<Timer>>,
@@ -68,10 +78,25 @@ impl TimerWheel {
 
     /// Schedules a timer. Due times in the past land in the next
     /// `advance` call.
-    pub fn schedule(&mut self, timer: Timer) {
+    pub fn schedule(&mut self, timer: Timer) -> TimerId {
         let tick = self.tick_of(timer.deadline).max(self.cursor);
         let slot = (tick % SLOTS as u64) as usize;
         self.slots[slot].push(timer);
+        TimerId {
+            slot,
+            key: timer.key,
+            kind: timer.kind,
+        }
+    }
+
+    /// Removes a timer that has not fired; a no-op once it has. A timer
+    /// stays in the slot it was scheduled into until it fires, so only
+    /// that slot is searched.
+    pub fn cancel(&mut self, id: TimerId) {
+        let slot = &mut self.slots[id.slot];
+        if let Some(at) = (slot.iter()).position(|t| (t.key, t.kind) == (id.key, id.kind)) {
+            slot.remove(at);
+        }
     }
 
     /// Advances the cursor to `now`, appending every due timer to `out`.
@@ -149,6 +174,32 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].key, 3);
         assert!(wheel.is_empty());
+    }
+
+    #[test]
+    fn cancelled_timers_leave_the_wheel_and_never_fire() {
+        let start = Instant::now();
+        let mut wheel = TimerWheel::new(start);
+        let long = wheel.schedule(timer(
+            start + Duration::from_secs(10),
+            1,
+            TimerKind::Service(0),
+        ));
+        let short = wheel.schedule(timer(
+            start + Duration::from_millis(50),
+            2,
+            TimerKind::Service(0),
+        ));
+        wheel.cancel(long);
+        assert_eq!(wheel.len(), 1, "only the live timer stays");
+        let mut fired = Vec::new();
+        wheel.advance(start + Duration::from_millis(60), &mut fired);
+        assert_eq!(fired.len(), 1);
+        // Cancelling a timer that already fired changes nothing.
+        wheel.cancel(short);
+        fired.clear();
+        wheel.advance(start + Duration::from_secs(11), &mut fired);
+        assert!(fired.is_empty() && wheel.is_empty());
     }
 
     #[test]
